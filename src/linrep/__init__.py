@@ -17,10 +17,6 @@ parameters ``theta = B* w*`` share a low-dimensional representation
 from .algorithms import (
     RunResult,
     StepOutcome,
-    adapt_full_finite,
-    adapt_full_population,
-    adapt_head_finite,
-    adapt_head_population,
     meta_gradients,
     run_trajectory,
     step_for,
@@ -65,7 +61,6 @@ from .metrics import (
     spectral_norm,
 )
 from .model import (
-    AdaptedTask,
     Algorithm,
     HyperParams,
     InitScheme,
@@ -92,7 +87,6 @@ __all__ = [
     "sample_environment",
     "sample_task_batch",
     # model
-    "AdaptedTask",
     "Algorithm",
     "HyperParams",
     "InitScheme",
@@ -105,10 +99,6 @@ __all__ = [
     # algorithms
     "RunResult",
     "StepOutcome",
-    "adapt_full_finite",
-    "adapt_full_population",
-    "adapt_head_finite",
-    "adapt_head_population",
     "meta_gradients",
     "run_trajectory",
     "step_for",

@@ -1,12 +1,13 @@
 """Meta-learning outer-loop updates and the trajectory driver.
 
-One step function per algorithm/mode pair.  Each step adapts every task in
-the round's batch with one inner gradient step, averages the resulting
-outer-loop gradient, and returns the updated shared parameters together
-with the adapted per-task states and the spectrum of the adapted-head
-second-moment matrix.  ``run_trajectory`` iterates steps over freshly
-sampled batches, records subspace diagnostics on a fixed schedule, and
-stops early when the iterates diverge.
+One vectorized gradient kernel per algorithm/mode pair.  Each kernel adapts
+every task in the round's batch with one inner gradient step and averages
+the resulting outer-loop gradient; ``step_for`` builds the outer step on it,
+which returns the updated shared parameters together with the adapted
+per-task states and the spectrum of the adapted-head second-moment matrix.
+``run_trajectory`` iterates steps over freshly sampled batches, records
+subspace diagnostics on a fixed schedule, and stops early when the iterates
+diverge.
 
 Population steps use the closed-form expected risk; finite-sample steps
 consume per-task inner/outer data sets.  The average-risk baseline skips
@@ -36,37 +37,13 @@ from .metrics import (
     principal_angle_dist,
     spectral_norm,
 )
-from .model import (
-    AdaptedTask,
-    Algorithm,
-    HyperParams,
-    Mode,
-    ModelParams,
-    fs_grad_B,
-    fs_grad_w,
-    pop_grad_B,
-    pop_grad_w,
-)
+from .model import Algorithm, HyperParams, Mode, ModelParams, fs_grad_B, fs_grad_w
 
 __all__ = [
     "StepOutcome",
     "RunResult",
-    "adapt_head_population",
-    "adapt_full_population",
-    "adapt_head_finite",
-    "adapt_full_finite",
     "meta_gradients",
     "step_for",
-    "step_fo_anil_pop",
-    "step_exact_anil_pop",
-    "step_fo_maml_pop",
-    "step_exact_maml_pop",
-    "step_avg_risk_min_pop",
-    "step_fo_anil_fs",
-    "step_exact_anil_fs",
-    "step_fo_maml_fs",
-    "step_exact_maml_fs",
-    "step_avg_risk_min_fs",
     "run_trajectory",
 ]
 
@@ -79,13 +56,17 @@ _DIVERGENCE_NORM = 1e6
 class StepOutcome:
     """Result of one outer-loop step.
 
-    ``adapted`` holds the inner-loop states used by this round, in task
-    order; ``psi_min``/``psi_max`` are the extreme eigenvalues of the
-    adapted-head second-moment matrix ``(1/n) sum_i w_i w_i^T``.
+    ``adapted_heads`` (``n x k``) holds the round's inner-loop heads in task
+    order; ``adapted_reps`` (``n x d x k``) holds the adapted
+    representations of the full-adaptation variants and is None for
+    algorithms that adapt the head only.  ``psi_min``/``psi_max`` are the
+    extreme eigenvalues of the adapted-head second-moment matrix
+    ``(1/n) sum_i w_i w_i^T``.
     """
 
     params_next: ModelParams
-    adapted: tuple[AdaptedTask, ...]
+    adapted_heads: np.ndarray
+    adapted_reps: np.ndarray | None
     psi_min: float
     psi_max: float
 
@@ -110,40 +91,6 @@ class RunResult:
     diverged_at: int | None
     head_stats: DiversityStats | None
     gt_stats_running: tuple[DiversityStats, ...]
-
-
-# --------------------------------------------------------------------------
-# Inner-loop adaptation
-# --------------------------------------------------------------------------
-
-def adapt_head_population(
-    params: ModelParams, env: TaskEnvironment, head_true: np.ndarray, alpha: float
-) -> AdaptedTask:
-    """One head-only inner gradient step on the population task loss."""
-    return AdaptedTask(head_adapted=params.head - alpha * pop_grad_w(params, env, head_true))
-
-
-def adapt_full_population(
-    params: ModelParams, env: TaskEnvironment, head_true: np.ndarray, alpha: float
-) -> AdaptedTask:
-    """One full-parameter inner gradient step on the population task loss."""
-    return AdaptedTask(
-        head_adapted=params.head - alpha * pop_grad_w(params, env, head_true),
-        rep_adapted=params.rep - alpha * pop_grad_B(params, env, head_true),
-    )
-
-
-def adapt_head_finite(params: ModelParams, dataset, alpha: float) -> AdaptedTask:
-    """One head-only inner gradient step on a task's empirical loss."""
-    return AdaptedTask(head_adapted=params.head - alpha * fs_grad_w(params, dataset))
-
-
-def adapt_full_finite(params: ModelParams, dataset, alpha: float) -> AdaptedTask:
-    """One full-parameter inner gradient step on a task's empirical loss."""
-    return AdaptedTask(
-        head_adapted=params.head - alpha * fs_grad_w(params, dataset),
-        rep_adapted=params.rep - alpha * fs_grad_B(params, dataset),
-    )
 
 
 # --------------------------------------------------------------------------
@@ -448,98 +395,38 @@ def _psi_spectrum(adapted: np.ndarray) -> tuple[float, float]:
     return max(low, 0.0), max(high, 0.0)
 
 
-def _make_outcome(params, hp, grads, psi: tuple[float, float] | None = None) -> StepOutcome:
-    grad_head, grad_rep, adapted, adapted_reps = grads
-    params_next = ModelParams(
-        rep=params.rep - hp.beta * grad_rep, head=params.head - hp.beta * grad_head
-    )
-    tasks = tuple(
-        AdaptedTask(
-            head_adapted=adapted[i],
-            rep_adapted=None if adapted_reps is None else adapted_reps[i],
-        )
-        for i in range(adapted.shape[0])
-    )
-    psi_min, psi_max = _psi_spectrum(adapted) if psi is None else psi
-    return StepOutcome(
-        params_next=params_next, adapted=tasks, psi_min=psi_min, psi_max=psi_max
-    )
-
-
 def _avg_psi(params: ModelParams) -> tuple[float, float]:
     w_sq = float(params.head @ params.head)
     return (w_sq, w_sq) if params.rep.shape[1] == 1 else (0.0, w_sq)
 
 
-def step_fo_anil_pop(params, env, batch, hp) -> StepOutcome:
-    """Head-only adaptation, first-order outer step, population losses."""
-    return _make_outcome(params, hp, _grads_fo_anil_pop(params, env, batch, hp.alpha))
+def step_for(hp: HyperParams) -> Callable[..., StepOutcome]:
+    """The outer step ``step(params, env, batch, hp)`` for ``hp``'s
+    algorithm/mode pair.
 
+    The step reads the step sizes from its own ``hp`` argument, so one step
+    serves every configuration of the pair.  The average-risk baseline does
+    not adapt; its psi spectrum is that of the unadapted head.
+    """
+    grads = _GRADS[(hp.algo, hp.mode)]
+    adapts = hp.algo is not Algorithm.AVG_RISK_MIN
 
-def step_exact_anil_pop(params, env, batch, hp) -> StepOutcome:
-    """Head-only adaptation, exact outer gradient, population losses."""
-    return _make_outcome(params, hp, _grads_exact_anil_pop(params, env, batch, hp.alpha))
+    def step(
+        params: ModelParams, env: TaskEnvironment, batch: TaskBatch, hp: HyperParams
+    ) -> StepOutcome:
+        grad_head, grad_rep, heads, reps = grads(params, env, batch, hp.alpha)
+        psi_min, psi_max = _psi_spectrum(heads) if adapts else _avg_psi(params)
+        return StepOutcome(
+            params_next=ModelParams(
+                rep=params.rep - hp.beta * grad_rep, head=params.head - hp.beta * grad_head
+            ),
+            adapted_heads=heads,
+            adapted_reps=reps,
+            psi_min=psi_min,
+            psi_max=psi_max,
+        )
 
-
-def step_fo_maml_pop(params, env, batch, hp) -> StepOutcome:
-    """Full adaptation, first-order outer step, population losses."""
-    return _make_outcome(params, hp, _grads_fo_maml_pop(params, env, batch, hp.alpha))
-
-
-def step_exact_maml_pop(params, env, batch, hp) -> StepOutcome:
-    """Full adaptation, exact outer gradient, population losses."""
-    return _make_outcome(params, hp, _grads_exact_maml_pop(params, env, batch, hp.alpha))
-
-
-def step_avg_risk_min_pop(params, env, batch, hp) -> StepOutcome:
-    """No adaptation: gradient step on the mean population risk."""
-    grads = _grads_avg_pop(params, env, batch, hp.alpha)
-    return _make_outcome(params, hp, grads, psi=_avg_psi(params))
-
-
-def step_fo_anil_fs(params, env, batch, hp) -> StepOutcome:
-    """Head-only adaptation, first-order outer step, empirical losses."""
-    return _make_outcome(params, hp, _grads_fo_anil_fs(params, env, batch, hp.alpha))
-
-
-def step_exact_anil_fs(params, env, batch, hp) -> StepOutcome:
-    """Head-only adaptation, exact outer gradient, empirical losses."""
-    return _make_outcome(params, hp, _grads_exact_anil_fs(params, env, batch, hp.alpha))
-
-
-def step_fo_maml_fs(params, env, batch, hp) -> StepOutcome:
-    """Full adaptation, first-order outer step, empirical losses."""
-    return _make_outcome(params, hp, _grads_fo_maml_fs(params, env, batch, hp.alpha))
-
-
-def step_exact_maml_fs(params, env, batch, hp) -> StepOutcome:
-    """Full adaptation, outer step with the empirical Hessian correction."""
-    return _make_outcome(params, hp, _grads_exact_maml_fs(params, env, batch, hp.alpha))
-
-
-def step_avg_risk_min_fs(params, env, batch, hp) -> StepOutcome:
-    """No adaptation: gradient step on the mean empirical risk."""
-    grads = _grads_avg_fs(params, env, batch, hp.alpha)
-    return _make_outcome(params, hp, grads, psi=_avg_psi(params))
-
-
-_STEPS: dict[tuple[Algorithm, Mode], Callable] = {
-    (Algorithm.FO_ANIL, Mode.POPULATION): step_fo_anil_pop,
-    (Algorithm.EXACT_ANIL, Mode.POPULATION): step_exact_anil_pop,
-    (Algorithm.FO_MAML, Mode.POPULATION): step_fo_maml_pop,
-    (Algorithm.EXACT_MAML, Mode.POPULATION): step_exact_maml_pop,
-    (Algorithm.AVG_RISK_MIN, Mode.POPULATION): step_avg_risk_min_pop,
-    (Algorithm.FO_ANIL, Mode.FINITE): step_fo_anil_fs,
-    (Algorithm.EXACT_ANIL, Mode.FINITE): step_exact_anil_fs,
-    (Algorithm.FO_MAML, Mode.FINITE): step_fo_maml_fs,
-    (Algorithm.EXACT_MAML, Mode.FINITE): step_exact_maml_fs,
-    (Algorithm.AVG_RISK_MIN, Mode.FINITE): step_avg_risk_min_fs,
-}
-
-
-def step_for(hp: HyperParams) -> Callable:
-    """The step function for ``hp``'s algorithm/mode combination."""
-    return _STEPS[(hp.algo, hp.mode)]
+    return step
 
 
 # --------------------------------------------------------------------------

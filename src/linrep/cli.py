@@ -41,6 +41,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(self.format_usage(), message)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="linrep",
@@ -48,7 +58,10 @@ def _build_parser() -> _Parser:
     )
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="override the config master seed")
-    common.add_argument("--jobs", type=int, default=1, help="trial worker processes (default 1)")
+    common.add_argument(
+        "--jobs", type=_positive_int, default=1,
+        help="trial worker processes, at most one per trial and CPU (default 1)",
+    )
     common.add_argument("--out", type=Path, default=None, help="override the output directory")
 
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")

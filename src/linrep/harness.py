@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import xml.etree.ElementTree as ET
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -96,7 +97,7 @@ class ConfigError(ValueError):
 class EnvConfig(BaseModel):
     """Task environment block."""
 
-    model_config = ConfigDict(extra="forbid", frozen=True)
+    model_config = ConfigDict(extra="forbid", frozen=True, allow_inf_nan=False)
 
     d: int = Field(ge=2)
     k: int = Field(ge=1)
@@ -119,7 +120,7 @@ class HpConfig(BaseModel):
     """Algorithm and step-size block; ``alpha`` may be the literal "auto"
     to request the horizon-matched inner step size."""
 
-    model_config = ConfigDict(extra="forbid", frozen=True)
+    model_config = ConfigDict(extra="forbid", frozen=True, allow_inf_nan=False)
 
     algo: Algorithm
     mode: Mode
@@ -146,7 +147,7 @@ class HpConfig(BaseModel):
 class InitConfig(BaseModel):
     """Initialization block."""
 
-    model_config = ConfigDict(extra="forbid", frozen=True)
+    model_config = ConfigDict(extra="forbid", frozen=True, allow_inf_nan=False)
 
     scheme: InitScheme = InitScheme.SPEC
     target_band: tuple[float, float] | None = None
@@ -165,7 +166,7 @@ class InitConfig(BaseModel):
 class RunConfig(BaseModel):
     """Trial-count, seeding, and output block."""
 
-    model_config = ConfigDict(extra="forbid", frozen=True)
+    model_config = ConfigDict(extra="forbid", frozen=True, allow_inf_nan=False)
 
     trials: int = Field(default=5, ge=1)
     master_seed: int = Field(default=0, ge=0)
@@ -176,7 +177,7 @@ class RunConfig(BaseModel):
 class ChecksConfig(BaseModel):
     """Optional checks attached to a run."""
 
-    model_config = ConfigDict(extra="forbid", frozen=True)
+    model_config = ConfigDict(extra="forbid", frozen=True, allow_inf_nan=False)
 
     gradcheck: bool = False
     hypcheck: bool = False
@@ -186,7 +187,7 @@ class ChecksConfig(BaseModel):
 class ExperimentConfig(BaseModel):
     """Complete experiment description (the JSON file's top level)."""
 
-    model_config = ConfigDict(extra="forbid", frozen=True)
+    model_config = ConfigDict(extra="forbid", frozen=True, allow_inf_nan=False)
 
     env: EnvConfig
     hp: HpConfig
@@ -389,6 +390,17 @@ def _write_mean_csv(path: Path, results: tuple[RunResult, ...]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+
+
+def _worker_count(jobs: int, trials: int) -> int:
+    """Pool size for ``jobs`` requested workers: never more processes than
+    trials or CPUs, since the pool starts all of its workers at once."""
+    return min(jobs, trials, os.cpu_count() or 1)
+
+
 def run_experiment(
     config: ExperimentConfig, *, out_dir: str | Path | None = None, jobs: int = 1
 ) -> ExperimentArtifacts:
@@ -396,17 +408,20 @@ def run_experiment(
     summary.json into ``out_dir`` (default: the config's output_dir).
 
     Trials use independent substreams of the master seed and may execute in
-    a process pool (``jobs``); files are written by this single writer in
-    trial order, so output bytes do not depend on scheduling.  Divergent
-    trials are reported in the summary and excluded from mean.csv, but
-    their truncated trajectories still appear in trajectory.csv.
+    a process pool of up to ``jobs`` workers (bounded by the trial and CPU
+    counts); files are written by this single writer in trial order, so
+    output bytes do not depend on scheduling.  Divergent trials are
+    reported in the summary and excluded from mean.csv, but their truncated
+    trajectories still appear in trajectory.csv.
     """
+    _check_jobs(jobs)
     hp = resolve_hyper(config)  # surfaces alpha='auto' problems before any work
     out = Path(out_dir) if out_dir is not None else Path(config.run.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     trials = config.run.trials
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = _worker_count(jobs, trials)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = tuple(pool.map(_run_trial, [config] * trials, range(trials)))
     else:
         results = tuple(_run_trial(config, trial) for trial in range(trials))
@@ -533,7 +548,8 @@ def gradcheck(config: ExperimentConfig) -> GradCheckReport:
     differences of the meta-objective at random points.
 
     Enforces d <= 10 and k <= 4 (the check costs O(dk) loss evaluations per
-    point).  FAIL when any block's relative error exceeds 1e-5.
+    point).  FAIL when any block's relative error exceeds 1e-5 or is not
+    finite.
     """
     e = config.env
     if e.d > 10 or e.k > 4:
@@ -550,8 +566,10 @@ def gradcheck(config: ExperimentConfig) -> GradCheckReport:
         batch = _gradcheck_batch(env, hp, rng)
         grad_head, grad_rep = meta_gradients(params, env, batch, hp)
         fd_head, fd_rep = _fd_meta_gradient(params, env, batch, hp)
-        worst_head = max(worst_head, _rel_err(grad_head, fd_head))
-        worst_rep = max(worst_rep, _rel_err(grad_rep, fd_rep))
+        # np.maximum keeps a NaN error (builtin max drops it); NaN then
+        # fails the tolerance comparison below.
+        worst_head = float(np.maximum(worst_head, _rel_err(grad_head, fd_head)))
+        worst_rep = float(np.maximum(worst_rep, _rel_err(grad_rep, fd_rep)))
     return GradCheckReport(
         algo=hp.algo,
         mode=hp.mode,
@@ -559,7 +577,7 @@ def gradcheck(config: ExperimentConfig) -> GradCheckReport:
         tolerance=_GRADCHECK_TOL,
         max_rel_err_head=worst_head,
         max_rel_err_rep=worst_rep,
-        passed=max(worst_head, worst_rep) <= _GRADCHECK_TOL,
+        passed=worst_head <= _GRADCHECK_TOL and worst_rep <= _GRADCHECK_TOL,
     )
 
 
@@ -657,9 +675,9 @@ def _value_label(axis: SweepAxis, value) -> str:
 
 def _cell_config(config: ExperimentConfig, axis: SweepAxis, value) -> ExperimentConfig:
     field = _AXIS_FIELDS[axis]
-    coerced = float(value) if axis is SweepAxis.BETA else int(value)
     if axis is not SweepAxis.BETA and not float(value).is_integer():
         raise ConfigError(f"{axis.value} sweep values must be integers, got {value}")
+    coerced = float(value) if axis is SweepAxis.BETA else int(value)
     data = config.hp.model_dump()
     data[field] = coerced
     try:
@@ -705,9 +723,11 @@ def sweep(
     one-row-per-value sweep.csv.
 
     Sample-size axes (M_IN, M_OUT) require FINITE mode.  A failing cell
-    records its error message and the sweep continues; cells where every
-    trial diverged report the divergence count with empty statistics.
+    (a non-finite value included) records its error message and the sweep
+    continues; cells where every trial diverged report the divergence count
+    with empty statistics.
     """
+    _check_jobs(jobs)
     axis = SweepAxis(axis)
     if axis in (SweepAxis.M_IN, SweepAxis.M_OUT) and config.hp.mode is not Mode.FINITE:
         raise ConfigError(f"{axis.value} sweep requires FINITE mode")

@@ -30,9 +30,6 @@ __all__ = [
 ]
 
 _RANK_TOL = 1e-12
-_POWER_TOL = 1e-12
-_POWER_MAX_ITERS = 10_000
-_STAGNATION_WINDOW = 10
 
 
 @dataclass(frozen=True)
@@ -134,19 +131,10 @@ def orth_complement(Bstar: np.ndarray) -> np.ndarray:
 
 
 def spectral_norm(M: np.ndarray) -> float:
-    """Largest singular value of ``M`` by power iteration on the Gram matrix.
+    """Largest singular value of ``M`` (one LAPACK singular-value solve).
 
-    Iterates on the smaller of ``M^T M`` and ``M M^T`` from a fixed
-    deterministic start vector until the eigen-residual drops below a
-    1e-12 relative tolerance (for a symmetric matrix the eigenvalue error
-    is then bounded by the residual).  When the iteration stagnates —
-    which happens when the top eigenvalues are nearly tied, since the
-    mixing within the cluster decays at the tiny spectral gap — the tie
-    is resolved by Rayleigh-Ritz extraction on the stalled iterate's small
-    Krylov block, certified against the same residual tolerance.  Failing
-    that, the iteration restarts once from a rotated start vector, and
-    ``numpy.linalg.LinAlgError`` (with the final residual) is raised if
-    that also fails to converge.
+    Raises ``ValueError`` for input that is not 2-D or has non-finite
+    entries; an empty matrix has norm 0.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
@@ -155,75 +143,7 @@ def spectral_norm(M: np.ndarray) -> float:
         return 0.0
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix contains non-finite entries")
-    gram = M.T @ M if M.shape[1] <= M.shape[0] else M @ M.T
-    s = gram.shape[0]
-    if s == 1:
-        return math.sqrt(max(float(gram[0, 0]), 0.0))
-
-    def iterate(start: np.ndarray) -> tuple[float, bool, float, np.ndarray]:
-        v = start / math.sqrt(float(start @ start))
-        estimate = 0.0
-        residual = math.inf
-        checkpoint = math.inf
-        for i in range(_POWER_MAX_ITERS):
-            image = gram @ v
-            estimate = float(v @ image)
-            norm_image_sq = float(image @ image)
-            if norm_image_sq == 0.0:
-                return 0.0, True, 0.0, v
-            diff = image - estimate * v
-            residual = math.sqrt(float(diff @ diff))
-            if residual <= _POWER_TOL * max(abs(estimate), 1e-300):
-                return estimate, True, residual, v
-            if i % _STAGNATION_WINDOW == 0:
-                # A residual shrinking by less than half per window decays at
-                # a near-unit rate; hand off to the Ritz block instead of
-                # burning the full iteration budget.
-                if residual > 0.5 * checkpoint:
-                    break
-                checkpoint = residual
-            v = image / math.sqrt(norm_image_sq)
-        return estimate, False, residual, v
-
-    breakdown_tol = 1e-13 * float(np.linalg.norm(gram))
-
-    def ritz_refine(v: np.ndarray) -> tuple[float, bool, float]:
-        basis = [v / np.linalg.norm(v)]
-        for _ in range(min(s, 4) - 1):
-            u = gram @ basis[-1]
-            # Two projection passes: one pass leaves cancellation residue of
-            # the dominant directions that can drown the genuinely new one.
-            for _ in range(2):
-                for b in basis:
-                    u -= (b @ u) * b
-            norm_u = float(np.linalg.norm(u))
-            if norm_u <= breakdown_tol:
-                break
-            basis.append(u / norm_u)
-        block = np.column_stack(basis)
-        projected = block.T @ gram @ block
-        eigenvalues, vectors = np.linalg.eigh(0.5 * (projected + projected.T))
-        estimate = float(eigenvalues[-1])
-        top = block @ vectors[:, -1]
-        residual = float(np.linalg.norm(gram @ top - estimate * top))
-        return estimate, residual <= _POWER_TOL * max(abs(estimate), 1e-300), residual
-
-    estimate, converged, residual, v = iterate(np.ones(s))
-    if not converged:
-        estimate, converged, residual = ritz_refine(v)
-    if not converged:
-        rotated = np.cos(np.arange(s) + 0.25)
-        if np.linalg.norm(rotated) == 0.0:
-            rotated = np.ones(s)
-        estimate, converged, residual, v = iterate(rotated)
-        if not converged:
-            estimate, converged, residual = ritz_refine(v)
-    if not converged:
-        raise np.linalg.LinAlgError(
-            f"power iteration failed to converge within {_POWER_MAX_ITERS} iterations"
-            f" (residual {residual:.3e})"
-        )
-    return math.sqrt(max(estimate, 0.0))
+    return float(np.linalg.svd(M, compute_uv=False)[0])
 
 
 def principal_angle_dist(B: np.ndarray, Bstar_perp: np.ndarray) -> float:

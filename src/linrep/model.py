@@ -16,7 +16,6 @@ from .metrics import orth_complement, principal_angle_dist, qr_orthonormalize
 from .rng import standard_normal
 
 __all__ = [
-    "AdaptedTask",
     "Algorithm",
     "HyperParams",
     "InitScheme",
@@ -116,19 +115,6 @@ class HyperParams:
             raise ValueError(
                 f"FINITE mode requires m_in >= 1 and m_out >= 1, got {self.m_in}, {self.m_out}"
             )
-
-
-@dataclass(frozen=True)
-class AdaptedTask:
-    """Per-task parameters after the inner adaptation step.
-
-    ``rep_adapted`` is present exactly when the algorithm adapts the
-    representation too (the full-adaptation variants); head-only
-    algorithms leave it ``None``.
-    """
-
-    head_adapted: np.ndarray
-    rep_adapted: np.ndarray | None = None
 
 
 _BISECTION_MAX_ITERS = 60

@@ -192,7 +192,7 @@ def test_criterion_2_rep_contraction_identity_and_monotonicity():
         for _ in range(hp.iters):
             batch = sample_task_batch(env, hp.n, tasks_rng)
             outcome = step(params, env, batch, hp)
-            heads = np.stack([task.head_adapted for task in outcome.adapted])
+            heads = outcome.adapted_heads
             psi = heads.T @ heads / heads.shape[0]
             lhs = perp.T @ outcome.params_next.rep
             rhs = (perp.T @ params.rep) @ (np.eye(3) - hp.beta * psi)

@@ -15,17 +15,8 @@ import pytest
 from linrep.algorithms import (
     RunResult,
     StepOutcome,
-    adapt_full_finite,
-    adapt_full_population,
-    adapt_head_finite,
-    adapt_head_population,
     meta_gradients,
     run_trajectory,
-    step_avg_risk_min_pop,
-    step_fo_anil_pop,
-    step_fo_maml_pop,
-    step_exact_anil_pop,
-    step_exact_maml_pop,
     step_for,
 )
 from linrep.env import (
@@ -48,6 +39,8 @@ from linrep.rng import standard_normal, substream
 from oracles import central_diff_pair, rel_err
 
 ALL_ALGOS = list(Algorithm)
+ADAPTING_ALGOS = [algo for algo in Algorithm if algo is not Algorithm.AVG_RISK_MIN]
+FULL_ADAPTATION = (Algorithm.FO_MAML, Algorithm.EXACT_MAML)
 
 
 def _env(d: int = 6, k: int = 2, seed: int = 0, noise_std: float = 0.0, head_mean: float = 0.0):
@@ -149,53 +142,46 @@ def _reference_meta_gradient(params, env, batch, hp) -> tuple[np.ndarray, np.nda
 
 
 class TestAdaptation:
-    def test_head_adaptation_population_formula(self) -> None:
-        env = _env(d=7, k=3, seed=1)
+    @pytest.mark.parametrize("algo", ADAPTING_ALGOS, ids=lambda a: a.value)
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_adapted_states_are_one_inner_gradient_step(self, algo: Algorithm, mode: Mode) -> None:
+        env = _env(d=7, k=3, seed=1, noise_std=0.2)
         rng = substream(1, 0, "params")
         params = _random_params(rng, 7, 3)
-        head_true = standard_normal(rng, (3,))
-        alpha = 0.13
-        adapted = adapt_head_population(params, env, head_true, alpha)
-        gw, _ = _pop_inner_grads(params.rep, params.head, env, head_true)
-        np.testing.assert_allclose(adapted.head_adapted, params.head - alpha * gw, atol=1e-14)
-        assert adapted.rep_adapted is None
-
-    def test_full_adaptation_population_formula(self) -> None:
-        env = _env(d=7, k=3, seed=2)
-        rng = substream(2, 0, "params")
-        params = _random_params(rng, 7, 3)
-        head_true = standard_normal(rng, (3,))
-        alpha = 0.08
-        adapted = adapt_full_population(params, env, head_true, alpha)
-        gw, gB = _pop_inner_grads(params.rep, params.head, env, head_true)
-        np.testing.assert_allclose(adapted.head_adapted, params.head - alpha * gw, atol=1e-14)
-        np.testing.assert_allclose(adapted.rep_adapted, params.rep - alpha * gB, atol=1e-14)
-
-    def test_finite_adaptation_formulas(self) -> None:
-        env = _env(d=5, k=2, seed=3, noise_std=0.2)
-        rng = substream(3, 0, "params")
-        params = _random_params(rng, 5, 2)
-        ds = sample_dataset(env, standard_normal(rng, (2,)), 20, substream(3, 1, "data"))
-        alpha = 0.06
-        gw, gB = _emp_inner_grads(params.rep, params.head, ds)
-        head_only = adapt_head_finite(params, ds, alpha)
-        np.testing.assert_allclose(head_only.head_adapted, params.head - alpha * gw, atol=1e-14)
-        assert head_only.rep_adapted is None
-        both = adapt_full_finite(params, ds, alpha)
-        np.testing.assert_allclose(both.head_adapted, params.head - alpha * gw, atol=1e-14)
-        np.testing.assert_allclose(both.rep_adapted, params.rep - alpha * gB, atol=1e-14)
+        hp = _hp(algo, mode, n=4, alpha=0.13, m_in=20, m_out=15)
+        batch = (
+            _population_batch(env, hp.n, seed=1)
+            if mode is Mode.POPULATION
+            else _finite_batch(env, hp.n, hp.m_in, hp.m_out, seed=1)
+        )
+        outcome = step_for(hp)(params, env, batch, hp)
+        assert (outcome.adapted_reps is not None) == (algo in FULL_ADAPTATION)
+        for i in range(hp.n):
+            if mode is Mode.POPULATION:
+                gw, gB = _pop_inner_grads(params.rep, params.head, env, batch.heads[i])
+            else:
+                gw, gB = _emp_inner_grads(params.rep, params.head, batch.inner_sets[i])
+            np.testing.assert_allclose(
+                outcome.adapted_heads[i], params.head - hp.alpha * gw, atol=1e-14
+            )
+            if outcome.adapted_reps is not None:
+                np.testing.assert_allclose(
+                    outcome.adapted_reps[i], params.rep - hp.alpha * gB, atol=1e-14
+                )
 
     def test_finite_head_adaptation_approaches_population(self) -> None:
         m = 100_000
         env = _env(d=6, k=2, seed=4)
         basis, _ = np.linalg.qr(standard_normal(substream(4, 0, "params"), (6, 2)))
         params = ModelParams(rep=basis, head=np.array([0.3, -0.2]))
-        head_true = np.array([1.0, 0.5])
-        ds = sample_dataset(env, head_true, m, substream(4, 1, "data"))
-        alpha = 0.1
-        fin = adapt_head_finite(params, ds, alpha)
-        pop = adapt_head_population(params, env, head_true, alpha)
-        assert np.abs(fin.head_adapted - pop.head_adapted).max() <= 5.0 / math.sqrt(m)
+        head_true = np.array([[1.0, 0.5]])
+        ds = sample_dataset(env, head_true[0], m, substream(4, 1, "data"))
+        hp_fin = _hp(Algorithm.FO_ANIL, Mode.FINITE, n=1, alpha=0.1, m_in=m, m_out=m)
+        hp_pop = _hp(Algorithm.FO_ANIL, Mode.POPULATION, n=1, alpha=0.1)
+        fin_batch = TaskBatch(heads=head_true, inner_sets=(ds,), outer_sets=(ds,))
+        fin = step_for(hp_fin)(params, env, fin_batch, hp_fin)
+        pop = step_for(hp_pop)(params, env, TaskBatch(heads=head_true), hp_pop)
+        assert np.abs(fin.adapted_heads[0] - pop.adapted_heads[0]).max() <= 5.0 / math.sqrt(m)
 
 
 class TestMetaGradientsMatchFiniteDifferences:
@@ -242,8 +228,8 @@ class TestUpdateRearrangementIdentities:
         rng = substream(5, 0, "tasks")
         for _ in range(20):
             batch = sample_task_batch(env, hp.n, rng)
-            outcome = step_fo_anil_pop(params, env, batch, hp)
-            adapted = np.stack([task.head_adapted for task in outcome.adapted])
+            outcome = step_for(hp)(params, env, batch, hp)
+            adapted = outcome.adapted_heads
             psi = adapted.T @ adapted / hp.n
             lhs = perp.T @ outcome.params_next.rep
             rhs = (perp.T @ params.rep) @ (np.eye(3) - hp.beta * psi)
@@ -256,7 +242,7 @@ class TestUpdateRearrangementIdentities:
         rng = substream(6, 0, "params")
         params = _random_params(rng, 7, 2)
         batch = _population_batch(env, hp.n, seed=6)
-        outcome = step_exact_anil_pop(params, env, batch, hp)
+        outcome = step_for(hp)(params, env, batch, hp)
         B, w = params.rep, params.head
         delta = np.eye(2) - hp.alpha * B.T @ B
         mean_head = batch.heads.mean(axis=0)
@@ -271,11 +257,11 @@ class TestUpdateRearrangementIdentities:
         rng = substream(7, 0, "params")
         params = _random_params(rng, 9, 3)
         batch = _population_batch(env, hp.n, seed=7)
-        outcome = step_fo_maml_pop(params, env, batch, hp)
+        outcome = step_for(hp)(params, env, batch, hp)
         B, w = params.rep, params.head
         Bstar = env.ground_truth_rep
         lam = np.eye(3) - hp.alpha * np.outer(w, w)
-        adapted = np.stack([task.head_adapted for task in outcome.adapted])
+        adapted = outcome.adapted_heads
         psi = adapted.T @ adapted / hp.n
         coupling = np.zeros((9, 3))
         for i in range(hp.n):
@@ -331,15 +317,17 @@ class TestStepStructure:
         params = _random_params(substream(10, 0, "params"), 6, 2)
         outcome = step_for(hp)(params, env, batch, hp)
         assert isinstance(outcome, StepOutcome)
-        assert len(outcome.adapted) == 4
-        expects_rep = algo in (Algorithm.FO_MAML, Algorithm.EXACT_MAML)
-        assert all((task.rep_adapted is not None) == expects_rep for task in outcome.adapted)
+        assert outcome.adapted_heads.shape == (4, 2)
+        if algo in FULL_ADAPTATION:
+            assert outcome.adapted_reps.shape == (4, 6, 2)
+        else:
+            assert outcome.adapted_reps is None
         assert outcome.psi_min <= outcome.psi_max
         if algo is Algorithm.AVG_RISK_MIN:
             assert outcome.psi_min == pytest.approx(0.0, abs=1e-15)
             assert outcome.psi_max == pytest.approx(float(params.head @ params.head))
         else:
-            adapted = np.stack([task.head_adapted for task in outcome.adapted])
+            adapted = outcome.adapted_heads
             psi = adapted.T @ adapted / 4
             eigenvalues = np.linalg.eigvalsh(psi)
             assert outcome.psi_min == pytest.approx(float(eigenvalues[0]), abs=1e-12)
@@ -375,7 +363,7 @@ class TestScalarRecursionOracle:
         rng = substream(12, 0, "tasks")
         for _ in range(100):
             batch = sample_task_batch(env, hp.n, rng)
-            outcome = step_fo_anil_pop(params, env, batch, hp)
+            outcome = step_for(hp)(params, env, batch, hp)
 
             heads = [float(h[0]) for h in batch.heads]
             bb = b[0] * b[0] + b[1] * b[1]

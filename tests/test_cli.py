@@ -85,6 +85,26 @@ class TestRunCommand:
         assert main(["run", str(cfg)]) == 1
         assert "alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("hp.alpha", float("inf")), ("env.head_scale", float("inf")),
+         ("env.head_mean", [0.0, float("nan")])],
+    )
+    def test_non_finite_number_exits_one_and_names_field(self, tmp_path, capsys, field, value):
+        cfg = _write_config(tmp_path, **{field: value})
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert field in err
+        assert "finite" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_one(self, tmp_path, capsys, jobs):
+        cfg = _write_config(tmp_path)
+        assert main(["run", str(cfg), "--jobs", jobs, "--out", str(tmp_path / "o")]) == 1
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_embedded_gradcheck_failure_exits_two(self, tmp_path, monkeypatch, capsys):
         def corrupted(params, env, batch, hp):
             grad_head, grad_rep = real(params, env, batch, hp)
@@ -105,10 +125,15 @@ class TestGradcheckCommand:
         assert "PASS" in stdout
         assert "rel err" in stdout
 
-    def test_corrupted_gradient_exits_two(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "corrupt_rep",
+        [lambda grad: grad + 1e-3, lambda grad: grad * np.nan],
+        ids=["offset", "nan"],
+    )
+    def test_corrupted_gradient_exits_two(self, tmp_path, monkeypatch, capsys, corrupt_rep):
         def corrupted(params, env, batch, hp):
             grad_head, grad_rep = real(params, env, batch, hp)
-            return grad_head, grad_rep + 1e-3
+            return grad_head, corrupt_rep(grad_rep)
 
         real = harness_module.meta_gradients
         monkeypatch.setattr(harness_module, "meta_gradients", corrupted)

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import linrep.harness as harness_module
 from linrep.harness import (
     ConfigError,
     ExperimentConfig,
@@ -127,6 +128,15 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="beta"):
             load_config(_write(tmp_path, _base_dict(**{"hp.beta": 0.0})))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("hp.alpha", math.inf), ("env.head_scale", math.inf),
+         ("env.head_mean", [1.0, math.nan]), ("hp.beta", math.nan)],
+    )
+    def test_non_finite_numbers_rejected_naming_field(self, tmp_path: Path, field, value) -> None:
+        with pytest.raises(ConfigError, match=field.replace(".", r"\.")):
+            load_config(_write(tmp_path, _base_dict(**{field: value})))
+
     def test_auto_alpha_resolves_to_rate_matched_value(self, tmp_path: Path) -> None:
         cfg = _base_dict(**{"hp.alpha": "auto", "env.head_mean": 2.0})
         cfg["hp"]["alpha_auto_constant"] = 0.3
@@ -214,6 +224,24 @@ class TestRunExperiment:
         parallel = run_experiment(cfg, out_dir=tmp_path / "parallel", jobs=2)
         assert serial.trajectory_csv.read_bytes() == parallel.trajectory_csv.read_bytes()
         assert serial.summary_json.read_bytes() == parallel.summary_json.read_bytes()
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, tmp_path: Path, jobs: int) -> None:
+        cfg = ExperimentConfig.model_validate(_base_dict())
+        with pytest.raises(ValueError, match="jobs"):
+            run_experiment(cfg, out_dir=tmp_path / "o", jobs=jobs)
+        with pytest.raises(ValueError, match="jobs"):
+            sweep(cfg, SweepAxis.BETA, [0.3], out_dir=tmp_path / "sw", jobs=jobs)
+        assert not (tmp_path / "o").exists() and not (tmp_path / "sw").exists()
+
+    def test_worker_count_bounded_by_trials_and_cpus(self, monkeypatch) -> None:
+        monkeypatch.setattr(harness_module.os, "cpu_count", lambda: 4)
+        assert harness_module._worker_count(10**9, 10**9) == 4
+        assert harness_module._worker_count(10**9, 3) == 3
+        assert harness_module._worker_count(2, 10**9) == 2
+        assert harness_module._worker_count(1, 10**9) == 1
+        monkeypatch.setattr(harness_module.os, "cpu_count", lambda: None)
+        assert harness_module._worker_count(10**9, 10**9) == 1
 
     def test_seed_changes_output(self, tmp_path: Path) -> None:
         base = ExperimentConfig.model_validate(_base_dict())
@@ -399,6 +427,15 @@ class TestSweep:
         assert rows[1]["error"] != ""  # invalid beta recorded, sweep continued
         assert rows[2]["error"] == "" and int(rows[2]["diverged"]) == 2  # blow-up counted
         assert rows[2]["final_dist_mean"] == ""  # no surviving trials
+
+    def test_non_finite_values_become_cell_errors(self, tmp_path: Path) -> None:
+        cfg = self._finite_cfg()
+        beta = sweep(ExperimentConfig.model_validate(_base_dict(**{"hp.iters": 5})),
+                     SweepAxis.BETA, [math.inf, math.nan], out_dir=tmp_path / "beta")
+        m_out = sweep(cfg, SweepAxis.M_OUT, [math.inf], out_dir=tmp_path / "m_out")
+        for cell in beta.cells + m_out.cells:
+            assert cell.error is not None and cell.final_dist_mean is None
+        assert "finite" in beta.cells[0].error
 
 
 class TestEmitPlot:

@@ -90,6 +90,17 @@ class TestSpectralNorm:
         assert spectral_norm(np.zeros((4, 3))) == 0.0
         assert spectral_norm(np.zeros((4, 0))) == 0.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_rejected(self, bad: float) -> None:
+        M = np.ones((3, 2))
+        M[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            spectral_norm(M)
+
+    def test_one_dimensional_input_rejected(self) -> None:
+        with pytest.raises(ValueError, match="2-D"):
+            spectral_norm(np.ones(4))
+
     def test_transpose_invariance(self) -> None:
         rng = np.random.default_rng(4)
         for _ in range(50):
