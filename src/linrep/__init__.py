@@ -71,7 +71,7 @@ from .model import (
     population_task_loss,
     rate_matched_alpha,
 )
-from .rng import standard_normal, substream
+from .rng import chi_square, standard_normal, substream
 
 __version__ = "0.1.0"
 
@@ -130,6 +130,7 @@ __all__ = [
     "run_experiment",
     "sweep",
     # rng
+    "chi_square",
     "standard_normal",
     "substream",
 ]

@@ -4,20 +4,25 @@ One vectorized gradient kernel per algorithm/mode pair.  Each kernel adapts
 every task in the round's batch with one inner gradient step and averages
 the resulting outer-loop gradient; ``step_for`` builds the outer step on it,
 which returns the updated shared parameters together with the adapted
-per-task states and the spectrum of the adapted-head second-moment matrix.
+per-task states; the spectrum of the adapted-head second-moment matrix is
+computed only when a record reads it.
 ``run_trajectory`` iterates steps over freshly sampled batches, records
 subspace diagnostics on a fixed schedule, and stops early when the iterates
 diverge.
 
 Population steps use the closed-form expected risk; finite-sample steps
-consume per-task inner/outer data sets.  The average-risk baseline skips
-inner adaptation entirely and descends the mean unadapted risk.
+consume the round's stacked inner/outer data sets through their sufficient
+statistics ``(X^T X/m, X^T y/m)``.  A finite-sample round draws the heads,
+then every task's inner set, then every task's outer set.  The average-risk
+baseline skips inner adaptation entirely and descends the mean unadapted
+risk.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -37,7 +42,7 @@ from .metrics import (
     principal_angle_dist,
     spectral_norm,
 )
-from .model import Algorithm, HyperParams, Mode, ModelParams, fs_grad_B, fs_grad_w
+from .model import Algorithm, HyperParams, Mode, ModelParams
 
 __all__ = [
     "StepOutcome",
@@ -61,14 +66,32 @@ class StepOutcome:
     representations of the full-adaptation variants and is None for
     algorithms that adapt the head only.  ``psi_min``/``psi_max`` are the
     extreme eigenvalues of the adapted-head second-moment matrix
-    ``(1/n) sum_i w_i w_i^T``.
+    ``(1/n) sum_i w_i w_i^T``, computed on first access.  For the
+    average-risk baseline (``adapts`` False) every row of ``adapted_heads``
+    is the unadapted head and the spectrum is that of ``w w^T``.
     """
 
     params_next: ModelParams
     adapted_heads: np.ndarray
     adapted_reps: np.ndarray | None
-    psi_min: float
-    psi_max: float
+    adapts: bool = True
+
+    @cached_property
+    def _psi(self) -> tuple[float, float]:
+        # Steps of a diverging run see overflowing iterates; their spectrum
+        # is NaN rather than a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.adapts:
+                return _psi_spectrum(self.adapted_heads)
+            return _avg_psi(self.adapted_heads[0])
+
+    @property
+    def psi_min(self) -> float:
+        return self._psi[0]
+
+    @property
+    def psi_max(self) -> float:
+        return self._psi[1]
 
 
 @dataclass(frozen=True)
@@ -209,15 +232,14 @@ def _grads_avg_pop(params, env, batch, alpha):
     return grad_head, grad_rep, np.tile(w, (batch.n, 1)), None
 
 
-def _stacked(sets) -> tuple[np.ndarray, np.ndarray]:
-    inputs = np.stack([ds.inputs for ds in sets])
-    labels = np.stack([ds.labels for ds in sets])
-    return inputs, labels
-
-
 def _require_sets(batch: TaskBatch, *, inner: bool = True) -> None:
     if batch.outer_sets is None or (inner and batch.inner_sets is None):
         raise ValueError("finite-sample steps require per-task data sets in the batch")
+
+
+def _matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Rows ``M_i v_i`` for stacked ``mats`` (``n x d x d``) and ``vecs`` (``n x d``)."""
+    return (mats @ vecs[..., None])[..., 0]
 
 
 def _grads_fo_anil_fs(params, env, batch, alpha):
@@ -225,20 +247,11 @@ def _grads_fo_anil_fs(params, env, batch, alpha):
     _require_sets(batch)
     B, w = params.rep, params.head
     n = batch.n
-    X_in, y_in = _stacked(batch.inner_sets)
-    X_out, y_out = _stacked(batch.outer_sets)
-    m_in, m_out = X_in.shape[1], X_out.shape[1]
-
-    Z_in = X_in @ B
-    res_in = Z_in @ w - y_in
-    inner_grads = np.einsum("nmk,nm->nk", Z_in, res_in) / m_in
-    adapted = w[None, :] - alpha * inner_grads
-
-    Z_out = X_out @ B
-    res_out = np.einsum("nmk,nk->nm", Z_out, adapted) - y_out
-    grad_head = (np.einsum("nmk,nm->nk", Z_out, res_out) / m_out).mean(axis=0)
-    lifted = np.einsum("nmd,nm->nd", X_out, res_out) / m_out
-    grad_rep = lifted.T @ adapted / n
+    inner_res = batch.inner_sets.residual(B @ w)
+    adapted = w[None, :] - alpha * (inner_res @ B)
+    outer_res = batch.outer_sets.residual(adapted @ B.T)
+    grad_head = (outer_res @ B).mean(axis=0)
+    grad_rep = outer_res.T @ adapted / n
     return grad_head, grad_rep, adapted, None
 
 
@@ -247,31 +260,29 @@ def _grads_exact_anil_fs(params, env, batch, alpha):
     _require_sets(batch)
     B, w = params.rep, params.head
     n = batch.n
-    X_in, y_in = _stacked(batch.inner_sets)
-    X_out, y_out = _stacked(batch.outer_sets)
-    m_in, m_out = X_in.shape[1], X_out.shape[1]
+    inner_res = batch.inner_sets.residual(B @ w)  # row i: grad of head pre-projection
+    adapted = w[None, :] - alpha * (inner_res @ B)
 
-    Z_in = X_in @ B
-    res_in = Z_in @ w - y_in
-    lifted_in = np.einsum("nmd,nm->nd", X_in, res_in) / m_in  # row i: grad of head pre-projection
-    adapted = w[None, :] - alpha * (lifted_in @ B)
-
-    Z_out = X_out @ B
-    res_out = np.einsum("nmk,nk->nm", Z_out, adapted) - y_out
-    U = np.einsum("nmd,nm->nd", X_out, res_out) / m_out
+    U = batch.outer_sets.residual(adapted @ B.T)
     UB = U @ B
-    # Apply the inner-sample second moment to B (B^T u) columnwise per task.
-    through = np.einsum("nmk,nk->nm", Z_in, UB)
-    cov_UB = np.einsum("nmk,nm->nk", Z_in, through) / m_in
-    grad_head = (UB - alpha * cov_UB).mean(axis=0)
-
-    cov_lift = np.einsum("nmd,nm->nd", X_in, through) / m_in
+    # Inner-sample second moment applied to B (B^T u), per task.
+    cov_lift = _matvec(batch.inner_sets.cov, UB @ B.T)
+    grad_head = (UB - alpha * (cov_lift @ B)).mean(axis=0)
     grad_rep = (
         U.T @ adapted / n
         - alpha * np.outer(cov_lift.mean(axis=0), w)
-        - alpha * (lifted_in.T @ UB) / n
+        - alpha * (inner_res.T @ UB) / n
     )
     return grad_head, grad_rep, adapted, None
+
+
+def _fs_full_adaptation(B, w, batch, alpha):
+    """Adapted heads and representations of the full-adaptation variants,
+    with the inner residual directions ``p_i`` (rows) that move ``B``."""
+    inner_res = batch.inner_sets.residual(B @ w)
+    adapted = w[None, :] - alpha * (inner_res @ B)
+    adapted_reps = B[None, :, :] - alpha * inner_res[:, :, None] * w[None, None, :]
+    return inner_res, adapted, adapted_reps
 
 
 def _grads_fo_maml_fs(params, env, batch, alpha):
@@ -279,29 +290,11 @@ def _grads_fo_maml_fs(params, env, batch, alpha):
     _require_sets(batch)
     B, w = params.rep, params.head
     n = batch.n
-    X_in, y_in = _stacked(batch.inner_sets)
-    X_out, y_out = _stacked(batch.outer_sets)
-    m_in, m_out = X_in.shape[1], X_out.shape[1]
-
-    Z_in = X_in @ B
-    res_in = Z_in @ w - y_in
-    inner_grads = np.einsum("nmk,nm->nk", Z_in, res_in) / m_in
-    adapted = w[None, :] - alpha * inner_grads
-    lifted_in = np.einsum("nmd,nm->nd", X_in, res_in) / m_in  # row i: p_i, rep step direction
-
-    overlaps = adapted @ w
-    Z_out = X_out @ B
-    projected_lift = np.einsum("nmd,nd->nm", X_out, lifted_in)
-    res_out = (
-        np.einsum("nmk,nk->nm", Z_out, adapted)
-        - alpha * overlaps[:, None] * projected_lift
-        - y_out
-    )
-    lifted_out = np.einsum("nmd,nm->nd", X_out, res_out) / m_out
-    lift_dots = np.einsum("nd,nd->n", lifted_in, lifted_out)
-    grad_head = (lifted_out @ B - alpha * lift_dots[:, None] * w[None, :]).mean(axis=0)
-    grad_rep = lifted_out.T @ adapted / n
-    adapted_reps = B[None, :, :] - alpha * lifted_in[:, :, None] * w[None, None, :]
+    inner_res, adapted, adapted_reps = _fs_full_adaptation(B, w, batch, alpha)
+    outer_res = batch.outer_sets.residual(np.einsum("ndk,nk->nd", adapted_reps, adapted))
+    lift_dots = np.einsum("nd,nd->n", inner_res, outer_res)
+    grad_head = (outer_res @ B - alpha * lift_dots[:, None] * w[None, :]).mean(axis=0)
+    grad_rep = outer_res.T @ adapted / n
     return grad_head, grad_rep, adapted, adapted_reps
 
 
@@ -310,51 +303,38 @@ def _grads_exact_maml_fs(params, env, batch, alpha):
     _require_sets(batch)
     B, w = params.rep, params.head
     n = batch.n
-    grad_head = np.zeros_like(w)
-    grad_rep = np.zeros_like(B)
-    adapted_list = []
-    rep_list = []
-    for i in range(n):
-        task_params = ModelParams(
-            rep=B - alpha * fs_grad_B(params, batch.inner_sets[i]),
-            head=w - alpha * fs_grad_w(params, batch.inner_sets[i]),
-        )
-        adapted_list.append(task_params.head)
-        rep_list.append(task_params.rep)
-
-        ds_out = batch.outer_sets[i]
-        u = fs_grad_w(task_params, ds_out)
-        V = fs_grad_B(task_params, ds_out)
-
-        X, m = ds_out.inputs, ds_out.m
-        base_residual = X @ (B @ w) - ds_out.labels
-        lifted = X.T @ base_residual / m
-
-        def second_moment(mat):
-            return X.T @ (X @ mat) / m
-
-        cov_Bu = second_moment(B @ u)
-        cov_V = second_moment(V)
-        # Hessian-vector product of the empirical loss at the unadapted
-        # parameters, applied to the adapted-point gradient (u, V).
-        hess_head = B.T @ cov_Bu + V.T @ lifted + (B.T @ cov_V) @ w
-        hess_rep = np.outer(cov_Bu, w) + np.outer(lifted, u) + cov_V @ np.outer(w, w)
-        grad_head += (u - alpha * hess_head) / n
-        grad_rep += (V - alpha * hess_rep) / n
-    return grad_head, grad_rep, np.stack(adapted_list), np.stack(rep_list)
+    outer = batch.outer_sets
+    inner_res, adapted, adapted_reps = _fs_full_adaptation(B, w, batch, alpha)
+    # Adapted-point gradient of task i's outer loss: (u_i, q_i w_i^T).
+    q = outer.residual(np.einsum("ndk,nk->nd", adapted_reps, adapted))
+    u = np.einsum("ndk,nd->nk", adapted_reps, q)
+    # Hessian-vector product of the outer loss at the unadapted parameters,
+    # applied to (u_i, q_i w_i^T); ``lifted`` is its gradient direction there.
+    lifted = outer.residual(B @ w)
+    overlaps = adapted @ w
+    cov_Bu = _matvec(outer.cov, u @ B.T)
+    cov_q = _matvec(outer.cov, q)
+    hess_head = (
+        cov_Bu @ B
+        + np.einsum("nd,nd->n", q, lifted)[:, None] * adapted
+        + overlaps[:, None] * (cov_q @ B)
+    )
+    grad_head = (u - alpha * hess_head).mean(axis=0)
+    grad_rep = (
+        q.T @ adapted
+        - alpha * np.outer((cov_Bu + overlaps[:, None] * cov_q).sum(axis=0), w)
+        - alpha * (lifted.T @ u)
+    ) / n
+    return grad_head, grad_rep, adapted, adapted_reps
 
 
 def _grads_avg_fs(params, env, batch, alpha):
     del env, alpha
     _require_sets(batch, inner=False)
     B, w = params.rep, params.head
-    X_out, y_out = _stacked(batch.outer_sets)
-    m_out = X_out.shape[1]
-    Z_out = X_out @ B
-    res = Z_out @ w - y_out
-    grad_head = (np.einsum("nmk,nm->nk", Z_out, res) / m_out).mean(axis=0)
-    lifted = np.einsum("nmd,nm->nd", X_out, res) / m_out
-    grad_rep = np.outer(lifted.mean(axis=0), w)
+    res = batch.outer_sets.residual(B @ w)
+    grad_head = (res @ B).mean(axis=0)
+    grad_rep = np.outer(res.mean(axis=0), w)
     return grad_head, grad_rep, np.tile(w, (batch.n, 1)), None
 
 
@@ -395,9 +375,9 @@ def _psi_spectrum(adapted: np.ndarray) -> tuple[float, float]:
     return max(low, 0.0), max(high, 0.0)
 
 
-def _avg_psi(params: ModelParams) -> tuple[float, float]:
-    w_sq = float(params.head @ params.head)
-    return (w_sq, w_sq) if params.rep.shape[1] == 1 else (0.0, w_sq)
+def _avg_psi(head: np.ndarray) -> tuple[float, float]:
+    w_sq = float(head @ head)
+    return (w_sq, w_sq) if head.shape[0] == 1 else (0.0, w_sq)
 
 
 def step_for(hp: HyperParams) -> Callable[..., StepOutcome]:
@@ -415,15 +395,13 @@ def step_for(hp: HyperParams) -> Callable[..., StepOutcome]:
         params: ModelParams, env: TaskEnvironment, batch: TaskBatch, hp: HyperParams
     ) -> StepOutcome:
         grad_head, grad_rep, heads, reps = grads(params, env, batch, hp.alpha)
-        psi_min, psi_max = _psi_spectrum(heads) if adapts else _avg_psi(params)
         return StepOutcome(
             params_next=ModelParams(
                 rep=params.rep - hp.beta * grad_rep, head=params.head - hp.beta * grad_head
             ),
             adapted_heads=heads,
             adapted_reps=reps,
-            psi_min=psi_min,
-            psi_max=psi_max,
+            adapts=adapts,
         )
 
     return step
@@ -436,18 +414,19 @@ def step_for(hp: HyperParams) -> Callable[..., StepOutcome]:
 def _sample_round(env: TaskEnvironment, hp: HyperParams, rng) -> TaskBatch:
     """Sample one round's tasks (and data sets in finite-sample mode).
 
-    The draw order is fixed — heads first, then per task the inner set
-    followed by the outer set — so that every algorithm consumes the random
-    stream identically and trajectories are comparable across algorithms.
+    The draw order is fixed — the heads, then all tasks' inner sets in one
+    call, then all tasks' outer sets in one call — so that every algorithm
+    consumes the random stream identically and trajectories are comparable
+    across algorithms.
     """
     tasks = sample_task_batch(env, hp.n, rng)
     if hp.mode is Mode.POPULATION:
         return tasks
-    inner, outer = [], []
-    for head in tasks.heads:
-        inner.append(sample_dataset(env, head, hp.m_in, rng))
-        outer.append(sample_dataset(env, head, hp.m_out, rng))
-    return TaskBatch(heads=tasks.heads, inner_sets=tuple(inner), outer_sets=tuple(outer))
+    return TaskBatch(
+        heads=tasks.heads,
+        inner_sets=sample_dataset(env, tasks.heads, hp.m_in, rng),
+        outer_sets=sample_dataset(env, tasks.heads, hp.m_out, rng),
+    )
 
 
 def _merge_stats(agg: DiversityStats | None, new: DiversityStats) -> DiversityStats:

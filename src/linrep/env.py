@@ -4,6 +4,13 @@ A task environment fixes a ground-truth subspace: labels are generated as
 ``y = <B* w*, x> + z`` with isotropic Gaussian inputs ``x``, a shared
 column-orthonormal representation ``B*``, per-task heads ``w*`` drawn from
 a Gaussian, and independent Gaussian label noise ``z``.
+
+Finite samples are kept as their sufficient statistics: every empirical
+loss and gradient of the package reads a task's ``(X, y)`` only through
+``X^T X / m``, ``X^T y / m`` and ``y^T y / m``.  For ``m >= d`` the sampler
+draws these directly, in ``O(d^2)`` work whatever ``m`` is, from the Bartlett
+decomposition of the Wishart matrix ``X^T X`` (Smith and Hocking 1972,
+algorithm AS 53); raw inputs are formed only when ``m < d``.
 """
 from __future__ import annotations
 
@@ -13,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import qr_orthonormalize
-from .rng import standard_normal
+from .rng import chi_square, standard_normal
 
 __all__ = [
     "DataSet",
@@ -80,41 +87,89 @@ class TaskEnvironment:
 
 @dataclass(frozen=True)
 class DataSet:
-    """A finite sample ``(X, y)`` from one task."""
+    """Sufficient statistics of ``m`` labeled samples ``(X, y)`` per task.
 
-    inputs: np.ndarray
-    labels: np.ndarray
+    ``cov = X^T X / m`` (``d x d``), ``xty = X^T y / m`` (``d``) and
+    ``yty = y^T y / m`` (scalar), each with an optional leading task axis:
+    ``(n, d, d)``, ``(n, d)`` and ``(n,)`` for a round's stacked sets, all of
+    which share ``m``.  ``ds[i]`` is task ``i``'s set.
+    """
+
+    cov: np.ndarray
+    xty: np.ndarray
+    yty: np.ndarray
+    m: int
 
     def __post_init__(self) -> None:
-        inputs = np.asarray(self.inputs, dtype=float)
-        labels = np.asarray(self.labels, dtype=float)
-        if inputs.ndim != 2:
-            raise ValueError(f"inputs must be 2-D, got shape {inputs.shape}")
-        if labels.shape != (inputs.shape[0],):
-            raise ValueError(
-                f"labels must have shape ({inputs.shape[0]},), got {labels.shape}"
-            )
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "labels", labels)
+        cov = np.asarray(self.cov, dtype=float)
+        xty = np.asarray(self.xty, dtype=float)
+        yty = np.asarray(self.yty, dtype=float)
+        if cov.ndim not in (2, 3) or cov.shape[-1] != cov.shape[-2]:
+            raise ValueError(f"cov must be (d, d) or (n, d, d), got shape {cov.shape}")
+        if xty.shape != cov.shape[:-1]:
+            raise ValueError(f"xty must have shape {cov.shape[:-1]}, got {xty.shape}")
+        if yty.shape != cov.shape[:-2]:
+            raise ValueError(f"yty must have shape {cov.shape[:-2]}, got {yty.shape}")
+        for name, value in (("cov", cov), ("xty", xty), ("yty", yty)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite")
+        if isinstance(self.m, bool) or int(self.m) != self.m or self.m < 1:
+            raise ValueError(f"need at least one sample, got m={self.m}")
+        object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "xty", xty)
+        object.__setattr__(self, "yty", yty)
+        object.__setattr__(self, "m", int(self.m))
+
+    @classmethod
+    def from_samples(cls, inputs: np.ndarray, labels: np.ndarray) -> DataSet:
+        """Reduce raw samples, ``(m, d)``/``(m,)`` or stacked
+        ``(n, m, d)``/``(n, m)``, to their statistics."""
+        inputs = np.asarray(inputs, dtype=float)
+        labels = np.asarray(labels, dtype=float)
+        if inputs.ndim not in (2, 3):
+            raise ValueError(f"inputs must be (m, d) or (n, m, d), got shape {inputs.shape}")
+        if labels.shape != inputs.shape[:-1]:
+            raise ValueError(f"labels must have shape {inputs.shape[:-1]}, got {labels.shape}")
+        m = inputs.shape[-2]
+        if m < 1:
+            raise ValueError("need at least one sample, got m=0")
+        return cls(
+            cov=np.swapaxes(inputs, -1, -2) @ inputs / m,
+            xty=np.einsum("...md,...m->...d", inputs, labels) / m,
+            yty=np.einsum("...m,...m->...", labels, labels) / m,
+            m=m,
+        )
+
+    def residual(self, beta: np.ndarray) -> np.ndarray:
+        """``S beta - b = (1/m) X^T (X beta - y)``, the gradient of the
+        empirical loss in the predictor ``beta``; a stacked set takes a shared
+        ``beta`` (``d``) or one per task (``n x d``) and returns ``n x d``."""
+        return (self.cov @ beta[..., None])[..., 0] - self.xty
 
     @property
-    def m(self) -> int:
-        """Number of samples."""
-        return self.inputs.shape[0]
+    def n(self) -> int | None:
+        """Number of stacked tasks, or None for a single task's set."""
+        return self.cov.shape[0] if self.cov.ndim == 3 else None
+
+    def __getitem__(self, i: int) -> DataSet:
+        if self.cov.ndim != 3:
+            raise TypeError("only a stacked DataSet can be indexed by task")
+        return DataSet(cov=self.cov[i], xty=self.xty[i], yty=self.yty[i], m=self.m)
 
 
 @dataclass(frozen=True)
 class TaskBatch:
     """The tasks of one outer round: heads plus optional finite samples.
 
-    ``inner_sets``/``outer_sets`` are per-task datasets used by
-    finite-sample algorithms for adaptation and for the outer update
-    respectively; population-mode batches carry heads only.
+    ``inner_sets``/``outer_sets`` are stacked data sets, one task per entry
+    of the leading axis, used by finite-sample algorithms for adaptation and
+    for the outer update respectively; population-mode batches carry heads
+    only.
     """
 
     heads: np.ndarray
-    inner_sets: tuple[DataSet, ...] | None = None
-    outer_sets: tuple[DataSet, ...] | None = None
+    inner_sets: DataSet | None = None
+    outer_sets: DataSet | None = None
 
     def __post_init__(self) -> None:
         heads = np.asarray(self.heads, dtype=float)
@@ -122,8 +177,8 @@ class TaskBatch:
             raise ValueError(f"heads must be (n, k) with n >= 1, got shape {heads.shape}")
         for name in ("inner_sets", "outer_sets"):
             sets = getattr(self, name)
-            if sets is not None and len(sets) != heads.shape[0]:
-                raise ValueError(f"{name} must contain one dataset per task")
+            if sets is not None and sets.n != heads.shape[0]:
+                raise ValueError(f"{name} must stack one data set per task")
         object.__setattr__(self, "heads", heads)
 
     @property
@@ -193,22 +248,66 @@ def sample_task_batch(env: TaskEnvironment, n: int, rng: np.random.Generator) ->
 
 
 def sample_dataset(
-    env: TaskEnvironment, head: np.ndarray, m: int, rng: np.random.Generator
+    env: TaskEnvironment, heads: np.ndarray, m: int, rng: np.random.Generator
 ) -> DataSet:
-    """Draw ``m`` labeled samples from the task with the given true head.
+    """Draw ``m`` labeled samples for each task of a round, as statistics.
 
-    Inputs are standard Gaussian; labels are the linear response through
-    the ground-truth representation plus ``N(0, noise_std^2)`` noise. The
-    noise stream is consumed even when ``noise_std == 0`` so that input
-    draws are identical across noise settings under the same stream.
+    Task ``i`` has inputs ``X ~ N(0, I_d)`` (``m x d``) and labels
+    ``y = X beta_i + sigma z`` with ``beta_i = B* heads[i]`` and
+    ``z ~ N(0, I_m)``; the result stacks the ``n = len(heads)`` sets.
+
+    For ``m >= d`` the statistics are drawn exactly without forming ``X``.
+    With ``X = Q R`` (``Q`` Haar, independent of ``R``), ``L = R^T`` is the
+    lower-triangular Bartlett factor of ``W = X^T X``: ``L_jj`` is
+    ``sqrt(chi2(m - j))`` for ``j = 0..d-1`` and the entries below the
+    diagonal are ``N(0, 1)``.  Then ``X^T z = L g`` with ``g = Q^T z ~
+    N(0, I_d)`` and ``||z||^2 = ||g||^2 + chi2(m - d)``, all independent.
+    The stream is consumed by two calls: ``n x (d + 1)`` chi-squares (per
+    task the ``d`` diagonal ones, then the one of ``m - d`` dof), then
+    ``n x (d(d-1)/2 + d)`` normals (per task the below-diagonal entries in
+    row-major order, then ``g``); only the chi-square sampler's rejection
+    retries depend on ``m``.
+
+    For ``m < d`` the ``n x m x d`` inputs are drawn, then the ``n x m``
+    noise, and reduced by ``DataSet.from_samples``.  Both branches draw the
+    noise variates even when ``noise_std == 0``, so input draws are
+    identical across noise settings under the same stream.
     """
     if m < 1:
         raise ValueError(f"need at least one sample, got m={m}")
-    head = np.asarray(head, dtype=float)
-    inputs = standard_normal(rng, (m, env.d))
-    noise = env.noise_std * standard_normal(rng, (m,))
-    labels = inputs @ (env.ground_truth_rep @ head) + noise
-    return DataSet(inputs=inputs, labels=labels)
+    heads = np.asarray(heads, dtype=float)
+    if heads.ndim != 2 or heads.shape[1] != env.k:
+        raise ValueError(f"heads must have shape (n, {env.k}), got {heads.shape}")
+    n, d, sigma = heads.shape[0], env.d, env.noise_std
+    betas = heads @ env.ground_truth_rep.T  # row i is B* w*_i
+    if m < d:
+        inputs = standard_normal(rng, (n, m, d))
+        noise = sigma * standard_normal(rng, (n, m))
+        return DataSet.from_samples(inputs, np.einsum("nmd,nd->nm", inputs, betas) + noise)
+
+    chi2 = chi_square(rng, np.broadcast_to(m - np.arange(d + 1), (n, d + 1)))
+    below = d * (d - 1) // 2
+    normals = standard_normal(rng, (n, below + d))
+    factor = np.zeros((n, d, d))
+    factor[:, np.tri(d, k=-1, dtype=bool)] = normals[:, :below]  # row-major
+    diagonal = np.arange(d)
+    factor[:, diagonal, diagonal] = np.sqrt(chi2[:, :d])
+    g = normals[:, below:]
+    z_sq = np.einsum("nd,nd->n", g, g) + chi2[:, d]
+
+    wishart = factor @ np.swapaxes(factor, 1, 2)
+    w_beta = np.einsum("nij,nj->ni", wishart, betas)
+    l_g = np.einsum("nij,nj->ni", factor, g)
+    return DataSet(
+        cov=wishart / m,
+        xty=(w_beta + sigma * l_g) / m,
+        yty=(
+            np.einsum("nd,nd->n", betas, w_beta)
+            + 2.0 * sigma * np.einsum("nd,nd->n", betas, l_g)
+            + sigma**2 * z_sq
+        ) / m,
+        m=m,
+    )
 
 
 def diversity_stats(batch: TaskBatch) -> DiversityStats:

@@ -529,18 +529,14 @@ def _gradcheck_batch(env: TaskEnvironment, hp: HyperParams, rng) -> TaskBatch:
     tasks = sample_task_batch(env, hp.n, rng)
     if hp.mode is Mode.POPULATION:
         return tasks
-    inner, outer = [], []
-    for head in tasks.heads:
-        ds_in = sample_dataset(env, head, hp.m_in, rng)
-        # The Hessian-corrected full-adaptation update equals the exact
-        # gradient of the one-set meta-objective, so its check shares the
-        # inner set; all other variants use distinct inner/outer sets.
-        ds_out = ds_in if hp.algo is Algorithm.EXACT_MAML else sample_dataset(
-            env, head, hp.m_out, rng
-        )
-        inner.append(ds_in)
-        outer.append(ds_out)
-    return TaskBatch(heads=tasks.heads, inner_sets=tuple(inner), outer_sets=tuple(outer))
+    inner = sample_dataset(env, tasks.heads, hp.m_in, rng)
+    # The Hessian-corrected full-adaptation update equals the exact
+    # gradient of the one-set meta-objective, so its check shares the
+    # inner sets; all other variants use distinct inner/outer sets.
+    outer = inner if hp.algo is Algorithm.EXACT_MAML else sample_dataset(
+        env, tasks.heads, hp.m_out, rng
+    )
+    return TaskBatch(heads=tasks.heads, inner_sets=inner, outer_sets=outer)
 
 
 def gradcheck(config: ExperimentConfig) -> GradCheckReport:

@@ -201,9 +201,11 @@ def population_task_loss(
 
 
 def finite_task_loss(params: ModelParams, dataset: DataSet) -> float:
-    """Empirical risk ``(1/2m) ||X B w - y||^2`` on one task's sample."""
-    residual = dataset.inputs @ (params.rep @ params.head) - dataset.labels
-    return 0.5 * float(residual @ residual) / dataset.m
+    """Empirical risk ``(1/2m) ||X B w - y||^2`` on one task's sample, from
+    its statistics: ``0.5 (y^T y/m - 2 b^T beta + beta^T S beta)`` with
+    ``beta = B w``, ``S = X^T X / m`` and ``b = X^T y / m``."""
+    beta = params.rep @ params.head
+    return 0.5 * float(dataset.yty - 2.0 * dataset.xty @ beta + beta @ (dataset.cov @ beta))
 
 
 def pop_grad_w(params: ModelParams, env: TaskEnvironment, head_true: np.ndarray) -> np.ndarray:
@@ -219,16 +221,13 @@ def pop_grad_B(params: ModelParams, env: TaskEnvironment, head_true: np.ndarray)
 
 
 def fs_grad_w(params: ModelParams, dataset: DataSet) -> np.ndarray:
-    """Head gradient of the empirical task loss: ``(1/m) (XB)^T (XBw - y)``."""
-    projected = dataset.inputs @ params.rep
-    residual = projected @ params.head - dataset.labels
-    return projected.T @ residual / dataset.m
+    """Head gradient of the empirical task loss: ``B^T (S B w - b)``."""
+    return params.rep.T @ dataset.residual(params.rep @ params.head)
 
 
 def fs_grad_B(params: ModelParams, dataset: DataSet) -> np.ndarray:
-    """Representation gradient of the empirical task loss: ``(1/m) X^T (XBw - y) w^T``."""
-    residual = dataset.inputs @ (params.rep @ params.head) - dataset.labels
-    return np.outer(dataset.inputs.T @ residual / dataset.m, params.head)
+    """Representation gradient of the empirical task loss: ``(S B w - b) w^T``."""
+    return np.outer(dataset.residual(params.rep @ params.head), params.head)
 
 
 def rate_matched_alpha(k: int, l_star: float, iters: int, constant: float = 0.25) -> float:

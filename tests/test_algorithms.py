@@ -8,6 +8,7 @@ calling the package's own gradient code.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from linrep.algorithms import (
     RunResult,
     StepOutcome,
+    _sample_round,
     meta_gradients,
     run_trajectory,
     step_for,
@@ -62,15 +64,29 @@ def _population_batch(env, n: int, seed: int) -> TaskBatch:
     return sample_task_batch(env, n, substream(seed, 1, "tasks"))
 
 
-def _finite_batch(env, n: int, m_in: int, m_out: int, seed: int, *, shared: bool = False) -> TaskBatch:
+def _finite_batch(env, n: int, m_in: int, m_out: int, seed: int, *, shared: bool = False):
+    """A finite batch whose data sets reduce raw samples drawn here.
+
+    Returns the batch and the raw ``(X, y)`` inner and outer samples, stacked
+    over tasks, for the raw-data oracles below.
+    """
     heads = sample_task_batch(env, n, substream(seed, 1, "tasks")).heads
     rng = substream(seed, 2, "data")
-    inner, outer = [], []
-    for i in range(n):
-        ds_in = sample_dataset(env, heads[i], m_in, rng)
-        inner.append(ds_in)
-        outer.append(ds_in if shared else sample_dataset(env, heads[i], m_out, rng))
-    return TaskBatch(heads=heads, inner_sets=tuple(inner), outer_sets=tuple(outer))
+    targets = heads @ env.ground_truth_rep.T
+
+    def draw(m: int) -> tuple[np.ndarray, np.ndarray]:
+        X = standard_normal(rng, (n, m, env.d))
+        y = np.einsum("nmd,nd->nm", X, targets) + env.noise_std * standard_normal(rng, (n, m))
+        return X, y
+
+    inner = draw(m_in)
+    outer = inner if shared else draw(m_out)
+    batch = TaskBatch(
+        heads=heads,
+        inner_sets=DataSet.from_samples(*inner),
+        outer_sets=DataSet.from_samples(*outer),
+    )
+    return batch, (inner, outer)
 
 
 def _random_params(rng, d: int, k: int) -> ModelParams:
@@ -84,9 +100,9 @@ def _pop_loss(rep, head, env, head_true) -> float:
     return 0.5 * float(r @ r) + 0.5 * env.noise_std**2
 
 
-def _emp_loss(rep, head, ds) -> float:
-    r = ds.inputs @ (rep @ head) - ds.labels
-    return 0.5 * float(r @ r) / ds.inputs.shape[0]
+def _emp_loss(rep, head, X, y) -> float:
+    r = X @ (rep @ head) - y
+    return 0.5 * float(r @ r) / X.shape[0]
 
 
 def _pop_inner_grads(rep, head, env, head_true):
@@ -94,14 +110,15 @@ def _pop_inner_grads(rep, head, env, head_true):
     return rep.T @ r, np.outer(r, head)
 
 
-def _emp_inner_grads(rep, head, ds):
-    m = ds.inputs.shape[0]
-    r = ds.inputs @ (rep @ head) - ds.labels
-    return (ds.inputs @ rep).T @ r / m, np.outer(ds.inputs.T @ r / m, head)
+def _emp_inner_grads(rep, head, X, y):
+    m = X.shape[0]
+    r = X @ (rep @ head) - y
+    return (X @ rep).T @ r / m, np.outer(X.T @ r / m, head)
 
 
-def _reference_meta_gradient(params, env, batch, hp) -> tuple[np.ndarray, np.ndarray]:
-    """Finite-difference meta-gradient, averaged over the batch."""
+def _reference_meta_gradient(params, env, batch, hp, samples=None) -> tuple[np.ndarray, np.ndarray]:
+    """Finite-difference meta-gradient, averaged over the batch; finite mode
+    reads the raw ``samples`` returned by ``_finite_batch``."""
     alpha = hp.alpha
     n = batch.n
     g_w = np.zeros_like(params.head)
@@ -112,10 +129,9 @@ def _reference_meta_gradient(params, env, batch, hp) -> tuple[np.ndarray, np.nda
             task_loss = lambda rep, head: _pop_loss(rep, head, env, head_true)
             inner = lambda rep, head: _pop_inner_grads(rep, head, env, head_true)
         else:
-            ds_in = batch.inner_sets[i]
-            ds_out = batch.outer_sets[i]
-            task_loss = lambda rep, head: _emp_loss(rep, head, ds_out)
-            inner = lambda rep, head: _emp_inner_grads(rep, head, ds_in)
+            (X_in, y_in), (X_out, y_out) = samples
+            task_loss = lambda rep, head: _emp_loss(rep, head, X_out[i], y_out[i])
+            inner = lambda rep, head: _emp_inner_grads(rep, head, X_in[i], y_in[i])
 
         if hp.algo is Algorithm.AVG_RISK_MIN:
             gh, gr = central_diff_pair(task_loss, params.rep, params.head)
@@ -149,18 +165,17 @@ class TestAdaptation:
         rng = substream(1, 0, "params")
         params = _random_params(rng, 7, 3)
         hp = _hp(algo, mode, n=4, alpha=0.13, m_in=20, m_out=15)
-        batch = (
-            _population_batch(env, hp.n, seed=1)
-            if mode is Mode.POPULATION
-            else _finite_batch(env, hp.n, hp.m_in, hp.m_out, seed=1)
-        )
+        if mode is Mode.POPULATION:
+            batch = _population_batch(env, hp.n, seed=1)
+        else:
+            batch, ((X_in, y_in), _) = _finite_batch(env, hp.n, hp.m_in, hp.m_out, seed=1)
         outcome = step_for(hp)(params, env, batch, hp)
         assert (outcome.adapted_reps is not None) == (algo in FULL_ADAPTATION)
         for i in range(hp.n):
             if mode is Mode.POPULATION:
                 gw, gB = _pop_inner_grads(params.rep, params.head, env, batch.heads[i])
             else:
-                gw, gB = _emp_inner_grads(params.rep, params.head, batch.inner_sets[i])
+                gw, gB = _emp_inner_grads(params.rep, params.head, X_in[i], y_in[i])
             np.testing.assert_allclose(
                 outcome.adapted_heads[i], params.head - hp.alpha * gw, atol=1e-14
             )
@@ -175,10 +190,10 @@ class TestAdaptation:
         basis, _ = np.linalg.qr(standard_normal(substream(4, 0, "params"), (6, 2)))
         params = ModelParams(rep=basis, head=np.array([0.3, -0.2]))
         head_true = np.array([[1.0, 0.5]])
-        ds = sample_dataset(env, head_true[0], m, substream(4, 1, "data"))
+        ds = sample_dataset(env, head_true, m, substream(4, 1, "data"))
         hp_fin = _hp(Algorithm.FO_ANIL, Mode.FINITE, n=1, alpha=0.1, m_in=m, m_out=m)
         hp_pop = _hp(Algorithm.FO_ANIL, Mode.POPULATION, n=1, alpha=0.1)
-        fin_batch = TaskBatch(heads=head_true, inner_sets=(ds,), outer_sets=(ds,))
+        fin_batch = TaskBatch(heads=head_true, inner_sets=ds, outer_sets=ds)
         fin = step_for(hp_fin)(params, env, fin_batch, hp_fin)
         pop = step_for(hp_pop)(params, env, TaskBatch(heads=head_true), hp_pop)
         assert np.abs(fin.adapted_heads[0] - pop.adapted_heads[0]).max() <= 5.0 / math.sqrt(m)
@@ -197,17 +212,20 @@ class TestMetaGradientsMatchFiniteDifferences:
             n = 1 + trial % 4
             env = _env(d=d, k=k, seed=300 + trial, noise_std=0.1)
             hp = _hp(algo, mode, n=n, alpha=0.07 + 0.03 * trial, beta=0.4)
+            samples = None
             if mode is Mode.POPULATION:
                 batch = _population_batch(env, n, seed=500 + trial)
             else:
                 shared = algo is Algorithm.EXACT_MAML
-                batch = _finite_batch(env, n, hp.m_in, hp.m_out, seed=500 + trial, shared=shared)
+                batch, samples = _finite_batch(
+                    env, n, hp.m_in, hp.m_out, seed=500 + trial, shared=shared
+                )
             params = _random_params(rng, d, k)
 
             outcome = step_for(hp)(params, env, batch, hp)
             step_gw = (params.head - outcome.params_next.head) / hp.beta
             step_gB = (params.rep - outcome.params_next.rep) / hp.beta
-            ref_gw, ref_gB = _reference_meta_gradient(params, env, batch, hp)
+            ref_gw, ref_gB = _reference_meta_gradient(params, env, batch, hp, samples)
             worst = max(worst, rel_err(step_gw, ref_gw), rel_err(step_gB, ref_gB))
 
             gw, gB = meta_gradients(params, env, batch, hp)
@@ -302,7 +320,7 @@ class TestStepStructure:
         batch = (
             _population_batch(env, hp.n, seed=9)
             if mode is Mode.POPULATION
-            else _finite_batch(env, hp.n, hp.m_in, hp.m_out, seed=9)
+            else _finite_batch(env, hp.n, hp.m_in, hp.m_out, seed=9)[0]
         )
         params = _random_params(substream(9, 0, "params"), 6, 2)
         outcome = step_for(hp)(params, env, batch, hp)
@@ -332,6 +350,16 @@ class TestStepStructure:
             eigenvalues = np.linalg.eigvalsh(psi)
             assert outcome.psi_min == pytest.approx(float(eigenvalues[0]), abs=1e-12)
             assert outcome.psi_max == pytest.approx(float(eigenvalues[-1]), abs=1e-12)
+
+    def test_psi_spectrum_is_lazy_and_quiet_on_overflow(self) -> None:
+        params = _random_params(substream(10, 1, "params"), 6, 2)
+        outcome = StepOutcome(
+            params_next=params, adapted_heads=np.full((3, 2), 1e200), adapted_reps=None
+        )
+        assert "_psi" not in vars(outcome)  # nothing computed until a record reads it
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            assert math.isnan(outcome.psi_min) and math.isnan(outcome.psi_max)
 
     @pytest.mark.parametrize("algo", ALL_ALGOS, ids=lambda a: a.value)
     def test_population_steps_stay_in_combined_column_space(self, algo: Algorithm) -> None:
@@ -395,8 +423,8 @@ class TestFiniteMatchesPopulationAtLargeSamples:
         params = init_model(env, hp_pop.alpha, InitScheme.SPEC, substream(13, 0, "init"))
         heads = sample_task_batch(env, 3, substream(13, 1, "tasks")).heads
         rng = substream(13, 2, "data")
-        inner = tuple(sample_dataset(env, heads[i], m, rng) for i in range(3))
-        outer = tuple(sample_dataset(env, heads[i], m, rng) for i in range(3))
+        inner = sample_dataset(env, heads, m, rng)
+        outer = sample_dataset(env, heads, m, rng)
         pop_batch = TaskBatch(heads=heads)
         fin_batch = TaskBatch(heads=heads, inner_sets=inner, outer_sets=outer)
 
@@ -405,6 +433,48 @@ class TestFiniteMatchesPopulationAtLargeSamples:
         tol = 10.0 / math.sqrt(m)
         assert np.abs(fin.params_next.rep - pop.params_next.rep).max() <= tol
         assert np.abs(fin.params_next.head - pop.params_next.head).max() <= tol
+
+
+class TestFiniteRoundSampling:
+    def test_round_stacks_inner_then_outer_sets(self) -> None:
+        env = _env(d=6, k=2, seed=21, noise_std=0.1)
+        hp = _hp(Algorithm.FO_ANIL, Mode.FINITE, n=4, m_in=12, m_out=30)
+        batch = _sample_round(env, hp, substream(21, 0, "tasks"))
+        assert batch.inner_sets.cov.shape == (4, 6, 6) and batch.inner_sets.m == 12
+        assert batch.outer_sets.xty.shape == (4, 6) and batch.outer_sets.m == 30
+        rng = substream(21, 0, "tasks")
+        heads = sample_task_batch(env, 4, rng).heads
+        np.testing.assert_array_equal(batch.heads, heads)
+        np.testing.assert_array_equal(batch.inner_sets.cov, sample_dataset(env, heads, 12, rng).cov)
+        np.testing.assert_array_equal(batch.outer_sets.yty, sample_dataset(env, heads, 30, rng).yty)
+
+    def test_variates_per_round_do_not_depend_on_m(self, monkeypatch) -> None:
+        # Gaussian and chi-square variates requested by the round's samplers
+        # (the chi-square sampler's own rejection draws are internal to it).
+        import linrep.env
+
+        counts = {"normal": 0, "chi2": 0}
+        normal, chi2 = linrep.env.standard_normal, linrep.env.chi_square
+
+        def counting_normal(rng, shape):
+            counts["normal"] += int(np.prod(shape))
+            return normal(rng, shape)
+
+        def counting_chi2(rng, dof):
+            counts["chi2"] += int(np.size(dof))
+            return chi2(rng, dof)
+
+        monkeypatch.setattr(linrep.env, "standard_normal", counting_normal)
+        monkeypatch.setattr(linrep.env, "chi_square", counting_chi2)
+        d, k, n = 6, 2, 4
+        env = _env(d=d, k=k, seed=22, noise_std=0.1)
+        seen = set()
+        for m_in, m_out in ((d, d), (4 * d, 1000), (100_000, 4 * d)):
+            counts.update(normal=0, chi2=0)
+            hp = _hp(Algorithm.FO_ANIL, Mode.FINITE, n=n, m_in=m_in, m_out=m_out)
+            _sample_round(env, hp, substream(22, m_in, m_out))
+            seen.add((counts["normal"], counts["chi2"]))
+        assert seen == {(n * k + 2 * n * (d * (d - 1) // 2 + d), 2 * n * (d + 1))}
 
 
 class TestRunTrajectory:

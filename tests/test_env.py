@@ -16,7 +16,7 @@ from linrep.env import (
     sample_environment,
     sample_task_batch,
 )
-from linrep.rng import substream
+from linrep.rng import standard_normal, substream
 from oracles import rayleigh_min_bruteforce
 
 
@@ -89,30 +89,147 @@ class TestSampleDataset:
     def test_input_covariance_close_to_identity(self) -> None:
         m, d = 100_000, 4
         env = _env(d=d, k=2)
-        ds = sample_dataset(env, head=np.zeros(2), m=m, rng=substream(3, 0, "data"))
-        cov = ds.inputs.T @ ds.inputs / m
-        assert np.abs(cov - np.eye(d)).max() <= 5.0 / np.sqrt(m)
+        ds = sample_dataset(env, np.zeros((1, 2)), m=m, rng=substream(3, 0, "data"))[0]
+        assert np.abs(ds.cov - np.eye(d)).max() <= 5.0 / np.sqrt(m)
 
-    def test_noiseless_labels_are_exact_linear_responses(self) -> None:
+    @pytest.mark.parametrize("m", [5, 500], ids=["raw", "bartlett"])
+    def test_noiseless_labels_are_exact_linear_responses(self, m: int) -> None:
         env = _env(d=8, k=3, noise_std=0.0)
         head = np.array([1.0, -2.0, 0.5])
-        ds = sample_dataset(env, head=head, m=500, rng=substream(4, 0, "data"))
-        want = ds.inputs @ (env.ground_truth_rep @ head)
+        ds = sample_dataset(env, head[None, :], m=m, rng=substream(4, 0, "data"))[0]
+        beta = env.ground_truth_rep @ head
+        # Noiseless: X^T y/m = S beta and y^T y/m = beta^T S beta.
         tol = 1e-12 * env.d * float(np.linalg.norm(head))
-        assert np.abs(ds.labels - want).max() <= tol
+        assert np.abs(ds.xty - ds.cov @ beta).max() <= tol
+        assert abs(float(ds.yty) - float(beta @ ds.cov @ beta)) <= tol * float(beta @ beta)
 
     def test_label_noise_variance_matches_noise_std(self) -> None:
         sigma = 0.5
         env = _env(d=4, k=2, noise_std=sigma)
         head = np.array([1.0, 1.0])
         m = 100_000
-        ds = sample_dataset(env, head=head, m=m, rng=substream(5, 0, "data"))
-        resid = ds.labels - ds.inputs @ (env.ground_truth_rep @ head)
-        assert float(resid.var()) == pytest.approx(sigma**2, rel=0.05)
+        ds = sample_dataset(env, head[None, :], m=m, rng=substream(5, 0, "data"))[0]
+        beta = env.ground_truth_rep @ head
+        # (1/m) ||y - X beta||^2 from the statistics.
+        resid_sq = float(ds.yty - 2.0 * ds.xty @ beta + beta @ ds.cov @ beta)
+        assert resid_sq == pytest.approx(sigma**2, rel=0.05)
 
     def test_dataset_shape_validation(self) -> None:
         with pytest.raises(ValueError):
-            DataSet(inputs=np.zeros((4, 3)), labels=np.zeros(5))
+            DataSet(cov=np.zeros((3, 3)), xty=np.zeros(4), yty=0.0, m=1)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(cov=np.zeros(3), xty=np.zeros(3), yty=0.0, m=2),
+            dict(cov=np.zeros((3, 2)), xty=np.zeros(3), yty=0.0, m=2),
+            dict(cov=np.zeros((2, 3, 3)), xty=np.zeros((3, 3)), yty=np.zeros(2), m=2),
+            dict(cov=np.zeros((2, 3, 3)), xty=np.zeros((2, 3)), yty=0.0, m=2),
+            dict(cov=np.full((3, 3), np.nan), xty=np.zeros(3), yty=0.0, m=2),
+            dict(cov=np.eye(3), xty=np.array([0.0, np.inf, 0.0]), yty=0.0, m=2),
+            dict(cov=np.eye(3), xty=np.zeros(3), yty=np.nan, m=2),
+            dict(cov=np.eye(3), xty=np.zeros(3), yty=0.0, m=0),
+            dict(cov=np.eye(3), xty=np.zeros(3), yty=0.0, m=2.5),
+        ],
+        ids=["cov-1d", "cov-not-square", "xty-shape", "yty-shape", "nan-cov", "inf-xty",
+             "nan-yty", "m-zero", "m-fractional"],
+    )
+    def test_invalid_statistics_rejected(self, fields: dict) -> None:
+        with pytest.raises(ValueError):
+            DataSet(**fields)
+
+    def test_from_samples_matches_explicit_formulas(self) -> None:
+        rng = np.random.default_rng(17)
+        X = rng.standard_normal((3, 30, 5))
+        y = rng.standard_normal((3, 30))
+        stacked = DataSet.from_samples(X, y)
+        assert stacked.m == 30 and stacked.n == 3
+        for i in range(3):
+            single = DataSet.from_samples(X[i], y[i])
+            assert single.n is None
+            for ds in (stacked[i], single):
+                np.testing.assert_allclose(ds.cov, X[i].T @ X[i] / 30, rtol=1e-14, atol=1e-14)
+                np.testing.assert_allclose(ds.xty, X[i].T @ y[i] / 30, rtol=1e-14, atol=1e-14)
+                assert float(ds.yty) == pytest.approx(float(y[i] @ y[i]) / 30, rel=1e-14, abs=1e-14)
+        with pytest.raises(ValueError):
+            DataSet.from_samples(X, y[:, :-1])
+        with pytest.raises(ValueError, match="at least one sample"):
+            DataSet.from_samples(X[:, :0], y[:, :0])
+        with pytest.raises(TypeError):
+            DataSet.from_samples(X[0], y[0])[0]
+
+    def test_heads_must_be_a_batch(self) -> None:
+        env = _env(d=5, k=2)
+        with pytest.raises(ValueError):
+            sample_dataset(env, np.zeros(2), m=10, rng=substream(6, 0, "data"))
+        with pytest.raises(ValueError):
+            sample_dataset(env, np.zeros((3, 2)), m=0, rng=substream(6, 0, "data"))
+
+    def test_task_batch_requires_one_stacked_set_per_task(self) -> None:
+        env = _env(d=5, k=2)
+        sets = sample_dataset(env, np.zeros((3, 2)), m=10, rng=substream(6, 1, "data"))
+        TaskBatch(heads=np.zeros((3, 2)), inner_sets=sets, outer_sets=sets)
+        with pytest.raises(ValueError, match="one data set per task"):
+            TaskBatch(heads=np.zeros((2, 2)), inner_sets=sets)
+        with pytest.raises(ValueError, match="one data set per task"):
+            TaskBatch(heads=np.zeros((1, 2)), outer_sets=sets[0])
+
+    @pytest.mark.parametrize("m", [3, 5, 20], ids=["raw-m=d-2", "bartlett-m=d", "bartlett-m=4d"])
+    def test_statistics_moments_match_raw_monte_carlo(self, m: int) -> None:
+        # Seeds and the 5-standard-error tolerance were fixed before the
+        # first run.  Means and variances of every entry of (S, b, y^T y/m)
+        # from ``sample_dataset`` are compared with raw-sample Monte Carlo
+        # drawn here, and the variances with their closed forms:
+        # Var S_jj = 2/m, Var S_jl = 1/m, Var b_j = (|beta|^2 + s^2 + beta_j^2)/m,
+        # Var y^T y/m = 2 (|beta|^2 + s^2)^2 / m.
+        d, sigma, count = 5, 0.5, 4000
+        env = _env(d=d, k=2, noise_std=sigma)
+        head = np.array([1.0, -0.5])
+        beta = env.ground_truth_rep @ head
+        sampled = sample_dataset(env, np.tile(head, (count, 1)), m, substream(31, m, "moments"))
+
+        rng = np.random.default_rng(1000 + m)
+        X = rng.standard_normal((count, m, d))
+        y = X @ beta + sigma * rng.standard_normal((count, m))
+        cov_raw = np.einsum("cmi,cmj->cij", X, X) / m
+        xty_raw = np.einsum("cmi,cm->ci", X, y) / m
+        yty_raw = np.einsum("cm,cm->c", y, y) / m
+
+        signal = float(beta @ beta) + sigma**2
+        theory_var = {
+            "cov": np.where(np.eye(d, dtype=bool), 2.0 / m, 1.0 / m),
+            "xty": (signal + beta**2) / m,
+            "yty": np.array(2.0 * signal**2 / m),
+        }
+        theory_mean = {"cov": np.eye(d), "xty": beta, "yty": np.array(signal)}
+
+        def moments(a: np.ndarray):
+            mean = a.mean(axis=0)
+            var = a.var(axis=0, ddof=1)
+            fourth = ((a - mean) ** 4).mean(axis=0)
+            return mean, var, np.sqrt(var / count), np.sqrt(np.maximum(fourth - var**2, 0.0) / count)
+
+        for name, raw in (("cov", cov_raw), ("xty", xty_raw), ("yty", yty_raw)):
+            mean_s, var_s, mean_se_s, var_se_s = moments(getattr(sampled, name))
+            mean_r, var_r, mean_se_r, var_se_r = moments(raw)
+            assert np.all(np.abs(mean_s - mean_r) <= 5.0 * np.hypot(mean_se_s, mean_se_r)), name
+            assert np.all(np.abs(var_s - var_r) <= 5.0 * np.hypot(var_se_s, var_se_r)), name
+            assert np.all(np.abs(mean_s - theory_mean[name]) <= 5.0 * mean_se_s), name
+            assert np.all(np.abs(var_s - theory_var[name]) <= 5.0 * var_se_s), name
+
+    def test_raw_fallback_draws_inputs_then_noise(self) -> None:
+        # Below d samples the inputs are drawn (n x m x d), then the noise.
+        d, n, m, sigma = 6, 4, 4, 0.1
+        env = _env(d=d, k=2, noise_std=sigma)
+        heads = np.ones((n, 2))
+        ds = sample_dataset(env, heads, m, substream(7, 0, "fallback"))
+        rng = substream(7, 0, "fallback")
+        X = standard_normal(rng, (n, m, d))
+        y = X @ (env.ground_truth_rep @ heads[0]) + sigma * standard_normal(rng, (n, m))
+        want = DataSet.from_samples(X, y)
+        np.testing.assert_allclose(ds.cov, want.cov, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(ds.xty, want.xty, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(ds.yty, want.yty, rtol=1e-14, atol=1e-14)
 
 
 class TestDiversityStats:

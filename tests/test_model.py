@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from linrep.env import sample_dataset, sample_environment
+from linrep.env import DataSet, sample_environment
 from linrep.metrics import orth_complement, principal_angle_dist
 from linrep.model import (
     InitScheme,
@@ -22,6 +22,14 @@ from linrep.model import (
 )
 from linrep.rng import standard_normal, substream
 from oracles import central_diff_pair, rel_err
+
+
+def _samples(env, head_true: np.ndarray, m: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Raw ``(X, y)`` with ``y = X B* w* + sigma z``, drawn independently of
+    the package's data sampler."""
+    inputs = standard_normal(rng, (m, env.d))
+    noise = env.noise_std * standard_normal(rng, (m,))
+    return inputs, inputs @ (env.ground_truth_rep @ head_true) + noise
 
 
 def _env(d: int = 6, k: int = 2, noise_std: float = 0.0, seed: int = 0):
@@ -117,23 +125,22 @@ class TestLosses:
         )
         head_true = standard_normal(rng, (2,))
         m = 400_000
-        ds = sample_dataset(env, head_true, m, substream(3, 0, "data"))
-        emp = 0.5 * float(np.mean((ds.inputs @ (params.rep @ params.head) - ds.labels) ** 2))
+        X, y = _samples(env, head_true, m, substream(3, 0, "data"))
+        emp = 0.5 * float(np.mean((X @ (params.rep @ params.head) - y) ** 2))
         want = population_task_loss(params, env, head_true)
         assert emp == pytest.approx(want, rel=0.02)
+        assert finite_task_loss(params, DataSet.from_samples(X, y)) == pytest.approx(emp, rel=1e-9)
 
     def test_finite_loss_hand_value(self) -> None:
         params = ModelParams(rep=np.array([[1.0], [0.0]]), head=np.array([2.0]))
-        from linrep.env import DataSet
-
-        ds = DataSet(inputs=np.eye(2), labels=np.array([1.0, -1.0]))
+        ds = DataSet.from_samples(np.eye(2), np.array([1.0, -1.0]))
         # Predictions (2, 0); residuals (1, 1); loss = (1 + 1) / (2 * 2).
         assert finite_task_loss(params, ds) == pytest.approx(0.5)
 
     def test_rotation_of_factorization_leaves_losses_unchanged(self) -> None:
         rng = substream(4, 0, "rot")
         env = _env(d=7, k=3, noise_std=0.2, seed=4)
-        ds = sample_dataset(env, standard_normal(rng, (3,)), 50, substream(4, 1, "data"))
+        ds = DataSet.from_samples(*_samples(env, standard_normal(rng, (3,)), 50, substream(4, 1, "data")))
         head_true = standard_normal(rng, (3,))
         for _ in range(25):
             params = ModelParams(
@@ -147,6 +154,23 @@ class TestLosses:
             assert finite_task_loss(rotated, ds) == pytest.approx(
                 finite_task_loss(params, ds), abs=1e-12, rel=1e-12
             )
+
+
+    def test_statistics_form_matches_raw_residuals(self) -> None:
+        # Loss and gradients from (S, b, y^T y/m) against the raw-sample
+        # formulas (1/2m)||XBw - y||^2, (1/m)(XB)^T r and (1/m) X^T r w^T.
+        rng = substream(10, 0, "stats")
+        for m in (3, 40):
+            env = _env(d=6, k=2, noise_std=0.3, seed=10)
+            X, y = _samples(env, standard_normal(rng, (2,)), m, rng)
+            ds = DataSet.from_samples(X, y)
+            params = ModelParams(rep=standard_normal(rng, (6, 2)), head=standard_normal(rng, (2,)))
+            r = X @ (params.rep @ params.head) - y
+            assert finite_task_loss(params, ds) == pytest.approx(0.5 * float(r @ r) / m, rel=1e-12)
+            np.testing.assert_allclose(fs_grad_w(params, ds), (X @ params.rep).T @ r / m,
+                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(fs_grad_B(params, ds), np.outer(X.T @ r / m, params.head),
+                                       rtol=1e-12, atol=1e-12)
 
 
 class TestGradients:
@@ -177,7 +201,9 @@ class TestGradients:
             d = 2 + trial % 7
             k = 1 + trial % min(3, d - 1)
             env = _env(d=d, k=k, noise_std=0.3, seed=trial + 500)
-            ds = sample_dataset(env, standard_normal(rng, (k,)), 9, substream(trial, 2, "data"))
+            ds = DataSet.from_samples(
+                *_samples(env, standard_normal(rng, (k,)), 9, substream(trial, 2, "data"))
+            )
             params = ModelParams(
                 rep=standard_normal(rng, (d, k)), head=standard_normal(rng, (k,))
             )
@@ -199,7 +225,7 @@ class TestGradients:
         basis, _ = np.linalg.qr(standard_normal(rng, (6, 2)))
         params = ModelParams(rep=basis, head=standard_normal(rng, (2,)))
         head_true = standard_normal(rng, (2,))
-        ds = sample_dataset(env, head_true, m, substream(9, 1, "data"))
+        ds = DataSet.from_samples(*_samples(env, head_true, m, substream(9, 1, "data")))
         tol = 5.0 / math.sqrt(m)
         assert np.abs(fs_grad_w(params, ds) - pop_grad_w(params, env, head_true)).max() <= tol
         assert np.abs(fs_grad_B(params, ds) - pop_grad_B(params, env, head_true)).max() <= tol

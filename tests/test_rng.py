@@ -1,9 +1,10 @@
-"""Tests for deterministic substreams and Gaussian sampling."""
+"""Tests for deterministic substreams, Gaussian and chi-square sampling."""
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
-from linrep.rng import standard_normal, substream
+from linrep.rng import chi_square, standard_normal, substream
 
 
 def test_same_substream_identical_draws() -> None:
@@ -55,3 +56,39 @@ def test_standard_normal_consumes_stream_sequentially() -> None:
     both = standard_normal(gen2, 4), standard_normal(gen2, 4)
     np.testing.assert_array_equal(first, both[0])
     np.testing.assert_array_equal(second, both[1])
+
+
+@pytest.mark.parametrize("dof", [1, 3, 81, 781])
+def test_chi_square_mean_and_variance(dof: int) -> None:
+    # Mean nu, variance 2 nu; each checked to 5 standard errors of its
+    # estimator (central fourth moment of chi2(nu) is 12 nu^2 + 48 nu).
+    count = 20_000
+    draws = chi_square(substream(2024, "chi2", dof), np.full(count, dof))
+    assert draws.shape == (count,)
+    assert np.all(draws > 0.0)
+    mean_se = np.sqrt(2.0 * dof / count)
+    assert abs(float(draws.mean()) - dof) <= 5.0 * mean_se
+    var_se = np.sqrt((12.0 * dof**2 + 48.0 * dof - 4.0 * dof**2) / count)
+    assert abs(float(draws.var(ddof=1)) - 2.0 * dof) <= 5.0 * var_se
+
+
+def test_chi_square_zero_dof_is_exactly_zero() -> None:
+    draws = chi_square(substream(5, "chi2-zero"), np.array([0, 4, 0, 1]))
+    assert draws[0] == 0.0 and draws[2] == 0.0
+    assert draws[1] > 0.0 and draws[3] > 0.0
+    assert chi_square(substream(5, "chi2-zero"), 0).shape == ()
+    assert float(chi_square(substream(5, "chi2-zero"), 0)) == 0.0
+
+
+def test_chi_square_same_substream_identical_draws() -> None:
+    dof = np.array([[1, 2, 7], [30, 0, 500]])
+    a = chi_square(substream(8, 0, "chi2"), dof)
+    b = chi_square(substream(8, 0, "chi2"), dof)
+    assert a.shape == dof.shape
+    np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("dof", [-1, np.inf, np.nan])
+def test_chi_square_rejects_invalid_dof(dof: float) -> None:
+    with pytest.raises(ValueError):
+        chi_square(substream(8, 0, "chi2"), [3, dof])
