@@ -1,24 +1,27 @@
 """Meta-learning outer-loop updates and the trajectory driver.
 
-One vectorized gradient kernel per algorithm/mode pair.  Each kernel adapts
-every task in the round's batch with one inner gradient step and averages
-the resulting outer-loop gradient; ``step_for`` builds the outer step on it,
-which returns the updated shared parameters together with the adapted
-per-task states; the spectrum of the adapted-head second-moment matrix is
-computed only when a record reads it.
+One vectorized gradient kernel per algorithm.  Each kernel adapts every task
+in the round's batch with one inner gradient step and averages the resulting
+outer-loop gradient; ``step_for`` builds the outer step on it, which returns
+the updated shared parameters together with the adapted per-task states; the
+spectrum of the adapted-head second-moment matrix is computed only when a
+record reads it.
 ``run_trajectory`` iterates steps over freshly sampled batches, records
 subspace diagnostics on a fixed schedule, and stops early when the iterates
 diverge.
 
-Population steps use the closed-form expected risk; finite-sample steps
-consume the round's stacked inner/outer data sets through their sufficient
-statistics ``(X^T X/m, X^T y/m)``.  A finite-sample round draws the heads,
-then every task's inner set, then every task's outer set.  The average-risk
-baseline skips inner adaptation entirely and descends the mean unadapted
-risk.
+A kernel reads a task only through the moments ``(S, b)`` of its inner and
+outer sets, the data's ``(X^T X/m, X^T y/m)``.  Finite-sample steps pass the
+round's stacked data sets; population steps are the same kernels at the
+exact moments of isotropic Gaussian inputs, ``(I, B* w*_i)`` on both sides,
+so the expected risk needs no code of its own.  A finite-sample round draws
+the heads, then every task's inner set, then every task's outer set.  The
+average-risk baseline skips inner adaptation entirely and descends the mean
+unadapted risk.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -119,154 +122,71 @@ class RunResult:
 # --------------------------------------------------------------------------
 # Outer-loop gradients (vectorized over the task batch)
 # --------------------------------------------------------------------------
-# Each helper returns (grad_head, grad_rep, adapted_heads, adapted_reps)
-# with adapted_heads of shape (n, k) and adapted_reps of shape (n, d, k)
-# or None when the algorithm adapts heads only.
+# One kernel per algorithm.  A kernel reads each task only through the
+# moments of its inner and outer sets, ``(cov, xty)`` pairs stacked over the
+# round's n tasks (``n x d x d`` and ``n x d``), and returns
+# (grad_head, grad_rep, adapted_heads, adapted_reps) with adapted_heads of
+# shape (n, k) and adapted_reps of shape (n, d, k) or None when the
+# algorithm adapts heads only.
 
-def _adapted_heads(B: np.ndarray, w: np.ndarray, heads: np.ndarray, alpha: float, cross: np.ndarray) -> np.ndarray:
-    """Heads after one population inner step: ``(I - a B^T B) w + a B^T B* w*_i``."""
-    delta = np.eye(B.shape[1]) - alpha * (B.T @ B)
-    return (delta @ w)[None, :] + alpha * heads @ cross.T
-
-
-def _grads_fo_anil_pop(params, env, batch, alpha):
-    B, w, heads = params.rep, params.head, batch.heads
-    n = batch.n
-    gram = B.T @ B
-    cross = B.T @ env.ground_truth_rep
-    adapted = _adapted_heads(B, w, heads, alpha, cross)
-    grad_head = gram @ adapted.mean(axis=0) - cross @ heads.mean(axis=0)
-    psi = adapted.T @ adapted / n
-    coupling = heads.T @ adapted / n
-    grad_rep = B @ psi - env.ground_truth_rep @ coupling
-    return grad_head, grad_rep, adapted, None
+_Moments = tuple[np.ndarray, np.ndarray]
 
 
-def _grads_exact_anil_pop(params, env, batch, alpha):
-    B, w, heads = params.rep, params.head, batch.heads
-    n = batch.n
-    Bstar = env.ground_truth_rep
-    gram = B.T @ B
-    delta = np.eye(B.shape[1]) - alpha * gram
-    cross = B.T @ Bstar
-    adapted = _adapted_heads(B, w, heads, alpha, cross)
-
-    residuals = (B @ w)[None, :] - heads @ Bstar.T
-    # Rows: post-adaptation residuals (I - alpha B B^T) r_i.
-    adapted_residuals = residuals - alpha * (residuals @ B) @ B.T
-    grad_head = delta @ (delta @ (B.T @ residuals.mean(axis=0)))
-    grad_rep = (
-        adapted_residuals.T @ adapted / n
-        - alpha * np.outer(B @ (B.T @ adapted_residuals.mean(axis=0)), w)
-        - alpha * (residuals.T @ (adapted_residuals @ B)) / n
-    )
-    return grad_head, grad_rep, adapted, None
+@functools.lru_cache(maxsize=8)
+def _identity(d: int, n: int) -> np.ndarray:
+    """Read-only ``n x d x d`` stack of identities, the input second moment
+    of every population task."""
+    return np.broadcast_to(np.eye(d), (n, d, d))
 
 
-def _grads_fo_maml_pop(params, env, batch, alpha):
-    B, w, heads = params.rep, params.head, batch.heads
-    n = batch.n
-    Bstar = env.ground_truth_rep
-    cross = B.T @ Bstar
-    adapted = _adapted_heads(B, w, heads, alpha, cross)
+def _sets(env: TaskEnvironment, batch: TaskBatch, mode: Mode) -> tuple[_Moments, _Moments]:
+    """The round's inner and outer moments.
 
-    targets = heads @ Bstar.T  # row i is B* w*_i
-    lam = np.eye(B.shape[1]) - alpha * np.outer(w, w)
-    overlaps = adapted @ w
-    # Row i is the post-adaptation residual B_i w_i - B* w*_i.
-    errors = (adapted @ lam) @ B.T + (alpha * overlaps - 1.0)[:, None] * targets
-    target_dots = np.einsum("nd,nd->n", targets, errors)
-    grad_head = lam @ (B.T @ errors.mean(axis=0)) + alpha * target_dots.mean() * w
-    grad_rep = errors.T @ adapted / n
-    adapted_reps = (B @ lam)[None, :, :] + alpha * targets[:, :, None] * w[None, None, :]
-    return grad_head, grad_rep, adapted, adapted_reps
-
-
-def _grads_exact_maml_pop(params, env, batch, alpha):
-    B, w, heads = params.rep, params.head, batch.heads
-    n = batch.n
-    Bstar = env.ground_truth_rep
-    gram = B.T @ B
-    delta = np.eye(B.shape[1]) - alpha * gram
-    cross = B.T @ Bstar
-    adapted = _adapted_heads(B, w, heads, alpha, cross)
-
-    Bw = B @ w
-    residuals = Bw[None, :] - heads @ Bstar.T
-    omega = float(w @ (delta @ w))
-    align = heads @ (Bstar.T @ Bw)
-    scalars = alpha * omega + alpha**2 * align  # per-task contraction scalar
-
-    RB = residuals @ B
-    # V rows: (I - alpha B B^T - scalar_i I) applied to each residual.
-    V = residuals - alpha * RB @ B.T - scalars[:, None] * residuals
-    VB = V @ B
-    VM = V - alpha * VB @ B.T - scalars[:, None] * V
-    dots = np.einsum("nd,nd->n", residuals, V)
-    mean_dot = dots.mean()
-    weighted_heads = (dots[:, None] * heads).mean(axis=0)
-
-    grad_head = (
-        delta @ VB.mean(axis=0)
-        - (scalars[:, None] * VB).mean(axis=0)
-        - 2.0 * alpha * mean_dot * (delta @ w)
-        - alpha**2 * (B.T @ (Bstar @ weighted_heads))
-    )
-    grad_rep = (
-        np.outer(VM.mean(axis=0), w)
-        - alpha * (V.T @ RB) / n
-        - alpha * (residuals.T @ VB) / n
-        + 2.0 * alpha**2 * mean_dot * np.outer(Bw, w)
-        - alpha**2 * np.outer(Bstar @ weighted_heads, w)
-    )
-    adapted_reps = B[None, :, :] - alpha * residuals[:, :, None] * w[None, None, :]
-    return grad_head, grad_rep, adapted, adapted_reps
-
-
-def _grads_avg_pop(params, env, batch, alpha):
-    del alpha  # no inner adaptation
-    B, w, heads = params.rep, params.head, batch.heads
-    residual = B @ w - env.ground_truth_rep @ heads.mean(axis=0)
-    grad_head = B.T @ residual
-    grad_rep = np.outer(residual, w)
-    return grad_head, grad_rep, np.tile(w, (batch.n, 1)), None
-
-
-def _require_sets(batch: TaskBatch, *, inner: bool = True) -> None:
-    if batch.outer_sets is None or (inner and batch.inner_sets is None):
+    A population round's inputs are isotropic Gaussian, so both sides hold
+    the exact moments ``(I, B* w*_i)``; a finite-sample round reads its
+    stacked data sets.
+    """
+    if mode is Mode.POPULATION:
+        exact = (_identity(env.d, batch.n), batch.heads @ env.ground_truth_rep.T)
+        return exact, exact
+    if batch.inner_sets is None or batch.outer_sets is None:
         raise ValueError("finite-sample steps require per-task data sets in the batch")
+    inner, outer = batch.inner_sets, batch.outer_sets
+    return (inner.cov, inner.xty), (outer.cov, outer.xty)
 
 
 def _matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Rows ``M_i v_i`` for stacked ``mats`` (``n x d x d``) and ``vecs`` (``n x d``)."""
+    """Rows ``M_i v_i`` for stacked ``mats`` (``n x d x d``) and ``vecs``
+    (``n x d``, or one ``d`` vector shared by every task)."""
     return (mats @ vecs[..., None])[..., 0]
 
 
-def _grads_fo_anil_fs(params, env, batch, alpha):
-    del env
-    _require_sets(batch)
-    B, w = params.rep, params.head
-    n = batch.n
-    inner_res = batch.inner_sets.residual(B @ w)
+def _residual(moments: _Moments, beta: np.ndarray) -> np.ndarray:
+    """Rows ``S_i beta_i - b_i``, the gradient of task i's loss in the
+    predictor."""
+    cov, xty = moments
+    return _matvec(cov, beta) - xty
+
+
+def _grads_fo_anil(B, w, inner, outer, alpha):
+    n = inner[1].shape[0]
+    inner_res = _residual(inner, B @ w)
     adapted = w[None, :] - alpha * (inner_res @ B)
-    outer_res = batch.outer_sets.residual(adapted @ B.T)
+    outer_res = _residual(outer, adapted @ B.T)
     grad_head = (outer_res @ B).mean(axis=0)
     grad_rep = outer_res.T @ adapted / n
     return grad_head, grad_rep, adapted, None
 
 
-def _grads_exact_anil_fs(params, env, batch, alpha):
-    del env
-    _require_sets(batch)
-    B, w = params.rep, params.head
-    n = batch.n
-    inner_res = batch.inner_sets.residual(B @ w)  # row i: grad of head pre-projection
+def _grads_exact_anil(B, w, inner, outer, alpha):
+    n = inner[1].shape[0]
+    inner_res = _residual(inner, B @ w)  # row i: grad of head pre-projection
     adapted = w[None, :] - alpha * (inner_res @ B)
 
-    U = batch.outer_sets.residual(adapted @ B.T)
+    U = _residual(outer, adapted @ B.T)
     UB = U @ B
     # Inner-sample second moment applied to B (B^T u), per task.
-    cov_lift = _matvec(batch.inner_sets.cov, UB @ B.T)
+    cov_lift = _matvec(inner[0], UB @ B.T)
     grad_head = (UB - alpha * (cov_lift @ B)).mean(axis=0)
     grad_rep = (
         U.T @ adapted / n
@@ -276,79 +196,65 @@ def _grads_exact_anil_fs(params, env, batch, alpha):
     return grad_head, grad_rep, adapted, None
 
 
-def _fs_full_adaptation(B, w, batch, alpha):
+def _full_adaptation(B, w, inner, alpha):
     """Adapted heads and representations of the full-adaptation variants,
     with the inner residual directions ``p_i`` (rows) that move ``B``."""
-    inner_res = batch.inner_sets.residual(B @ w)
+    inner_res = _residual(inner, B @ w)
     adapted = w[None, :] - alpha * (inner_res @ B)
     adapted_reps = B[None, :, :] - alpha * inner_res[:, :, None] * w[None, None, :]
     return inner_res, adapted, adapted_reps
 
 
-def _grads_fo_maml_fs(params, env, batch, alpha):
-    del env
-    _require_sets(batch)
-    B, w = params.rep, params.head
-    n = batch.n
-    inner_res, adapted, adapted_reps = _fs_full_adaptation(B, w, batch, alpha)
-    outer_res = batch.outer_sets.residual(np.einsum("ndk,nk->nd", adapted_reps, adapted))
+def _grads_fo_maml(B, w, inner, outer, alpha):
+    n = inner[1].shape[0]
+    inner_res, adapted, adapted_reps = _full_adaptation(B, w, inner, alpha)
+    outer_res = _residual(outer, np.einsum("ndk,nk->nd", adapted_reps, adapted))
     lift_dots = np.einsum("nd,nd->n", inner_res, outer_res)
     grad_head = (outer_res @ B - alpha * lift_dots[:, None] * w[None, :]).mean(axis=0)
     grad_rep = outer_res.T @ adapted / n
     return grad_head, grad_rep, adapted, adapted_reps
 
 
-def _grads_exact_maml_fs(params, env, batch, alpha):
-    del env
-    _require_sets(batch)
-    B, w = params.rep, params.head
-    n = batch.n
-    outer = batch.outer_sets
-    inner_res, adapted, adapted_reps = _fs_full_adaptation(B, w, batch, alpha)
+def _grads_exact_maml(B, w, inner, outer, alpha):
+    n = inner[1].shape[0]
+    inner_res, adapted, adapted_reps = _full_adaptation(B, w, inner, alpha)
     # Adapted-point gradient of task i's outer loss: (u_i, q_i w_i^T).
-    q = outer.residual(np.einsum("ndk,nk->nd", adapted_reps, adapted))
+    q = _residual(outer, np.einsum("ndk,nk->nd", adapted_reps, adapted))
     u = np.einsum("ndk,nd->nk", adapted_reps, q)
-    # Hessian-vector product of the outer loss at the unadapted parameters,
-    # applied to (u_i, q_i w_i^T); ``lifted`` is its gradient direction there.
-    lifted = outer.residual(B @ w)
+    # Hessian-vector product of the inner loss at the unadapted parameters,
+    # applied to (u_i, q_i w_i^T); ``inner_res`` is its gradient direction.
     overlaps = adapted @ w
-    cov_Bu = _matvec(outer.cov, u @ B.T)
-    cov_q = _matvec(outer.cov, q)
+    cov_Bu = _matvec(inner[0], u @ B.T)
+    cov_q = _matvec(inner[0], q)
     hess_head = (
         cov_Bu @ B
-        + np.einsum("nd,nd->n", q, lifted)[:, None] * adapted
+        + np.einsum("nd,nd->n", q, inner_res)[:, None] * adapted
         + overlaps[:, None] * (cov_q @ B)
     )
     grad_head = (u - alpha * hess_head).mean(axis=0)
     grad_rep = (
         q.T @ adapted
         - alpha * np.outer((cov_Bu + overlaps[:, None] * cov_q).sum(axis=0), w)
-        - alpha * (lifted.T @ u)
+        - alpha * (inner_res.T @ u)
     ) / n
     return grad_head, grad_rep, adapted, adapted_reps
 
 
-def _grads_avg_fs(params, env, batch, alpha):
-    del env, alpha
-    _require_sets(batch, inner=False)
-    B, w = params.rep, params.head
-    res = batch.outer_sets.residual(B @ w)
+def _grads_avg(B, w, inner, outer, alpha):
+    del inner, alpha  # no inner adaptation
+    n = outer[1].shape[0]
+    res = _residual(outer, B @ w)
     grad_head = (res @ B).mean(axis=0)
     grad_rep = np.outer(res.mean(axis=0), w)
-    return grad_head, grad_rep, np.tile(w, (batch.n, 1)), None
+    return grad_head, grad_rep, np.tile(w, (n, 1)), None
 
 
-_GRADS: dict[tuple[Algorithm, Mode], Callable] = {
-    (Algorithm.FO_ANIL, Mode.POPULATION): _grads_fo_anil_pop,
-    (Algorithm.EXACT_ANIL, Mode.POPULATION): _grads_exact_anil_pop,
-    (Algorithm.FO_MAML, Mode.POPULATION): _grads_fo_maml_pop,
-    (Algorithm.EXACT_MAML, Mode.POPULATION): _grads_exact_maml_pop,
-    (Algorithm.AVG_RISK_MIN, Mode.POPULATION): _grads_avg_pop,
-    (Algorithm.FO_ANIL, Mode.FINITE): _grads_fo_anil_fs,
-    (Algorithm.EXACT_ANIL, Mode.FINITE): _grads_exact_anil_fs,
-    (Algorithm.FO_MAML, Mode.FINITE): _grads_fo_maml_fs,
-    (Algorithm.EXACT_MAML, Mode.FINITE): _grads_exact_maml_fs,
-    (Algorithm.AVG_RISK_MIN, Mode.FINITE): _grads_avg_fs,
+_GRADS: dict[Algorithm, Callable] = {
+    Algorithm.FO_ANIL: _grads_fo_anil,
+    Algorithm.EXACT_ANIL: _grads_exact_anil,
+    Algorithm.FO_MAML: _grads_fo_maml,
+    Algorithm.EXACT_MAML: _grads_exact_maml,
+    Algorithm.AVG_RISK_MIN: _grads_avg,
 }
 
 
@@ -359,7 +265,8 @@ def meta_gradients(
 
     The outer step moves the parameters by ``-beta`` times this pair.
     """
-    grad_head, grad_rep, _, _ = _GRADS[(hp.algo, hp.mode)](params, env, batch, hp.alpha)
+    inner, outer = _sets(env, batch, hp.mode)
+    grad_head, grad_rep, _, _ = _GRADS[hp.algo](params.rep, params.head, inner, outer, hp.alpha)
     return grad_head, grad_rep
 
 
@@ -388,13 +295,15 @@ def step_for(hp: HyperParams) -> Callable[..., StepOutcome]:
     serves every configuration of the pair.  The average-risk baseline does
     not adapt; its psi spectrum is that of the unadapted head.
     """
-    grads = _GRADS[(hp.algo, hp.mode)]
+    grads = _GRADS[hp.algo]
+    mode = hp.mode
     adapts = hp.algo is not Algorithm.AVG_RISK_MIN
 
     def step(
         params: ModelParams, env: TaskEnvironment, batch: TaskBatch, hp: HyperParams
     ) -> StepOutcome:
-        grad_head, grad_rep, heads, reps = grads(params, env, batch, hp.alpha)
+        inner, outer = _sets(env, batch, mode)
+        grad_head, grad_rep, heads, reps = grads(params.rep, params.head, inner, outer, hp.alpha)
         return StepOutcome(
             params_next=ModelParams(
                 rep=params.rep - hp.beta * grad_rep, head=params.head - hp.beta * grad_head
@@ -494,8 +403,6 @@ def run_trajectory(
     init: ModelParams,
     rng,
     record_every: int = 1,
-    *,
-    fixed_batch: bool = False,
 ) -> RunResult:
     """Run ``hp.iters`` outer steps from ``init`` and record diagnostics.
 
@@ -503,10 +410,8 @@ def run_trajectory(
     ``record_every``, and at the final iteration; each record describes the
     parameters *before* that round's step, alongside the round's
     adapted-head spectrum.  The final record uses a freshly sampled
-    diagnostic batch whose step is discarded.  With ``fixed_batch`` the
-    first sampled round is reused for every iteration.  Divergent runs are
-    truncated at the offending iteration and never record a divergent
-    state.
+    diagnostic batch whose step is discarded.  Divergent runs are truncated
+    at the offending iteration and never record a divergent state.
     """
     if record_every < 1:
         raise ValueError(f"record_every must be at least 1, got {record_every}")
@@ -520,19 +425,9 @@ def run_trajectory(
     params = init
     diverged = False
     diverged_at: int | None = None
-    first_batch: TaskBatch | None = None
-
-    def next_batch() -> TaskBatch:
-        nonlocal first_batch
-        if fixed_batch and first_batch is not None:
-            return first_batch
-        batch = _sample_round(env, hp, rng)
-        if fixed_batch:
-            first_batch = batch
-        return batch
 
     for t in range(hp.iters):
-        batch = next_batch()
+        batch = _sample_round(env, hp, rng)
         aggregate = _merge_stats(aggregate, diversity_stats(batch))
         with np.errstate(over="ignore", invalid="ignore"):
             outcome = step(params, env, batch, hp)
@@ -549,7 +444,7 @@ def run_trajectory(
             break
 
     if not diverged:
-        batch = next_batch()
+        batch = _sample_round(env, hp, rng)
         aggregate = _merge_stats(aggregate, diversity_stats(batch))
         with np.errstate(over="ignore", invalid="ignore"):
             outcome = step(params, env, batch, hp)

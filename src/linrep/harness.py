@@ -298,7 +298,8 @@ def _build_env(config: ExperimentConfig, trial: int) -> TaskEnvironment:
     )
 
 
-def _run_trial(config: ExperimentConfig, trial: int) -> RunResult:
+def _run_trial(config: ExperimentConfig, trial: int, record_every: int | None = None) -> RunResult:
+    """Run one trial; ``record_every`` defaults to the config's schedule."""
     env = _build_env(config, trial)
     hp = resolve_hyper(config)
     init = init_model(
@@ -313,7 +314,20 @@ def _run_trial(config: ExperimentConfig, trial: int) -> RunResult:
         hp,
         init,
         substream(config.run.master_seed, trial, "tasks"),
-        record_every=config.run.record_every,
+        record_every=config.run.record_every if record_every is None else record_every,
+    )
+
+
+def _hypothesis_report(
+    config: ExperimentConfig, hp: HyperParams, result: RunResult
+) -> HypothesisReport:
+    """Trajectory-condition margins of one trial's recorded run."""
+    return check_hypotheses(
+        result.trajectory,
+        hp,
+        result.head_stats,
+        result.trajectory[0].dist,
+        c_a1=config.checks.hyp_constant_C_A1,
     )
 
 
@@ -357,14 +371,7 @@ def _summarize(config: ExperimentConfig, hp: HyperParams, results: tuple[RunResu
             summary["log_slope"] = float(slope)
             summary["r_squared"] = float(r_squared)
     if config.checks.hypcheck and results:
-        first = results[0]
-        report = check_hypotheses(
-            first.trajectory,
-            hp,
-            first.head_stats,
-            first.trajectory[0].dist,
-            c_a1=config.checks.hyp_constant_C_A1,
-        )
+        report = _hypothesis_report(config, hp, results[0])
         summary["hyp_first_violation"] = dict(report.first_violation)
     assert tuple(summary) == _SUMMARY_KEYS
     return summary
@@ -529,14 +536,11 @@ def _gradcheck_batch(env: TaskEnvironment, hp: HyperParams, rng) -> TaskBatch:
     tasks = sample_task_batch(env, hp.n, rng)
     if hp.mode is Mode.POPULATION:
         return tasks
-    inner = sample_dataset(env, tasks.heads, hp.m_in, rng)
-    # The Hessian-corrected full-adaptation update equals the exact
-    # gradient of the one-set meta-objective, so its check shares the
-    # inner sets; all other variants use distinct inner/outer sets.
-    outer = inner if hp.algo is Algorithm.EXACT_MAML else sample_dataset(
-        env, tasks.heads, hp.m_out, rng
+    return TaskBatch(
+        heads=tasks.heads,
+        inner_sets=sample_dataset(env, tasks.heads, hp.m_in, rng),
+        outer_sets=sample_dataset(env, tasks.heads, hp.m_out, rng),
     )
-    return TaskBatch(heads=tasks.heads, inner_sets=inner, outer_sets=outer)
 
 
 def gradcheck(config: ExperimentConfig) -> GradCheckReport:
@@ -593,25 +597,8 @@ class HypCheckResult:
 def hypcheck(config: ExperimentConfig, *, out_dir: str | Path | None = None) -> HypCheckResult:
     """Run trial 0 with per-iteration recording, evaluate the six
     trajectory-condition margins, and write hypotheses.csv."""
-    hp = resolve_hyper(config)
-    env = _build_env(config, 0)
-    init = init_model(
-        env,
-        hp.alpha,
-        config.init.scheme,
-        substream(config.run.master_seed, 0, "init"),
-        target_band=config.init.target_band,
-    )
-    result = run_trajectory(
-        env, hp, init, substream(config.run.master_seed, 0, "tasks"), record_every=1
-    )
-    report = check_hypotheses(
-        result.trajectory,
-        hp,
-        result.head_stats,
-        result.trajectory[0].dist,
-        c_a1=config.checks.hyp_constant_C_A1,
-    )
+    result = _run_trial(config, 0, record_every=1)
+    report = _hypothesis_report(config, resolve_hyper(config), result)
     out = Path(out_dir) if out_dir is not None else Path(config.run.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "hypotheses.csv"

@@ -64,7 +64,7 @@ def _population_batch(env, n: int, seed: int) -> TaskBatch:
     return sample_task_batch(env, n, substream(seed, 1, "tasks"))
 
 
-def _finite_batch(env, n: int, m_in: int, m_out: int, seed: int, *, shared: bool = False):
+def _finite_batch(env, n: int, m_in: int, m_out: int, seed: int):
     """A finite batch whose data sets reduce raw samples drawn here.
 
     Returns the batch and the raw ``(X, y)`` inner and outer samples, stacked
@@ -80,7 +80,7 @@ def _finite_batch(env, n: int, m_in: int, m_out: int, seed: int, *, shared: bool
         return X, y
 
     inner = draw(m_in)
-    outer = inner if shared else draw(m_out)
+    outer = draw(m_out)
     batch = TaskBatch(
         heads=heads,
         inner_sets=DataSet.from_samples(*inner),
@@ -216,10 +216,7 @@ class TestMetaGradientsMatchFiniteDifferences:
             if mode is Mode.POPULATION:
                 batch = _population_batch(env, n, seed=500 + trial)
             else:
-                shared = algo is Algorithm.EXACT_MAML
-                batch, samples = _finite_batch(
-                    env, n, hp.m_in, hp.m_out, seed=500 + trial, shared=shared
-                )
+                batch, samples = _finite_batch(env, n, hp.m_in, hp.m_out, seed=500 + trial)
             params = _random_params(rng, d, k)
 
             outcome = step_for(hp)(params, env, batch, hp)
@@ -413,6 +410,36 @@ class TestScalarRecursionOracle:
             b, w = b_next, w_next
 
 
+class TestFiniteMatchesPopulationAtExactMoments:
+    @pytest.mark.parametrize("algo", ALL_ALGOS, ids=lambda a: a.value)
+    def test_finite_step_on_exact_moments_is_the_population_step(self, algo: Algorithm) -> None:
+        # Inner and outer sets both holding the population moments of
+        # isotropic inputs, (I, B* w*_i, ||B* w*_i||^2 + sigma^2).
+        env = _env(d=7, k=3, seed=23, noise_std=0.3)
+        hp_pop = _hp(algo, Mode.POPULATION, n=4, alpha=0.13, beta=0.2)
+        hp_fin = _hp(algo, Mode.FINITE, n=4, alpha=0.13, beta=0.2)
+        params = _random_params(substream(23, 0, "params"), 7, 3)
+        heads = sample_task_batch(env, 4, substream(23, 1, "tasks")).heads
+        targets = heads @ env.ground_truth_rep.T
+        exact = DataSet(
+            cov=np.tile(np.eye(7), (4, 1, 1)),
+            xty=targets,
+            yty=np.einsum("nd,nd->n", targets, targets) + env.noise_std**2,
+            m=hp_fin.m_in,
+        )
+        pop = step_for(hp_pop)(params, env, TaskBatch(heads=heads), hp_pop)
+        fin = step_for(hp_fin)(
+            params, env, TaskBatch(heads=heads, inner_sets=exact, outer_sets=exact), hp_fin
+        )
+        np.testing.assert_allclose(fin.params_next.rep, pop.params_next.rep, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(fin.params_next.head, pop.params_next.head, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(fin.adapted_heads, pop.adapted_heads, rtol=0, atol=1e-14)
+        if algo in FULL_ADAPTATION:
+            np.testing.assert_allclose(fin.adapted_reps, pop.adapted_reps, rtol=0, atol=1e-14)
+        else:
+            assert fin.adapted_reps is None and pop.adapted_reps is None
+
+
 class TestFiniteMatchesPopulationAtLargeSamples:
     @pytest.mark.parametrize("algo", ALL_ALGOS, ids=lambda a: a.value)
     def test_one_noiseless_step_with_many_samples(self, algo: Algorithm) -> None:
@@ -518,16 +545,6 @@ class TestRunTrajectory:
         lsq = [s.L_sq for s in result.gt_stats_running]
         assert all(a >= b for a, b in zip(mu, mu[1:]))
         assert all(a <= b for a, b in zip(lsq, lsq[1:]))
-
-    def test_fixed_batch_reuses_the_first_round(self) -> None:
-        env = _env(d=6, k=2, seed=18)
-        hp = _hp(Algorithm.FO_ANIL, iters=30, n=3)
-        init = init_model(env, hp.alpha, InitScheme.SPEC, substream(18, 0, "init"))
-        result = run_trajectory(
-            env, hp, init, substream(18, 0, "tasks"), record_every=10, fixed_batch=True
-        )
-        stats = result.gt_stats_running
-        assert all(s == stats[0] for s in stats)
 
     def test_divergence_detected_and_truncated(self) -> None:
         env = _env(d=6, k=2, seed=19, head_mean=10.0)
