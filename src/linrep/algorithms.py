@@ -3,12 +3,10 @@
 One vectorized gradient kernel per algorithm.  Each kernel adapts every task
 in the round's batch with one inner gradient step and averages the resulting
 outer-loop gradient; ``step_for`` builds the outer step on it, which returns
-the updated shared parameters together with the adapted per-task states; the
-spectrum of the adapted-head second-moment matrix is computed only when a
-record reads it.
+the updated shared parameters together with the adapted per-task states.
 ``run_trajectory`` iterates steps over freshly sampled batches, records
-subspace diagnostics on a fixed schedule, and stops early when the iterates
-diverge.
+subspace diagnostics (the adapted-head spectrum included) on a fixed
+schedule, and stops early when the iterates diverge.
 
 A kernel reads a task only through the moments ``(S, b)`` of its inner and
 outer sets, the data's ``(X^T X/m, X^T y/m)``.  Finite-sample steps pass the
@@ -21,11 +19,9 @@ unadapted risk.
 """
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -67,34 +63,13 @@ class StepOutcome:
     ``adapted_heads`` (``n x k``) holds the round's inner-loop heads in task
     order; ``adapted_reps`` (``n x d x k``) holds the adapted
     representations of the full-adaptation variants and is None for
-    algorithms that adapt the head only.  ``psi_min``/``psi_max`` are the
-    extreme eigenvalues of the adapted-head second-moment matrix
-    ``(1/n) sum_i w_i w_i^T``, computed on first access.  For the
-    average-risk baseline (``adapts`` False) every row of ``adapted_heads``
-    is the unadapted head and the spectrum is that of ``w w^T``.
+    algorithms that adapt the head only.  For the average-risk baseline
+    every row of ``adapted_heads`` is the unadapted head.
     """
 
     params_next: ModelParams
     adapted_heads: np.ndarray
     adapted_reps: np.ndarray | None
-    adapts: bool = True
-
-    @cached_property
-    def _psi(self) -> tuple[float, float]:
-        # Steps of a diverging run see overflowing iterates; their spectrum
-        # is NaN rather than a warning.
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.adapts:
-                return _psi_spectrum(self.adapted_heads)
-            return _avg_psi(self.adapted_heads[0])
-
-    @property
-    def psi_min(self) -> float:
-        return self._psi[0]
-
-    @property
-    def psi_max(self) -> float:
-        return self._psi[1]
 
 
 @dataclass(frozen=True)
@@ -132,22 +107,15 @@ class RunResult:
 _Moments = tuple[np.ndarray, np.ndarray]
 
 
-@functools.lru_cache(maxsize=8)
-def _identity(d: int, n: int) -> np.ndarray:
-    """Read-only ``n x d x d`` stack of identities, the input second moment
-    of every population task."""
-    return np.broadcast_to(np.eye(d), (n, d, d))
-
-
 def _sets(env: TaskEnvironment, batch: TaskBatch, mode: Mode) -> tuple[_Moments, _Moments]:
     """The round's inner and outer moments.
 
     A population round's inputs are isotropic Gaussian, so both sides hold
-    the exact moments ``(I, B* w*_i)``; a finite-sample round reads its
-    stacked data sets.
+    the exact moments ``(I, B* w*_i)``, one identity shared by every task;
+    a finite-sample round reads its stacked data sets.
     """
     if mode is Mode.POPULATION:
-        exact = (_identity(env.d, batch.n), batch.heads @ env.ground_truth_rep.T)
+        exact = (np.eye(env.d), batch.heads @ env.ground_truth_rep.T)
         return exact, exact
     if batch.inner_sets is None or batch.outer_sets is None:
         raise ValueError("finite-sample steps require per-task data sets in the batch")
@@ -156,8 +124,9 @@ def _sets(env: TaskEnvironment, batch: TaskBatch, mode: Mode) -> tuple[_Moments,
 
 
 def _matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Rows ``M_i v_i`` for stacked ``mats`` (``n x d x d``) and ``vecs``
-    (``n x d``, or one ``d`` vector shared by every task)."""
+    """Rows ``M_i v_i`` for ``vecs`` (``n x d``, or one ``d`` vector shared
+    by every task) and ``mats``, one ``d x d`` matrix shared by every task or
+    a stack of ``n``."""
     return (mats @ vecs[..., None])[..., 0]
 
 
@@ -271,6 +240,8 @@ def meta_gradients(
 
 
 def _psi_spectrum(adapted: np.ndarray) -> tuple[float, float]:
+    """Extreme eigenvalues of the adapted-head second moment
+    ``(1/n) sum_i w_i w_i^T``, clipped at 0; NaN for non-finite heads."""
     psi = adapted.T @ adapted / adapted.shape[0]
     try:
         eigenvalues = np.linalg.eigvalsh(psi)
@@ -282,22 +253,15 @@ def _psi_spectrum(adapted: np.ndarray) -> tuple[float, float]:
     return max(low, 0.0), max(high, 0.0)
 
 
-def _avg_psi(head: np.ndarray) -> tuple[float, float]:
-    w_sq = float(head @ head)
-    return (w_sq, w_sq) if head.shape[0] == 1 else (0.0, w_sq)
-
-
 def step_for(hp: HyperParams) -> Callable[..., StepOutcome]:
     """The outer step ``step(params, env, batch, hp)`` for ``hp``'s
     algorithm/mode pair.
 
     The step reads the step sizes from its own ``hp`` argument, so one step
-    serves every configuration of the pair.  The average-risk baseline does
-    not adapt; its psi spectrum is that of the unadapted head.
+    serves every configuration of the pair.
     """
     grads = _GRADS[hp.algo]
     mode = hp.mode
-    adapts = hp.algo is not Algorithm.AVG_RISK_MIN
 
     def step(
         params: ModelParams, env: TaskEnvironment, batch: TaskBatch, hp: HyperParams
@@ -310,7 +274,6 @@ def step_for(hp: HyperParams) -> Callable[..., StepOutcome]:
             ),
             adapted_heads=heads,
             adapted_reps=reps,
-            adapts=adapts,
         )
 
     return step
@@ -377,7 +340,11 @@ def _try_record(
     alpha: float,
 ) -> TrajectoryRecord | None:
     """Build the diagnostic record for iteration ``t``, or None if the
-    representation has numerically collapsed and the geometry is undefined."""
+    representation has numerically collapsed and the geometry is undefined.
+
+    ``psi_min``/``psi_max`` are the spectrum of the round's adapted heads
+    (for the average-risk baseline, of ``w w^T``).
+    """
     try:
         dist = principal_angle_dist(params.rep, perp)
         bperp = spectral_norm(perp.T @ params.rep)
@@ -385,13 +352,17 @@ def _try_record(
         return None
     residuals = (params.rep @ params.head)[None, :] - batch.heads @ env.ground_truth_rep.T
     loss = 0.5 * float(np.einsum("nd,nd->n", residuals, residuals).mean()) + 0.5 * env.noise_std**2
+    # Steps of a diverging run see overflowing iterates; their spectrum is
+    # NaN rather than a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi_min, psi_max = _psi_spectrum(outcome.adapted_heads)
     return TrajectoryRecord(
         t=t,
         dist=dist,
         delta_norm=delta_norm(params.rep, alpha),
         w_norm=float(np.linalg.norm(params.head)),
-        psi_min=outcome.psi_min,
-        psi_max=outcome.psi_max,
+        psi_min=psi_min,
+        psi_max=psi_max,
         bperp_norm=bperp,
         loss=loss,
     )
@@ -409,9 +380,10 @@ def run_trajectory(
     Records are taken at iteration 0, at every multiple of
     ``record_every``, and at the final iteration; each record describes the
     parameters *before* that round's step, alongside the round's
-    adapted-head spectrum.  The final record uses a freshly sampled
-    diagnostic batch whose step is discarded.  Divergent runs are truncated
-    at the offending iteration and never record a divergent state.
+    adapted-head spectrum.  The final record's round is sampled and stepped
+    like every other, but its step is not applied, so a full run takes
+    ``iters + 1`` steps.  Divergent runs are truncated at the offending
+    iteration and never record a divergent state.
     """
     if record_every < 1:
         raise ValueError(f"record_every must be at least 1, got {record_every}")
@@ -423,42 +395,31 @@ def run_trajectory(
     running: list[DiversityStats] = []
     aggregate: DiversityStats | None = None
     params = init
-    diverged = False
     diverged_at: int | None = None
 
-    for t in range(hp.iters):
+    for t in range(hp.iters + 1):
         batch = _sample_round(env, hp, rng)
         aggregate = _merge_stats(aggregate, diversity_stats(batch))
         with np.errstate(over="ignore", invalid="ignore"):
             outcome = step(params, env, batch, hp)
-        if t % record_every == 0:
+        if t % record_every == 0 or t == hp.iters:
             record = _try_record(t, params, outcome, batch, env, perp, hp.alpha)
             if record is None:
-                diverged, diverged_at = True, t
+                diverged_at = t
                 break
             records.append(record)
             running.append(aggregate)
+        if t == hp.iters:
+            break
         params = outcome.params_next
         if _is_diverged(params, rep_limit):
-            diverged, diverged_at = True, t + 1
+            diverged_at = t + 1
             break
-
-    if not diverged:
-        batch = _sample_round(env, hp, rng)
-        aggregate = _merge_stats(aggregate, diversity_stats(batch))
-        with np.errstate(over="ignore", invalid="ignore"):
-            outcome = step(params, env, batch, hp)
-        record = _try_record(hp.iters, params, outcome, batch, env, perp, hp.alpha)
-        if record is None:
-            diverged, diverged_at = True, hp.iters
-        else:
-            records.append(record)
-            running.append(aggregate)
 
     return RunResult(
         trajectory=tuple(records),
         final_params=params,
-        diverged=diverged,
+        diverged=diverged_at is not None,
         diverged_at=diverged_at,
         head_stats=running[-1] if running else None,
         gt_stats_running=tuple(running),

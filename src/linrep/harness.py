@@ -22,8 +22,8 @@ from typing import Literal
 import numpy as np
 from pydantic import BaseModel, ConfigDict, Field, ValidationError, model_validator
 
-from .algorithms import RunResult, meta_gradients, run_trajectory
-from .env import TaskBatch, TaskEnvironment, sample_dataset, sample_environment, sample_task_batch
+from .algorithms import RunResult, _sample_round, meta_gradients, run_trajectory
+from .env import TaskEnvironment, sample_environment
 from .metrics import HypothesisReport, check_hypotheses, fit_log_linear_rate
 from .model import (
     Algorithm,
@@ -335,6 +335,22 @@ def _fmt(value: float) -> str:
     return f"{float(value):.17g}"
 
 
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value.replace(",", ";").replace("\n", " ")
+    if isinstance(value, int):
+        return str(value)
+    return _fmt(value)
+
+
+def _write_csv(path: Path, header: str, rows) -> None:
+    """Write ``header`` and one comma-joined line of cells per row."""
+    lines = [header, *(",".join(_csv_cell(value) for value in row) for row in rows)]
+    path.write_text("\n".join(lines) + "\n")
+
+
 def _survivors(results: tuple[RunResult, ...]) -> list[RunResult]:
     return [result for result in results if not result.diverged]
 
@@ -377,26 +393,6 @@ def _summarize(config: ExperimentConfig, hp: HyperParams, results: tuple[RunResu
     return summary
 
 
-def _write_trajectory_csv(path: Path, results: tuple[RunResult, ...]) -> None:
-    lines = [TRAJECTORY_HEADER]
-    for trial, result in enumerate(results):
-        for record in result.trajectory:
-            lines.append(
-                f"{record.t},{trial},{_fmt(record.dist)},{_fmt(record.delta_norm)},"
-                f"{_fmt(record.w_norm)},{_fmt(record.psi_min)},{_fmt(record.psi_max)},"
-                f"{_fmt(record.bperp_norm)},{_fmt(record.loss)}"
-            )
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_mean_csv(path: Path, results: tuple[RunResult, ...]) -> None:
-    ts, means, stds = _mean_series(results)
-    lines = [MEAN_HEADER]
-    for t, mean, std in zip(ts, means, stds):
-        lines.append(f"{t},{_fmt(mean)},{_fmt(std)}")
-    path.write_text("\n".join(lines) + "\n")
-
-
 def _check_jobs(jobs: int) -> None:
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -436,8 +432,13 @@ def run_experiment(
     trajectory_csv = out / "trajectory.csv"
     mean_csv = out / "mean.csv"
     summary_json = out / "summary.json"
-    _write_trajectory_csv(trajectory_csv, results)
-    _write_mean_csv(mean_csv, results)
+    rows = (
+        (r.t, trial, r.dist, r.delta_norm, r.w_norm, r.psi_min, r.psi_max, r.bperp_norm, r.loss)
+        for trial, result in enumerate(results)
+        for r in result.trajectory
+    )
+    _write_csv(trajectory_csv, TRAJECTORY_HEADER, rows)
+    _write_csv(mean_csv, MEAN_HEADER, zip(*_mean_series(results)))
     summary = _summarize(config, hp, results)
     summary_json.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
@@ -532,17 +533,6 @@ def _fd_meta_gradient(params: ModelParams, env, batch, hp: HyperParams):
     return acc_head, acc_rep
 
 
-def _gradcheck_batch(env: TaskEnvironment, hp: HyperParams, rng) -> TaskBatch:
-    tasks = sample_task_batch(env, hp.n, rng)
-    if hp.mode is Mode.POPULATION:
-        return tasks
-    return TaskBatch(
-        heads=tasks.heads,
-        inner_sets=sample_dataset(env, tasks.heads, hp.m_in, rng),
-        outer_sets=sample_dataset(env, tasks.heads, hp.m_out, rng),
-    )
-
-
 def gradcheck(config: ExperimentConfig) -> GradCheckReport:
     """Compare the closed-form outer gradients against central finite
     differences of the meta-objective at random points.
@@ -563,7 +553,7 @@ def gradcheck(config: ExperimentConfig) -> GradCheckReport:
         params = ModelParams(
             rep=standard_normal(rng, (e.d, e.k)), head=standard_normal(rng, (e.k,))
         )
-        batch = _gradcheck_batch(env, hp, rng)
+        batch = _sample_round(env, hp, rng)
         grad_head, grad_rep = meta_gradients(params, env, batch, hp)
         fd_head, fd_rep = _fd_meta_gradient(params, env, batch, hp)
         # np.maximum keeps a NaN error (builtin max drops it); NaN then
@@ -602,14 +592,9 @@ def hypcheck(config: ExperimentConfig, *, out_dir: str | Path | None = None) -> 
     out = Path(out_dir) if out_dir is not None else Path(config.run.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "hypotheses.csv"
-    lines = [HYPOTHESES_HEADER]
-    for i, t in enumerate(report.iters):
-        lines.append(
-            f"{t},{_fmt(report.a1[i])},{_fmt(report.a2[i])},{_fmt(report.a3[i])},"
-            f"{_fmt(report.a4_lower[i])},{_fmt(report.a4_upper[i])},"
-            f"{_fmt(report.a5[i])},{_fmt(report.a6[i])}"
-        )
-    csv_path.write_text("\n".join(lines) + "\n")
+    rows = zip(report.iters, report.a1, report.a2, report.a3,
+               report.a4_lower, report.a4_upper, report.a5, report.a6)
+    _write_csv(csv_path, HYPOTHESES_HEADER, rows)
     return HypCheckResult(csv_path=csv_path, report=report, run=result)
 
 
@@ -622,14 +607,6 @@ class SweepAxis(str, Enum):
     M_OUT = "M_OUT"
     N = "N"
     BETA = "BETA"
-
-
-_AXIS_FIELDS = {
-    SweepAxis.M_IN: "m_in",
-    SweepAxis.M_OUT: "m_out",
-    SweepAxis.N: "n",
-    SweepAxis.BETA: "beta",
-}
 
 
 @dataclass(frozen=True)
@@ -657,12 +634,11 @@ def _value_label(axis: SweepAxis, value) -> str:
 
 
 def _cell_config(config: ExperimentConfig, axis: SweepAxis, value) -> ExperimentConfig:
-    field = _AXIS_FIELDS[axis]
     if axis is not SweepAxis.BETA and not float(value).is_integer():
         raise ConfigError(f"{axis.value} sweep values must be integers, got {value}")
     coerced = float(value) if axis is SweepAxis.BETA else int(value)
     data = config.hp.model_dump()
-    data[field] = coerced
+    data[axis.value.lower()] = coerced  # each axis names its HpConfig field
     try:
         hp = HpConfig.model_validate(data)
     except ValidationError as exc:
@@ -682,16 +658,6 @@ def _plateau(results: tuple[RunResult, ...], iters: int) -> float | None:
         if record.t >= cutoff
     ]
     return float(np.mean(values)) if values else None
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value.replace(",", ";").replace("\n", " ")
-    if isinstance(value, int):
-        return str(value)
-    return _fmt(value)
 
 
 def sweep(
@@ -748,14 +714,9 @@ def sweep(
                 )
             )
     csv_path = out / "sweep.csv"
-    lines = [SWEEP_HEADER]
-    for cell in cells:
-        lines.append(
-            f"{cell.axis.value},{cell.value},{_csv_cell(cell.final_dist_mean)},"
-            f"{_csv_cell(cell.plateau_dist)},{_csv_cell(cell.diverged)},"
-            f"{_csv_cell(cell.error)}"
-        )
-    csv_path.write_text("\n".join(lines) + "\n")
+    rows = ((c.axis.value, c.value, c.final_dist_mean, c.plateau_dist, c.diverged, c.error)
+            for c in cells)
+    _write_csv(csv_path, SWEEP_HEADER, rows)
     return SweepResult(csv_path=csv_path, cells=tuple(cells))
 
 

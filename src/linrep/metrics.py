@@ -243,93 +243,56 @@ def check_hypotheses(
     over the run's rounds.
     """
     e0 = 0.9 - dist0**2
+    mu_sq = l_sq = eta = rho = a1_bound = math.nan
     if env_stats is not None:
-        mu_sq = env_stats.mu_sq
-        l_sq = env_stats.L_sq
-        eta = env_stats.eta
+        mu_sq, l_sq, eta = env_stats.mu_sq, env_stats.L_sq, env_stats.eta
         rho = 1.0 - 0.5 * hp.beta * hp.alpha * e0 * mu_sq
-    else:
-        mu_sq = math.nan
-        l_sq = math.nan
-        eta = math.nan
-        rho = math.nan
+        a1_bound = (
+            math.sqrt(hp.alpha) * min(1.0, mu_sq / eta**2) * eta * c_a1 if eta > 0.0 else 0.0
+        )
 
-    iters: list[int] = []
-    a1: list[float] = []
-    a2: list[float] = []
-    a3: list[float] = []
-    a4_lower: list[float] = []
-    a4_upper: list[float] = []
-    a5: list[float] = []
-    a6: list[float] = []
+    iters = tuple(record.t for record in trajectory)
+    columns = np.array(
+        [(r.dist, r.delta_norm, r.w_norm, r.psi_min, r.psi_max, r.bperp_norm) for r in trajectory],
+        dtype=float,
+    ).reshape(-1, 6)
+    dist, delta, w_norm, psi_min, psi_max, bperp = columns.T
+    # The squares here and the powers of rho in A6 are Python float powers
+    # (libm ``pow``); numpy squares by multiplying, which can round apart.
+    dist_sq = np.array([record.dist**2 for record in trajectory], dtype=float)
 
+    # Without head statistics the constants are NaN, and so is every margin
+    # that reads one.
+    a1 = a1_bound - w_norm
+    a2 = np.full(len(iters), math.nan)
+    a2[1:] = rho * delta[:-1] + 1.25 * hp.alpha**2 * hp.beta**2 * l_sq**2 * dist_sq[:-1] - delta[1:]
+    a3 = 0.1 - delta
+    a4_lower = psi_min - 0.9 * hp.alpha * e0 * mu_sq
+    a4_upper = 1.2 * hp.alpha * l_sq - psi_max
+    a4_lower[:1] = a4_upper[:1] = math.nan
+    a5 = np.full(len(iters), math.nan)
+    a5[1:] = rho * bperp[:-1] - bperp[1:]
+    a6 = np.full(len(iters), math.nan)
     if env_stats is not None:
-        if eta > 0.0:
-            a1_bound = math.sqrt(hp.alpha) * min(1.0, mu_sq / eta**2) * eta * c_a1
-        else:
-            a1_bound = 0.0
-    else:
-        a1_bound = math.nan
+        first = 1.0 / rho if rho != 0.0 else math.inf
+        a6 = np.array([rho ** (t - 1) if t >= 1 else first for t in iters], dtype=float) - dist
 
-    previous: TrajectoryRecord | None = None
-    for record in trajectory:
-        iters.append(record.t)
-        a1.append(a1_bound - record.w_norm if env_stats is not None else math.nan)
-        a3.append(0.1 - record.delta_norm)
-        if env_stats is not None:
-            if previous is None:
-                a4_lower.append(math.nan)
-                a4_upper.append(math.nan)
-            else:
-                a4_lower.append(record.psi_min - 0.9 * hp.alpha * e0 * mu_sq)
-                a4_upper.append(1.2 * hp.alpha * l_sq - record.psi_max)
-            if record.t >= 1:
-                a6.append(rho ** (record.t - 1) - record.dist)
-            else:
-                a6.append((1.0 / rho if rho != 0.0 else math.inf) - record.dist)
-        else:
-            a4_lower.append(math.nan)
-            a4_upper.append(math.nan)
-            a6.append(math.nan)
-        if previous is None or env_stats is None:
-            a2.append(math.nan)
-            a5.append(math.nan)
-        else:
-            a2.append(
-                rho * previous.delta_norm
-                + 1.25 * hp.alpha**2 * hp.beta**2 * l_sq**2 * previous.dist**2
-                - record.delta_norm
-            )
-            a5.append(rho * previous.bperp_norm - record.bperp_norm)
-        previous = record
-
-    margins: dict[str, list[list[float]]] = {
-        "A1": [a1],
-        "A2": [a2],
-        "A3": [a3],
-        "A4": [a4_lower, a4_upper],
-        "A5": [a5],
-        "A6": [a6],
-    }
+    # fmin skips a NaN side, so A4 fails where either of its bounds does.
+    margins = {"A1": a1, "A2": a2, "A3": a3, "A4": np.fmin(a4_lower, a4_upper), "A5": a5, "A6": a6}
     first_violation: dict[str, int | None] = {}
-    for name, series_list in margins.items():
-        found: int | None = None
-        for series in series_list:
-            for t, value in zip(iters, series):
-                if not math.isnan(value) and value < 0.0:
-                    found = t if found is None else min(found, t)
-                    break
-        first_violation[name] = found
+    for name, series in margins.items():
+        hits = np.flatnonzero(series < 0.0)
+        first_violation[name] = iters[hits[0]] if hits.size else None
 
     return HypothesisReport(
-        iters=tuple(iters),
-        a1=tuple(a1),
-        a2=tuple(a2),
-        a3=tuple(a3),
-        a4_lower=tuple(a4_lower),
-        a4_upper=tuple(a4_upper),
-        a5=tuple(a5),
-        a6=tuple(a6),
+        iters=iters,
+        a1=tuple(a1.tolist()),
+        a2=tuple(a2.tolist()),
+        a3=tuple(a3.tolist()),
+        a4_lower=tuple(a4_lower.tolist()),
+        a4_upper=tuple(a4_upper.tolist()),
+        a5=tuple(a5.tolist()),
+        a6=tuple(a6.tolist()),
         rho=rho,
         e0=e0,
         mu_sq=mu_sq,

@@ -6,6 +6,7 @@ and brute-force loops. Tests compare package output against these.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 
 import numpy as np
@@ -69,3 +70,49 @@ def rel_err(approx: np.ndarray, exact: np.ndarray) -> float:
     """Norm-wise relative error with a floor to avoid division by ~0."""
     denom = max(float(np.linalg.norm(exact)), 1e-12)
     return float(np.linalg.norm(np.asarray(approx) - np.asarray(exact))) / denom
+
+
+def hypothesis_margins_loop(records, alpha, beta, stats, dist0, c_a1=1.0):
+    """Per-record loop over the A1-A6 margins of ``check_hypotheses``.
+
+    ``records`` carry ``t, dist, delta_norm, w_norm, psi_min, psi_max,
+    bperp_norm``; ``stats`` is ``(mu_sq, L_sq, eta)`` or None.  Returns the
+    margin lists by name (A4 as ``a4_lower``/``a4_upper``) and the first
+    violating ``t`` per condition.
+    """
+    nan = math.nan
+    e0 = 0.9 - dist0**2
+    if stats is not None:
+        mu_sq, l_sq, eta = stats
+        rho = 1.0 - 0.5 * beta * alpha * e0 * mu_sq
+        a1_bound = math.sqrt(alpha) * min(1.0, mu_sq / eta**2) * eta * c_a1 if eta > 0.0 else 0.0
+    margins = {name: [] for name in ("a1", "a2", "a3", "a4_lower", "a4_upper", "a5", "a6")}
+    previous = None
+    for r in records:
+        first = previous is None
+        margins["a3"].append(0.1 - r.delta_norm)
+        if stats is None:
+            for name in ("a1", "a2", "a4_lower", "a4_upper", "a5", "a6"):
+                margins[name].append(nan)
+        else:
+            margins["a1"].append(a1_bound - r.w_norm)
+            margins["a4_lower"].append(nan if first else r.psi_min - 0.9 * alpha * e0 * mu_sq)
+            margins["a4_upper"].append(nan if first else 1.2 * alpha * l_sq - r.psi_max)
+            if r.t >= 1:
+                margins["a6"].append(rho ** (r.t - 1) - r.dist)
+            else:
+                margins["a6"].append((1.0 / rho if rho != 0.0 else math.inf) - r.dist)
+            margins["a2"].append(nan if first else (
+                rho * previous.delta_norm
+                + 1.25 * alpha**2 * beta**2 * l_sq**2 * previous.dist**2
+                - r.delta_norm
+            ))
+            margins["a5"].append(nan if first else rho * previous.bperp_norm - r.bperp_norm)
+        previous = r
+    groups = {"A1": ["a1"], "A2": ["a2"], "A3": ["a3"], "A4": ["a4_lower", "a4_upper"],
+              "A5": ["a5"], "A6": ["a6"]}
+    first_violation = {}
+    for condition, names in groups.items():
+        hits = [r.t for name in names for r, v in zip(records, margins[name]) if v < 0.0]
+        first_violation[condition] = min(hits) if hits else None
+    return margins, first_violation

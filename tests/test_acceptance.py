@@ -198,7 +198,7 @@ def test_criterion_2_rep_contraction_identity_and_monotonicity():
             rhs = (perp.T @ params.rep) @ (np.eye(3) - hp.beta * psi)
             worst_residual = max(worst_residual, float(np.abs(lhs - rhs).max()))
             bperp = spectral_norm(lhs)
-            if hp.beta * outcome.psi_max <= 1.0:
+            if hp.beta * np.linalg.eigvalsh(psi)[-1] <= 1.0:
                 worst_increase = max(worst_increase, bperp - prev_bperp)
             prev_bperp = bperp
             params = outcome.params_next

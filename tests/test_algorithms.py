@@ -17,6 +17,7 @@ from linrep.algorithms import (
     RunResult,
     StepOutcome,
     _sample_round,
+    _try_record,
     meta_gradients,
     run_trajectory,
     step_for,
@@ -337,26 +338,31 @@ class TestStepStructure:
             assert outcome.adapted_reps.shape == (4, 6, 2)
         else:
             assert outcome.adapted_reps is None
-        assert outcome.psi_min <= outcome.psi_max
+        perp = orth_complement(env.ground_truth_rep)
+        record = _try_record(0, params, outcome, batch, env, perp, hp.alpha)
+        assert record.psi_min <= record.psi_max
         if algo is Algorithm.AVG_RISK_MIN:
-            assert outcome.psi_min == pytest.approx(0.0, abs=1e-15)
-            assert outcome.psi_max == pytest.approx(float(params.head @ params.head))
+            assert record.psi_min == pytest.approx(0.0, abs=1e-15)
+            assert record.psi_max == pytest.approx(float(params.head @ params.head))
         else:
             adapted = outcome.adapted_heads
             psi = adapted.T @ adapted / 4
             eigenvalues = np.linalg.eigvalsh(psi)
-            assert outcome.psi_min == pytest.approx(float(eigenvalues[0]), abs=1e-12)
-            assert outcome.psi_max == pytest.approx(float(eigenvalues[-1]), abs=1e-12)
+            assert record.psi_min == pytest.approx(float(eigenvalues[0]), abs=1e-12)
+            assert record.psi_max == pytest.approx(float(eigenvalues[-1]), abs=1e-12)
 
-    def test_psi_spectrum_is_lazy_and_quiet_on_overflow(self) -> None:
+    def test_recorded_psi_spectrum_is_quiet_on_overflow(self) -> None:
+        env = _env(d=6, k=2, seed=10)
+        batch = _population_batch(env, 3, seed=10)
         params = _random_params(substream(10, 1, "params"), 6, 2)
         outcome = StepOutcome(
             params_next=params, adapted_heads=np.full((3, 2), 1e200), adapted_reps=None
         )
-        assert "_psi" not in vars(outcome)  # nothing computed until a record reads it
+        perp = orth_complement(env.ground_truth_rep)
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
-            assert math.isnan(outcome.psi_min) and math.isnan(outcome.psi_max)
+            record = _try_record(0, params, outcome, batch, env, perp, 0.1)
+        assert math.isnan(record.psi_min) and math.isnan(record.psi_max)
 
     @pytest.mark.parametrize("algo", ALL_ALGOS, ids=lambda a: a.value)
     def test_population_steps_stay_in_combined_column_space(self, algo: Algorithm) -> None:
@@ -517,6 +523,19 @@ class TestRunTrajectory:
         perp = orth_complement(env.ground_truth_rep)
         assert record.dist == pytest.approx(principal_angle_dist(init.rep, perp), abs=1e-12)
         assert not result.diverged
+
+    def test_zero_iterations_from_collapsed_representation_diverge_at_zero(self) -> None:
+        env = _env(d=6, k=2, seed=14)
+        hp = _hp(Algorithm.FO_ANIL, iters=0)
+        init = init_model(env, hp.alpha, InitScheme.SPEC, substream(14, 0, "init"))
+        rep = init.rep.copy()
+        rep[:, 1] = 0.0  # rank deficient: the subspace geometry is undefined
+        collapsed = ModelParams(rep=rep, head=init.head)
+        result = run_trajectory(env, hp, collapsed, substream(14, 0, "tasks"), record_every=10)
+        assert result.diverged
+        assert result.diverged_at == 0
+        assert result.trajectory == ()
+        assert result.head_stats is None
 
     def test_recording_schedule_includes_final_iteration(self) -> None:
         env = _env(d=6, k=2, seed=15)

@@ -19,7 +19,7 @@ from linrep.metrics import (
     qr_orthonormalize,
     spectral_norm,
 )
-from oracles import spectral_norm_svd, svd_subspace_dist
+from oracles import hypothesis_margins_loop, spectral_norm_svd, svd_subspace_dist
 
 
 def _random_matrix(rng: np.random.Generator, d: int, k: int) -> np.ndarray:
@@ -315,3 +315,39 @@ class TestCheckHypotheses:
         base = check_hypotheses(trajectory, hp, stats, 0.5)
         doubled = check_hypotheses(trajectory, hp, stats, 0.5, c_a1=2.0)
         assert doubled.a1[0] == pytest.approx(2.0 * base.a1[0])
+
+    @pytest.mark.parametrize("with_stats", [True, False], ids=["stats", "no-stats"])
+    def test_margins_equal_the_per_record_loop(self, with_stats: bool) -> None:
+        # Random records cross every margin's sign; a few spectra are NaN
+        # as on a diverging round.  The arithmetic is unchanged, so the
+        # margins must agree bit for bit.  Zero Delta norms leave A2 its
+        # ``dist**2`` term to the last bit, where numpy's square and
+        # Python's ``pow`` can round apart.
+        rng = np.random.default_rng(23)
+        trajectory = [
+            _record(
+                t,
+                dist=float(rng.uniform(0.0, 1.0)),
+                delta_norm=0.15 if t % 50 == 7 else 0.0,
+                w_norm=float(rng.uniform(0.0, 0.4)),
+                psi_min=math.nan if t % 17 == 5 else float(rng.uniform(0.0, 0.04)),
+                psi_max=math.nan if t % 17 == 5 else float(rng.uniform(0.1, 0.4)),
+                bperp_norm=float(rng.uniform(0.0, 1.0)),
+            )
+            for t in range(5000)
+        ]
+        hp = self._hp()
+        stats = self._stats() if with_stats else None
+        report = check_hypotheses(trajectory, hp, stats, 0.6, c_a1=1.5)
+        margins, first_violation = hypothesis_margins_loop(
+            trajectory, hp.alpha, hp.beta,
+            (stats.mu_sq, stats.L_sq, stats.eta) if with_stats else None, 0.6, c_a1=1.5,
+        )
+        assert report.iters == tuple(r.t for r in trajectory)
+        for name, expected in margins.items():
+            got = getattr(report, name)
+            assert all(type(v) is float for v in got)
+            np.testing.assert_array_equal(np.array(got), np.array(expected), err_msg=name)
+        assert report.first_violation == first_violation
+        if with_stats:
+            assert None not in first_violation.values()
