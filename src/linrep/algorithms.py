@@ -12,15 +12,21 @@ A kernel reads a task only through the moments ``(S, b)`` of its inner and
 outer sets, the data's ``(X^T X/m, X^T y/m)``.  Finite-sample steps pass the
 round's stacked data sets; population steps are the same kernels at the
 exact moments of isotropic Gaussian inputs, ``(I, B* w*_i)`` on both sides,
-so the expected risk needs no code of its own.  A finite-sample round draws
-the heads, then every task's inner set, then every task's outer set.  The
-average-risk baseline skips inner adaptation entirely and descends the mean
-unadapted risk.
+so the expected risk needs no code of its own.  The average-risk baseline
+skips inner adaptation entirely and descends the mean unadapted risk.
+
+A run draws its rounds in blocks of ``R = max(1, _BLOCK_FLOATS // (n d^2))``
+rounds, the last block trimmed so that a run draws ``iters + 1`` rounds.  A
+block draws the heads of its rounds one round at a time; a finite-sample
+block then draws the inner sets of all its ``R n`` tasks in one call over the
+stacked heads, then the outer sets likewise, and round ``r`` of the block
+takes rows ``r n : (r + 1) n`` of each.  ``R`` depends only on ``(n, d)``, so
+the stream, and every artifact, is the same on any host and worker count.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,18 +110,18 @@ class RunResult:
 # shape (n, k) and adapted_reps of shape (n, d, k) or None when the
 # algorithm adapts heads only.
 
-_Moments = tuple[np.ndarray, np.ndarray]
+_Moments = tuple[np.ndarray | None, np.ndarray]
 
 
 def _sets(env: TaskEnvironment, batch: TaskBatch, mode: Mode) -> tuple[_Moments, _Moments]:
     """The round's inner and outer moments.
 
     A population round's inputs are isotropic Gaussian, so both sides hold
-    the exact moments ``(I, B* w*_i)``, one identity shared by every task;
-    a finite-sample round reads its stacked data sets.
+    the exact moments ``(I, B* w*_i)``, the identity passed as None; a
+    finite-sample round reads its stacked data sets.
     """
     if mode is Mode.POPULATION:
-        exact = (np.eye(env.d), batch.heads @ env.ground_truth_rep.T)
+        exact = (None, batch.heads @ env.ground_truth_rep.T)
         return exact, exact
     if batch.inner_sets is None or batch.outer_sets is None:
         raise ValueError("finite-sample steps require per-task data sets in the batch")
@@ -123,10 +129,12 @@ def _sets(env: TaskEnvironment, batch: TaskBatch, mode: Mode) -> tuple[_Moments,
     return (inner.cov, inner.xty), (outer.cov, outer.xty)
 
 
-def _matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+def _matvec(mats: np.ndarray | None, vecs: np.ndarray) -> np.ndarray:
     """Rows ``M_i v_i`` for ``vecs`` (``n x d``, or one ``d`` vector shared
-    by every task) and ``mats``, one ``d x d`` matrix shared by every task or
-    a stack of ``n``."""
+    by every task) and ``mats``, a stack of ``n`` ``d x d`` matrices or None
+    for the identity."""
+    if mats is None:
+        return vecs
     return (mats @ vecs[..., None])[..., 0]
 
 
@@ -283,33 +291,40 @@ def step_for(hp: HyperParams) -> Callable[..., StepOutcome]:
 # Trajectory driver
 # --------------------------------------------------------------------------
 
-def _sample_round(env: TaskEnvironment, hp: HyperParams, rng) -> TaskBatch:
-    """Sample one round's tasks (and data sets in finite-sample mode).
+# Finite-sample statistics a block of rounds may hold per side, in floats
+# (``n d^2`` per round).  Not a setting: the block size must depend only on
+# the run's dimensions for artifacts to stay byte-identical across hosts.
+_BLOCK_FLOATS = 2**14
 
-    The draw order is fixed — the heads, then all tasks' inner sets in one
-    call, then all tasks' outer sets in one call — so that every algorithm
-    consumes the random stream identically and trajectories are comparable
-    across algorithms.
+
+def _sample_rounds(env: TaskEnvironment, hp: HyperParams, rng, count: int) -> list[TaskBatch]:
+    """Sample ``count`` consecutive rounds' tasks (and data sets in
+    finite-sample mode).
+
+    The draw order is fixed — each round's heads in turn, then the inner
+    sets of every task of the block in one call, then their outer sets in
+    one call — so that every algorithm consumes the random stream
+    identically and trajectories are comparable across algorithms.
     """
-    tasks = sample_task_batch(env, hp.n, rng)
+    rounds = [sample_task_batch(env, hp.n, rng) for _ in range(count)]
     if hp.mode is Mode.POPULATION:
-        return tasks
-    return TaskBatch(
-        heads=tasks.heads,
-        inner_sets=sample_dataset(env, tasks.heads, hp.m_in, rng),
-        outer_sets=sample_dataset(env, tasks.heads, hp.m_out, rng),
-    )
+        return rounds
+    heads = np.concatenate([batch.heads for batch in rounds])
+    inner = sample_dataset(env, heads, hp.m_in, rng)
+    outer = sample_dataset(env, heads, hp.m_out, rng)
+    rows = [slice(r * hp.n, (r + 1) * hp.n) for r in range(count)]
+    return [
+        TaskBatch(heads=batch.heads, inner_sets=inner[row], outer_sets=outer[row])
+        for batch, row in zip(rounds, rows)
+    ]
 
 
-def _merge_stats(agg: DiversityStats | None, new: DiversityStats) -> DiversityStats:
-    if agg is None:
-        return new
-    return DiversityStats(
-        mu_sq=min(agg.mu_sq, new.mu_sq),
-        L_sq=max(agg.L_sq, new.L_sq),
-        eta=min(agg.eta, new.eta),
-        L_max=max(agg.L_max, new.L_max),
-    )
+def _rounds(env: TaskEnvironment, hp: HyperParams, rng) -> Iterator[TaskBatch]:
+    """The ``hp.iters + 1`` rounds of a run, sampled a block at a time."""
+    size = max(1, _BLOCK_FLOATS // (hp.n * env.d**2))
+    total = hp.iters + 1
+    for start in range(0, total, size):
+        yield from _sample_rounds(env, hp, rng, min(size, total - start))
 
 
 def _rep_norm_exceeds(rep: np.ndarray, limit: float) -> bool:
@@ -393,13 +408,15 @@ def run_trajectory(
 
     records: list[TrajectoryRecord] = []
     running: list[DiversityStats] = []
-    aggregate: DiversityStats | None = None
+    mu_sq = eta = math.inf
+    L_sq = L_max = -math.inf
     params = init
     diverged_at: int | None = None
 
-    for t in range(hp.iters + 1):
-        batch = _sample_round(env, hp, rng)
-        aggregate = _merge_stats(aggregate, diversity_stats(batch))
+    for t, batch in enumerate(_rounds(env, hp, rng)):
+        stats = diversity_stats(batch)
+        mu_sq, L_sq = min(mu_sq, stats.mu_sq), max(L_sq, stats.L_sq)
+        eta, L_max = min(eta, stats.eta), max(L_max, stats.L_max)
         with np.errstate(over="ignore", invalid="ignore"):
             outcome = step(params, env, batch, hp)
         if t % record_every == 0 or t == hp.iters:
@@ -408,7 +425,7 @@ def run_trajectory(
                 diverged_at = t
                 break
             records.append(record)
-            running.append(aggregate)
+            running.append(DiversityStats(mu_sq=mu_sq, L_sq=L_sq, eta=eta, L_max=L_max))
         if t == hp.iters:
             break
         params = outcome.params_next

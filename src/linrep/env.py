@@ -91,8 +91,9 @@ class DataSet:
 
     ``cov = X^T X / m`` (``d x d``), ``xty = X^T y / m`` (``d``) and
     ``yty = y^T y / m`` (scalar), each with an optional leading task axis:
-    ``(n, d, d)``, ``(n, d)`` and ``(n,)`` for a round's stacked sets, all of
-    which share ``m``.  ``ds[i]`` is task ``i``'s set.
+    ``(n, d, d)``, ``(n, d)`` and ``(n,)`` for ``n >= 1`` stacked sets, all of
+    which share ``m``.  ``ds[i]`` is task ``i``'s set and ``ds[a:b]`` the
+    stacked sets of tasks ``a`` to ``b - 1``.
     """
 
     cov: np.ndarray
@@ -106,6 +107,8 @@ class DataSet:
         yty = np.asarray(self.yty, dtype=float)
         if cov.ndim not in (2, 3) or cov.shape[-1] != cov.shape[-2]:
             raise ValueError(f"cov must be (d, d) or (n, d, d), got shape {cov.shape}")
+        if cov.ndim == 3 and cov.shape[0] < 1:
+            raise ValueError("a stacked DataSet needs at least one task")
         if xty.shape != cov.shape[:-1]:
             raise ValueError(f"xty must have shape {cov.shape[:-1]}, got {xty.shape}")
         if yty.shape != cov.shape[:-2]:
@@ -151,7 +154,7 @@ class DataSet:
         """Number of stacked tasks, or None for a single task's set."""
         return self.cov.shape[0] if self.cov.ndim == 3 else None
 
-    def __getitem__(self, i: int) -> DataSet:
+    def __getitem__(self, i: int | slice) -> DataSet:
         if self.cov.ndim != 3:
             raise TypeError("only a stacked DataSet can be indexed by task")
         return DataSet(cov=self.cov[i], xty=self.xty[i], yty=self.yty[i], m=self.m)
@@ -254,7 +257,10 @@ def sample_dataset(
 
     Task ``i`` has inputs ``X ~ N(0, I_d)`` (``m x d``) and labels
     ``y = X beta_i + sigma z`` with ``beta_i = B* heads[i]`` and
-    ``z ~ N(0, I_m)``; the result stacks the ``n = len(heads)`` sets.
+    ``z ~ N(0, I_m)``; the result stacks the ``n = len(heads)`` sets.  The
+    heads may span several rounds: ``run_trajectory`` passes a block of
+    rounds' heads stacked round after round and gives round ``r`` the rows
+    ``r n : (r + 1) n``, so one call draws one side of the whole block.
 
     For ``m >= d`` the statistics are drawn exactly without forming ``X``.
     With ``X = Q R`` (``Q`` Haar, independent of ``R``), ``L = R^T`` is the

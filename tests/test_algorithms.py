@@ -13,10 +13,12 @@ import warnings
 import numpy as np
 import pytest
 
+import linrep.algorithms
 from linrep.algorithms import (
+    _BLOCK_FLOATS,
     RunResult,
     StepOutcome,
-    _sample_round,
+    _sample_rounds,
     _try_record,
     meta_gradients,
     run_trajectory,
@@ -468,11 +470,21 @@ class TestFiniteMatchesPopulationAtLargeSamples:
         assert np.abs(fin.params_next.head - pop.params_next.head).max() <= tol
 
 
-class TestFiniteRoundSampling:
+class TestRoundBlocks:
+    def test_population_block_is_successive_head_draws(self) -> None:
+        env = _env(d=6, k=2, seed=24)
+        hp = _hp(Algorithm.FO_ANIL, n=3)
+        block = _sample_rounds(env, hp, substream(24, 0, "tasks"), 5)
+        rng = substream(24, 0, "tasks")
+        assert len(block) == 5
+        for batch in block:
+            np.testing.assert_array_equal(batch.heads, sample_task_batch(env, 3, rng).heads)
+            assert batch.inner_sets is None and batch.outer_sets is None
+
     def test_round_stacks_inner_then_outer_sets(self) -> None:
         env = _env(d=6, k=2, seed=21, noise_std=0.1)
         hp = _hp(Algorithm.FO_ANIL, Mode.FINITE, n=4, m_in=12, m_out=30)
-        batch = _sample_round(env, hp, substream(21, 0, "tasks"))
+        (batch,) = _sample_rounds(env, hp, substream(21, 0, "tasks"), 1)
         assert batch.inner_sets.cov.shape == (4, 6, 6) and batch.inner_sets.m == 12
         assert batch.outer_sets.xty.shape == (4, 6) and batch.outer_sets.m == 30
         rng = substream(21, 0, "tasks")
@@ -481,8 +493,28 @@ class TestFiniteRoundSampling:
         np.testing.assert_array_equal(batch.inner_sets.cov, sample_dataset(env, heads, 12, rng).cov)
         np.testing.assert_array_equal(batch.outer_sets.yty, sample_dataset(env, heads, 30, rng).yty)
 
-    def test_variates_per_round_do_not_depend_on_m(self, monkeypatch) -> None:
-        # Gaussian and chi-square variates requested by the round's samplers
+    @pytest.mark.parametrize("m_in", [4, 12], ids=["raw-inputs", "bartlett"])
+    def test_block_rounds_read_rows_of_one_draw_per_side(self, m_in: int) -> None:
+        env = _env(d=6, k=2, seed=25, noise_std=0.1)
+        count, n = 3, 4
+        hp = _hp(Algorithm.FO_ANIL, Mode.FINITE, n=n, m_in=m_in, m_out=30)
+        block = _sample_rounds(env, hp, substream(25, 0, "tasks"), count)
+        rng = substream(25, 0, "tasks")
+        heads = [sample_task_batch(env, n, rng).heads for _ in range(count)]
+        inner = sample_dataset(env, np.concatenate(heads), m_in, rng)
+        outer = sample_dataset(env, np.concatenate(heads), 30, rng)
+        assert len(block) == count
+        for r, batch in enumerate(block):
+            np.testing.assert_array_equal(batch.heads, heads[r])
+            for got, want in ((batch.inner_sets, inner), (batch.outer_sets, outer)):
+                assert got.n == n and got.m == want.m
+                rows = slice(r * n, (r + 1) * n)
+                np.testing.assert_array_equal(got.cov, want.cov[rows])
+                np.testing.assert_array_equal(got.xty, want.xty[rows])
+                np.testing.assert_array_equal(got.yty, want.yty[rows])
+
+    def test_variates_per_block_do_not_depend_on_m(self, monkeypatch) -> None:
+        # Gaussian and chi-square variates requested by the block's samplers
         # (the chi-square sampler's own rejection draws are internal to it).
         import linrep.env
 
@@ -499,15 +531,45 @@ class TestFiniteRoundSampling:
 
         monkeypatch.setattr(linrep.env, "standard_normal", counting_normal)
         monkeypatch.setattr(linrep.env, "chi_square", counting_chi2)
-        d, k, n = 6, 2, 4
+        d, k, n, count = 6, 2, 4, 3
         env = _env(d=d, k=k, seed=22, noise_std=0.1)
         seen = set()
         for m_in, m_out in ((d, d), (4 * d, 1000), (100_000, 4 * d)):
             counts.update(normal=0, chi2=0)
             hp = _hp(Algorithm.FO_ANIL, Mode.FINITE, n=n, m_in=m_in, m_out=m_out)
-            _sample_round(env, hp, substream(22, m_in, m_out))
+            _sample_rounds(env, hp, substream(22, m_in, m_out), count)
             seen.add((counts["normal"], counts["chi2"]))
-        assert seen == {(n * k + 2 * n * (d * (d - 1) // 2 + d), 2 * n * (d + 1))}
+        per_round = (n * k + 2 * n * (d * (d - 1) // 2 + d), 2 * n * (d + 1))
+        assert seen == {(count * per_round[0], count * per_round[1])}
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_run_draws_exactly_its_rounds_in_trimmed_blocks(self, mode: Mode, monkeypatch) -> None:
+        # n = 10, d = 20 gives blocks of 4 rounds; 10 rounds are 4 + 4 + 2.
+        d, n, iters = 20, 10, 9
+        assert _BLOCK_FLOATS // (n * d * d) == 4
+        heads_calls: list[int] = []
+        set_rows: list[int] = []
+        draw_heads, draw_sets = linrep.algorithms.sample_task_batch, linrep.algorithms.sample_dataset
+
+        def counting_heads(env, n, rng):
+            heads_calls.append(n)
+            return draw_heads(env, n, rng)
+
+        def counting_sets(env, heads, m, rng):
+            set_rows.append(len(heads))
+            return draw_sets(env, heads, m, rng)
+
+        monkeypatch.setattr(linrep.algorithms, "sample_task_batch", counting_heads)
+        monkeypatch.setattr(linrep.algorithms, "sample_dataset", counting_sets)
+        env = _env(d=d, k=3, seed=26, noise_std=0.1)
+        hp = _hp(Algorithm.FO_ANIL, mode, n=n, iters=iters, m_in=30, m_out=30)
+        init = init_model(env, hp.alpha, InitScheme.SPEC, substream(26, 0, "init"))
+        result = run_trajectory(env, hp, init, substream(26, 0, "tasks"), record_every=3)
+        assert not result.diverged
+        assert [r.t for r in result.trajectory] == [0, 3, 6, 9]
+        assert heads_calls == [n] * (iters + 1)
+        expected = [4 * n, 4 * n, 4 * n, 4 * n, 2 * n, 2 * n] if mode is Mode.FINITE else []
+        assert set_rows == expected
 
 
 class TestRunTrajectory:

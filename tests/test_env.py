@@ -130,9 +130,10 @@ class TestSampleDataset:
             dict(cov=np.eye(3), xty=np.zeros(3), yty=np.nan, m=2),
             dict(cov=np.eye(3), xty=np.zeros(3), yty=0.0, m=0),
             dict(cov=np.eye(3), xty=np.zeros(3), yty=0.0, m=2.5),
+            dict(cov=np.zeros((0, 3, 3)), xty=np.zeros((0, 3)), yty=np.zeros(0), m=2),
         ],
         ids=["cov-1d", "cov-not-square", "xty-shape", "yty-shape", "nan-cov", "inf-xty",
-             "nan-yty", "m-zero", "m-fractional"],
+             "nan-yty", "m-zero", "m-fractional", "empty-stack"],
     )
     def test_invalid_statistics_rejected(self, fields: dict) -> None:
         with pytest.raises(ValueError):
@@ -157,6 +158,21 @@ class TestSampleDataset:
             DataSet.from_samples(X[:, :0], y[:, :0])
         with pytest.raises(TypeError):
             DataSet.from_samples(X[0], y[0])[0]
+
+    def test_slice_gives_the_stacked_sets_of_those_tasks(self) -> None:
+        rng = np.random.default_rng(18)
+        stacked = DataSet.from_samples(rng.standard_normal((5, 8, 3)), rng.standard_normal((5, 8)))
+        part = stacked[1:4]
+        assert part.n == 3 and part.m == 8
+        np.testing.assert_array_equal(part.cov, stacked.cov[1:4])
+        np.testing.assert_array_equal(part.xty, stacked.xty[1:4])
+        np.testing.assert_array_equal(part.yty, stacked.yty[1:4])
+        np.testing.assert_array_equal(part[1].cov, stacked[2].cov)
+        for empty in (slice(2, 2), slice(5, 9)):
+            with pytest.raises(ValueError, match="at least one task"):
+                stacked[empty]
+        with pytest.raises(TypeError):
+            stacked[0][0:1]
 
     def test_heads_must_be_a_batch(self) -> None:
         env = _env(d=5, k=2)
