@@ -22,12 +22,25 @@ block then draws the inner sets of all its ``R n`` tasks in one call over the
 stacked heads, then the outer sets likewise, and round ``r`` of the block
 takes rows ``r n : (r + 1) n`` of each.  ``R`` depends only on ``(n, d)``, so
 the stream, and every artifact, is the same on any host and worker count.
+
+Recording is kept out of the step loop.  At a scheduled record the loop
+keeps a snapshot (the iteration, the parameters, the round's adapted heads
+and sampled heads, the running diversity statistics); every
+``_RECORD_CHUNK`` snapshots, and once at the end of the run, ``_records``
+turns the pending ones into ``TrajectoryRecord``s with one stacked call of
+each geometry function of ``metrics`` (which take a leading stack axis).
+A stacked LAPACK call factors its matrices one by one, so every record has
+the bytes a call on its own matrix gives.  A representation that has
+collapsed at a record is found in that pass: the run is truncated there
+exactly as if it had been checked on the spot, at the price of at most
+``_RECORD_CHUNK * record_every`` steps taken past it.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -150,7 +163,7 @@ def _grads_fo_anil(B, w, inner, outer, alpha):
     inner_res = _residual(inner, B @ w)
     adapted = w[None, :] - alpha * (inner_res @ B)
     outer_res = _residual(outer, adapted @ B.T)
-    grad_head = (outer_res @ B).mean(axis=0)
+    grad_head = (outer_res @ B).sum(axis=0) / n
     grad_rep = outer_res.T @ adapted / n
     return grad_head, grad_rep, adapted, None
 
@@ -164,10 +177,10 @@ def _grads_exact_anil(B, w, inner, outer, alpha):
     UB = U @ B
     # Inner-sample second moment applied to B (B^T u), per task.
     cov_lift = _matvec(inner[0], UB @ B.T)
-    grad_head = (UB - alpha * (cov_lift @ B)).mean(axis=0)
+    grad_head = (UB - alpha * (cov_lift @ B)).sum(axis=0) / n
     grad_rep = (
         U.T @ adapted / n
-        - alpha * np.outer(cov_lift.mean(axis=0), w)
+        - alpha * np.outer(cov_lift.sum(axis=0) / n, w)
         - alpha * (inner_res.T @ UB) / n
     )
     return grad_head, grad_rep, adapted, None
@@ -187,7 +200,7 @@ def _grads_fo_maml(B, w, inner, outer, alpha):
     inner_res, adapted, adapted_reps = _full_adaptation(B, w, inner, alpha)
     outer_res = _residual(outer, np.einsum("ndk,nk->nd", adapted_reps, adapted))
     lift_dots = np.einsum("nd,nd->n", inner_res, outer_res)
-    grad_head = (outer_res @ B - alpha * lift_dots[:, None] * w[None, :]).mean(axis=0)
+    grad_head = (outer_res @ B - alpha * lift_dots[:, None] * w[None, :]).sum(axis=0) / n
     grad_rep = outer_res.T @ adapted / n
     return grad_head, grad_rep, adapted, adapted_reps
 
@@ -208,7 +221,7 @@ def _grads_exact_maml(B, w, inner, outer, alpha):
         + np.einsum("nd,nd->n", q, inner_res)[:, None] * adapted
         + overlaps[:, None] * (cov_q @ B)
     )
-    grad_head = (u - alpha * hess_head).mean(axis=0)
+    grad_head = (u - alpha * hess_head).sum(axis=0) / n
     grad_rep = (
         q.T @ adapted
         - alpha * np.outer((cov_Bu + overlaps[:, None] * cov_q).sum(axis=0), w)
@@ -221,8 +234,8 @@ def _grads_avg(B, w, inner, outer, alpha):
     del inner, alpha  # no inner adaptation
     n = outer[1].shape[0]
     res = _residual(outer, B @ w)
-    grad_head = (res @ B).mean(axis=0)
-    grad_rep = np.outer(res.mean(axis=0), w)
+    grad_head = (res @ B).sum(axis=0) / n
+    grad_rep = np.outer(res.sum(axis=0) / n, w)
     return grad_head, grad_rep, np.tile(w, (n, 1)), None
 
 
@@ -245,20 +258,6 @@ def meta_gradients(
     inner, outer = _sets(env, batch, hp.mode)
     grad_head, grad_rep, _, _ = _GRADS[hp.algo](params.rep, params.head, inner, outer, hp.alpha)
     return grad_head, grad_rep
-
-
-def _psi_spectrum(adapted: np.ndarray) -> tuple[float, float]:
-    """Extreme eigenvalues of the adapted-head second moment
-    ``(1/n) sum_i w_i w_i^T``, clipped at 0; NaN for non-finite heads."""
-    psi = adapted.T @ adapted / adapted.shape[0]
-    try:
-        eigenvalues = np.linalg.eigvalsh(psi)
-    except np.linalg.LinAlgError:  # non-finite second moment
-        return math.nan, math.nan
-    low, high = float(eigenvalues[0]), float(eigenvalues[-1])
-    if not (math.isfinite(low) and math.isfinite(high)):
-        return math.nan, math.nan
-    return max(low, 0.0), max(high, 0.0)
 
 
 def step_for(hp: HyperParams) -> Callable[..., StepOutcome]:
@@ -327,60 +326,165 @@ def _rounds(env: TaskEnvironment, hp: HyperParams, rng) -> Iterator[TaskBatch]:
         yield from _sample_rounds(env, hp, rng, min(size, total - start))
 
 
-def _rep_norm_exceeds(rep: np.ndarray, limit: float) -> bool:
-    largest = float(np.abs(rep).max())
-    if largest * math.sqrt(rep.size) <= limit:
-        return False  # Frobenius bound already below the limit
-    gram = rep.T @ rep
-    top = float(np.linalg.eigvalsh(gram)[-1])
-    return math.sqrt(max(top, 0.0)) > limit
-
-
 def _is_diverged(params: ModelParams, rep_limit: float) -> bool:
     head_sq = float(params.head @ params.head)
-    if not (math.isfinite(head_sq) and np.isfinite(params.rep).all()):
+    largest = float(np.abs(params.rep).max())  # NaN if any entry is NaN
+    if not (math.isfinite(head_sq) and math.isfinite(largest)):
         return True
     if head_sq > _DIVERGENCE_NORM * _DIVERGENCE_NORM:
         return True
-    return _rep_norm_exceeds(params.rep, rep_limit)
+    if largest * math.sqrt(params.rep.size) <= rep_limit:
+        return False  # Frobenius bound already below the limit
+    top = float(np.linalg.eigvalsh(params.rep.T @ params.rep)[-1])
+    return math.sqrt(max(top, 0.0)) > rep_limit
 
 
-def _try_record(
-    t: int,
-    params: ModelParams,
-    outcome: StepOutcome,
-    batch: TaskBatch,
-    env: TaskEnvironment,
-    perp: np.ndarray,
-    alpha: float,
-) -> TrajectoryRecord | None:
-    """Build the diagnostic record for iteration ``t``, or None if the
-    representation has numerically collapsed and the geometry is undefined.
+# Snapshots a run holds before turning them into records in one stacked
+# pass.  Not a setting: it bounds the memory of pending snapshots and the
+# steps a run takes past a collapsed representation before it stops.
+_RECORD_CHUNK = 64
 
-    ``psi_min``/``psi_max`` are the spectrum of the round's adapted heads
-    (for the average-risk baseline, of ``w w^T``).
-    """
+
+class _Snapshots(NamedTuple):
+    """Stacked snapshots of scheduled records: the iterations ``t`` and,
+    per record, the parameters before the round's step (``rep``, ``head``),
+    the round's adapted heads and its sampled task heads (each ``n x k``)."""
+
+    t: np.ndarray
+    rep: np.ndarray
+    head: np.ndarray
+    adapted_heads: np.ndarray
+    task_heads: np.ndarray
+
+    def first(self, count: int) -> _Snapshots:
+        """The first ``count`` snapshots."""
+        return _Snapshots(*(column[:count] for column in self))
+
+
+def _psi_spectra(adapted: np.ndarray) -> np.ndarray:
+    """Extreme eigenvalues ``(low, high)`` of each adapted-head second moment
+    ``(1/n) sum_i w_i w_i^T`` of a stack, clipped at 0; NaN where the
+    spectrum is not finite or cannot be computed (non-finite heads)."""
+    psi = np.swapaxes(adapted, -1, -2) @ adapted / adapted.shape[-2]
     try:
-        dist = principal_angle_dist(params.rep, perp)
-        bperp = spectral_norm(perp.T @ params.rep)
+        eigenvalues = np.linalg.eigvalsh(psi)
+    except LinAlgError:  # some second moment is not finite
+        if len(psi) == 1:
+            return np.full((1, 2), math.nan)
+        return np.concatenate([_psi_spectra(heads[None]) for heads in adapted])
+    extremes = eigenvalues[:, [0, -1]]
+    finite = np.isfinite(extremes).all(axis=1, keepdims=True)
+    return np.where(finite, np.where(extremes < 0.0, 0.0, extremes), math.nan)
+
+
+def _records(
+    snapshots: _Snapshots, env: TaskEnvironment, perp: np.ndarray, alpha: float
+) -> list[TrajectoryRecord]:
+    """The diagnostic records of consecutive snapshots, in one stacked pass.
+
+    Stops at the first snapshot whose representation has numerically
+    collapsed, where the geometry is undefined: the result then holds the
+    records of the snapshots before it.  ``psi_min``/``psi_max`` are the
+    spectrum of each round's adapted heads (for the average-risk baseline,
+    of ``w w^T``).
+    """
+    reps, heads = snapshots.rep, snapshots.head
+    if not len(reps):
+        return []
+    try:
+        dist = principal_angle_dist(reps, perp)
+        bperp = spectral_norm(perp.T @ reps)
     except LinAlgError:
-        return None
-    residuals = (params.rep @ params.head)[None, :] - batch.heads @ env.ground_truth_rep.T
-    loss = 0.5 * float(np.einsum("nd,nd->n", residuals, residuals).mean()) + 0.5 * env.noise_std**2
+        # Find the first collapsed representation with one-matrix calls.
+        for index, rep in enumerate(reps):
+            try:
+                principal_angle_dist(rep, perp)
+                spectral_norm(perp.T @ rep)
+            except LinAlgError:
+                return _records(snapshots.first(index), env, perp, alpha)
+        raise
+    # Each reduction below is the one a single record's expression makes
+    # (matmul's dot product for ``norm(w)``, einsum for the squared
+    # residuals); ``norm(axis=-1)`` or ``(r * r).sum(-1)`` round apart.
+    predictors = (reps @ heads[..., None])[..., 0]
+    residuals = predictors[:, None, :] - snapshots.task_heads @ env.ground_truth_rep.T
+    sq_norms = np.einsum("rnd,rnd->rn", residuals, residuals)
+    loss = 0.5 * (sq_norms.sum(axis=-1) / sq_norms.shape[-1]) + 0.5 * env.noise_std**2
+    w_norm = np.sqrt((heads[:, None, :] @ heads[:, :, None])[:, 0, 0])
     # Steps of a diverging run see overflowing iterates; their spectrum is
     # NaN rather than a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        psi_min, psi_max = _psi_spectrum(outcome.adapted_heads)
-    return TrajectoryRecord(
-        t=t,
-        dist=dist,
-        delta_norm=delta_norm(params.rep, alpha),
-        w_norm=float(np.linalg.norm(params.head)),
-        psi_min=psi_min,
-        psi_max=psi_max,
-        bperp_norm=bperp,
-        loss=loss,
+        psi_min, psi_max = _psi_spectra(snapshots.adapted_heads).T
+    columns = zip(
+        snapshots.t.tolist(),
+        dist.tolist(),
+        delta_norm(reps, alpha).tolist(),
+        w_norm.tolist(),
+        psi_min.tolist(),
+        psi_max.tolist(),
+        bperp.tolist(),
+        loss.tolist(),
     )
+    return [
+        TrajectoryRecord(t=t, dist=d, delta_norm=delta, w_norm=w, psi_min=low, psi_max=high,
+                         bperp_norm=b, loss=risk)
+        for t, d, delta, w, low, high, b, risk in columns
+    ]
+
+
+class _Recorder:
+    """A run's records, built a chunk at a time.
+
+    ``keep`` copies a scheduled record's snapshot into preallocated arrays;
+    every ``_RECORD_CHUNK`` snapshots, and at ``flush``, one stacked pass
+    (``_records``) turns the pending ones into records.  A collapsed
+    representation ends the records: ``collapsed`` then holds the
+    iteration and parameters of its snapshot, and is None until then.
+    """
+
+    def __init__(self, env: TaskEnvironment, hp: HyperParams, perp: np.ndarray) -> None:
+        self._env, self._perp, self._alpha = env, perp, hp.alpha
+        size, d, k, n = _RECORD_CHUNK, env.d, env.k, hp.n
+        self._pending = _Snapshots(
+            np.zeros(size, dtype=np.int64),
+            np.empty((size, d, k)),
+            np.empty((size, k)),
+            np.empty((size, n, k)),
+            np.empty((size, n, k)),
+        )
+        self._stats: list[DiversityStats] = []  # running statistics, pending
+        self.records: list[TrajectoryRecord] = []
+        self.running: list[DiversityStats] = []
+        self.collapsed: tuple[int, ModelParams] | None = None
+
+    def keep(
+        self,
+        t: int,
+        params: ModelParams,
+        outcome: StepOutcome,
+        batch: TaskBatch,
+        stats: DiversityStats,
+    ) -> None:
+        """Keep record ``t``'s snapshot, with the running statistics."""
+        row = len(self._stats)
+        values = (t, params.rep, params.head, outcome.adapted_heads, batch.heads)
+        for column, value in zip(self._pending, values):
+            column[row] = value
+        self._stats.append(stats)
+        if row + 1 == _RECORD_CHUNK:
+            self.flush()
+
+    def flush(self) -> None:
+        """Record the pending snapshots, up to one that has collapsed."""
+        pending = self._pending.first(len(self._stats))
+        done = _records(pending, self._env, self._perp, self._alpha)
+        self.records.extend(done)
+        self.running.extend(self._stats[: len(done)])
+        self._stats.clear()
+        if len(done) < len(pending.t):
+            row = len(done)
+            params = ModelParams(rep=pending.rep[row].copy(), head=pending.head[row].copy())
+            self.collapsed = (int(pending.t[row]), params)
 
 
 def run_trajectory(
@@ -398,16 +502,15 @@ def run_trajectory(
     adapted-head spectrum.  The final record's round is sampled and stepped
     like every other, but its step is not applied, so a full run takes
     ``iters + 1`` steps.  Divergent runs are truncated at the offending
-    iteration and never record a divergent state.
+    iteration and never record a divergent state; a record whose
+    representation has collapsed is such an iteration.
     """
     if record_every < 1:
         raise ValueError(f"record_every must be at least 1, got {record_every}")
     step = step_for(hp)
-    perp = orth_complement(env.ground_truth_rep)
+    recorder = _Recorder(env, hp, orth_complement(env.ground_truth_rep))
     rep_limit = _DIVERGENCE_NORM / math.sqrt(hp.alpha)
 
-    records: list[TrajectoryRecord] = []
-    running: list[DiversityStats] = []
     mu_sq = eta = math.inf
     L_sq = L_max = -math.inf
     params = init
@@ -420,24 +523,26 @@ def run_trajectory(
         with np.errstate(over="ignore", invalid="ignore"):
             outcome = step(params, env, batch, hp)
         if t % record_every == 0 or t == hp.iters:
-            record = _try_record(t, params, outcome, batch, env, perp, hp.alpha)
-            if record is None:
-                diverged_at = t
+            running = DiversityStats(mu_sq=mu_sq, L_sq=L_sq, eta=eta, L_max=L_max)
+            recorder.keep(t, params, outcome, batch, running)
+            if recorder.collapsed is not None:
                 break
-            records.append(record)
-            running.append(DiversityStats(mu_sq=mu_sq, L_sq=L_sq, eta=eta, L_max=L_max))
         if t == hp.iters:
             break
         params = outcome.params_next
         if _is_diverged(params, rep_limit):
             diverged_at = t + 1
             break
+    if recorder.collapsed is None:
+        recorder.flush()
+    if recorder.collapsed is not None:
+        diverged_at, params = recorder.collapsed
 
     return RunResult(
-        trajectory=tuple(records),
+        trajectory=tuple(recorder.records),
         final_params=params,
         diverged=diverged_at is not None,
         diverged_at=diverged_at,
-        head_stats=running[-1] if running else None,
-        gt_stats_running=tuple(running),
+        head_stats=recorder.running[-1] if recorder.running else None,
+        gt_stats_running=tuple(recorder.running),
     )

@@ -322,7 +322,7 @@ def diversity_stats(batch: TaskBatch) -> DiversityStats:
     n = heads.shape[0]
     second_moment = heads.T @ heads / n
     eigenvalues = np.linalg.eigvalsh(second_moment)
-    mean = heads.mean(axis=0)
+    mean = heads.sum(axis=0) / n
     row_sq = np.einsum("ij,ij->i", heads, heads)
     return DiversityStats(
         mu_sq=max(float(eigenvalues[0]), 0.0),

@@ -96,24 +96,33 @@ def qr_orthonormalize(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(Q, R)`` with orthonormal ``Q``, upper-triangular ``R`` whose
     diagonal entries are nonnegative, and ``Q @ R == M``. Raises
     ``numpy.linalg.LinAlgError`` when ``M`` is (numerically) column-rank
-    deficient, reporting the offending singular-value ratio.
+    deficient, reporting the offending singular-value ratio.  A stack of
+    matrices (leading axes) is factored matrix by matrix, and raises if any
+    one of them is deficient.
     """
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[1] < 1:
-        raise ValueError(f"expected a 2-D matrix with at least one column, got shape {M.shape}")
+    if M.ndim < 2 or M.shape[-1] < 1:
+        raise ValueError(
+            f"expected a 2-D matrix (or a stack of them) with at least one column,"
+            f" got shape {M.shape}"
+        )
     singular_values = np.linalg.svd(M, compute_uv=False)
-    largest = float(singular_values[0])
-    smallest = float(singular_values[-1])
-    if largest == 0.0 or smallest <= _RANK_TOL * largest:
-        ratio = smallest / largest if largest > 0.0 else 0.0
+    largest = singular_values[..., 0]
+    smallest = singular_values[..., -1]
+    deficient = (largest == 0.0) | (smallest <= _RANK_TOL * largest)
+    if deficient.any():
+        index = tuple(int(i) for i in np.argwhere(deficient)[0])
+        top, bottom = float(largest[index]), float(smallest[index])
+        ratio = bottom / top if top > 0.0 else 0.0
+        where = f" {index}" if index else ""
         raise np.linalg.LinAlgError(
-            f"matrix is numerically rank deficient: singular value ratio {ratio:.3e}"
+            f"matrix{where} is numerically rank deficient: singular value ratio {ratio:.3e}"
             f" <= {_RANK_TOL:.0e}"
         )
     Q, R = np.linalg.qr(M)
-    signs = np.sign(np.diag(R))
+    signs = np.sign(np.diagonal(R, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0
-    return Q * signs, signs[:, None] * R
+    return Q * signs[..., None, :], signs[..., :, None] * R
 
 
 def orth_complement(Bstar: np.ndarray) -> np.ndarray:
@@ -130,39 +139,47 @@ def orth_complement(Bstar: np.ndarray) -> np.ndarray:
     return full_q[:, k:]
 
 
-def spectral_norm(M: np.ndarray) -> float:
+def spectral_norm(M: np.ndarray) -> float | np.ndarray:
     """Largest singular value of ``M`` (one LAPACK singular-value solve).
 
-    Raises ``ValueError`` for input that is not 2-D or has non-finite
-    entries; an empty matrix has norm 0.
+    A 2-D ``M`` gives a float; a stack of matrices (leading axes) gives an
+    array of their norms.  Raises ``ValueError`` for input that is not at
+    least 2-D or has non-finite entries; an empty matrix has norm 0.
     """
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {M.shape}")
-    if min(M.shape) == 0:
-        return 0.0
-    if not np.all(np.isfinite(M)):
-        raise ValueError("matrix contains non-finite entries")
-    return float(np.linalg.svd(M, compute_uv=False)[0])
+    if M.ndim < 2:
+        raise ValueError(f"expected a 2-D matrix (or a stack of them), got shape {M.shape}")
+    if min(M.shape[-2:]) == 0:
+        norms = np.zeros(M.shape[:-2])
+    else:
+        if not np.isfinite(M).all():
+            raise ValueError("matrix contains non-finite entries")
+        norms = np.linalg.svd(M, compute_uv=False)[..., 0]
+    return float(norms) if M.ndim == 2 else norms
 
 
-def principal_angle_dist(B: np.ndarray, Bstar_perp: np.ndarray) -> float:
+def principal_angle_dist(B: np.ndarray, Bstar_perp: np.ndarray) -> float | np.ndarray:
     """Principal-angle distance between ``col(B)`` and the subspace whose
     orthogonal complement is spanned by ``Bstar_perp``.
 
-    Equals the largest sine of a principal angle and lies in [0, 1].
+    Equals the largest sine of a principal angle and lies in [0, 1].  A
+    stack of representations ``B`` gives an array of distances.
     """
     Q, _ = qr_orthonormalize(B)
     value = spectral_norm(np.asarray(Bstar_perp, dtype=float).T @ Q)
-    return min(max(value, 0.0), 1.0)
+    if Q.ndim == 2:
+        return min(max(value, 0.0), 1.0)
+    return np.minimum(np.maximum(value, 0.0), 1.0)
 
 
-def delta_norm(B: np.ndarray, alpha: float) -> float:
-    """Spectral norm of ``I_k - alpha * B^T B`` (symmetric eigensolve)."""
+def delta_norm(B: np.ndarray, alpha: float) -> float | np.ndarray:
+    """Spectral norm of ``I_k - alpha * B^T B`` (symmetric eigensolve); a
+    stack of representations ``B`` gives an array of norms."""
     B = np.asarray(B, dtype=float)
-    k = B.shape[1]
-    eigenvalues = np.linalg.eigvalsh(np.eye(k) - alpha * (B.T @ B))
-    return float(np.abs(eigenvalues).max())
+    k = B.shape[-1]
+    eigenvalues = np.linalg.eigvalsh(np.eye(k) - alpha * (np.swapaxes(B, -1, -2) @ B))
+    norms = np.abs(eigenvalues).max(axis=-1)
+    return float(norms) if B.ndim == 2 else norms
 
 
 def fit_log_linear_rate(

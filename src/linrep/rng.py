@@ -53,7 +53,9 @@ def standard_normal(rng: np.random.Generator, shape: int | tuple[int, ...]) -> n
     """Draw standard normal variates via the Box-Muller transform.
 
     Uses ``1 - U`` for the radial uniform so the logarithm never sees an
-    exact zero. Consumes ``ceil(count / 2)`` pairs of uniforms from ``rng``.
+    exact zero. Consumes ``2 * ceil(count / 2)`` uniforms from ``rng`` in
+    one draw, the radial ones first and then the angular ones; the cosine
+    branch gives the first half of the variates and the sine branch the rest.
     """
     shape = (shape,) if isinstance(shape, int) else tuple(shape)
     count = 1
@@ -62,12 +64,13 @@ def standard_normal(rng: np.random.Generator, shape: int | tuple[int, ...]) -> n
     if count == 0:
         return np.zeros(shape)
     half = (count + 1) // 2
-    u_radial = 1.0 - rng.random(half)  # in (0, 1]
-    u_angle = rng.random(half)
-    radius = np.sqrt(-2.0 * np.log(u_radial))
-    angle = 2.0 * np.pi * u_angle
-    draws = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:count]
-    return draws.reshape(shape)
+    uniforms = rng.random(2 * half)
+    radius = np.sqrt(-2.0 * np.log(1.0 - uniforms[:half]))  # 1 - U in (0, 1]
+    angle = 2.0 * np.pi * uniforms[half:]
+    draws = np.empty(2 * half)
+    np.multiply(radius, np.cos(angle), out=draws[:half])
+    np.multiply(radius, np.sin(angle), out=draws[half:])
+    return draws[:count].reshape(shape)
 
 
 def chi_square(rng: np.random.Generator, dof: float | np.ndarray) -> np.ndarray:

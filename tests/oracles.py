@@ -116,3 +116,82 @@ def hypothesis_margins_loop(records, alpha, beta, stats, dist0, c_a1=1.0):
         hits = [r.t for name in names for r, v in zip(records, margins[name]) if v < 0.0]
         first_violation[condition] = min(hits) if hits else None
     return margins, first_violation
+
+
+def box_muller_two_calls(rng: np.random.Generator, count: int) -> np.ndarray:
+    """Box-Muller normals from two uniform draws, the radial uniforms then
+    the angular ones, joined by concatenation (the reference transform)."""
+    if count == 0:
+        return np.zeros(0)
+    half = (count + 1) // 2
+    u_radial = 1.0 - rng.random(half)  # in (0, 1]
+    u_angle = rng.random(half)
+    radius = np.sqrt(-2.0 * np.log(u_radial))
+    angle = 2.0 * np.pi * u_angle
+    return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:count]
+
+
+_RANK_TOL = 1e-12
+
+
+def _orthonormal_basis(M: np.ndarray) -> np.ndarray:
+    """Q of the thin QR of M with a nonnegative R diagonal; LinAlgError when
+    M is numerically column-rank deficient."""
+    singular_values = np.linalg.svd(M, compute_uv=False)
+    largest = float(singular_values[0])
+    smallest = float(singular_values[-1])
+    if largest == 0.0 or smallest <= _RANK_TOL * largest:
+        raise np.linalg.LinAlgError("matrix is numerically rank deficient")
+    Q, R = np.linalg.qr(M)
+    signs = np.sign(np.diag(R))
+    signs[signs == 0] = 1.0
+    return Q * signs
+
+
+def _top_singular_value(M: np.ndarray) -> float:
+    if not np.all(np.isfinite(M)):
+        raise ValueError("matrix contains non-finite entries")
+    return float(np.linalg.svd(M, compute_uv=False)[0])
+
+
+def _psi_extremes(adapted: np.ndarray) -> tuple[float, float]:
+    psi = adapted.T @ adapted / adapted.shape[0]
+    try:
+        eigenvalues = np.linalg.eigvalsh(psi)
+    except np.linalg.LinAlgError:
+        return math.nan, math.nan
+    low, high = float(eigenvalues[0]), float(eigenvalues[-1])
+    if not (math.isfinite(low) and math.isfinite(high)):
+        return math.nan, math.nan
+    return max(low, 0.0), max(high, 0.0)
+
+
+def record_loop(snapshots, ground_truth_rep, perp, noise_std, alpha):
+    """Per-record loop over the diagnostic records of a trajectory.
+
+    ``snapshots`` holds stacked columns ``t``, ``rep``, ``head``,
+    ``adapted_heads`` and ``task_heads``.  Each record is checked and built
+    on its own matrices, one at a time; the loop stops at the first snapshot
+    whose representation is numerically rank deficient, so the number of
+    records returned is that snapshot's index.  A record is the tuple
+    ``(t, dist, delta_norm, w_norm, psi_min, psi_max, bperp_norm, loss)``.
+    """
+    records = []
+    rows = zip(snapshots.t, snapshots.rep, snapshots.head, snapshots.adapted_heads,
+               snapshots.task_heads)
+    for t, rep, head, adapted, task_heads in rows:
+        try:
+            Q = _orthonormal_basis(rep)
+            dist = min(max(_top_singular_value(perp.T @ Q), 0.0), 1.0)
+            bperp = _top_singular_value(perp.T @ rep)
+        except np.linalg.LinAlgError:
+            break
+        residuals = (rep @ head)[None, :] - task_heads @ ground_truth_rep.T
+        loss = 0.5 * float(np.einsum("nd,nd->n", residuals, residuals).mean()) + 0.5 * noise_std**2
+        with np.errstate(over="ignore", invalid="ignore"):
+            psi_min, psi_max = _psi_extremes(adapted)
+        k = rep.shape[1]
+        delta = float(np.abs(np.linalg.eigvalsh(np.eye(k) - alpha * (rep.T @ rep))).max())
+        w_norm = float(np.linalg.norm(head))
+        records.append((int(t), dist, delta, w_norm, psi_min, psi_max, bperp, loss))
+    return records

@@ -7,6 +7,7 @@ calling the package's own gradient code.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 
@@ -16,10 +17,13 @@ import pytest
 import linrep.algorithms
 from linrep.algorithms import (
     _BLOCK_FLOATS,
+    _RECORD_CHUNK,
     RunResult,
     StepOutcome,
+    _records,
     _sample_rounds,
-    _try_record,
+    _is_diverged,
+    _Snapshots,
     meta_gradients,
     run_trajectory,
     step_for,
@@ -41,7 +45,7 @@ from linrep.model import (
     init_model,
 )
 from linrep.rng import standard_normal, substream
-from oracles import central_diff_pair, rel_err
+from oracles import central_diff_pair, record_loop, rel_err
 
 ALL_ALGOS = list(Algorithm)
 ADAPTING_ALGOS = [algo for algo in Algorithm if algo is not Algorithm.AVG_RISK_MIN]
@@ -94,6 +98,14 @@ def _finite_batch(env, n: int, m_in: int, m_out: int, seed: int):
 
 def _random_params(rng, d: int, k: int) -> ModelParams:
     return ModelParams(rep=standard_normal(rng, (d, k)), head=standard_normal(rng, (k,)))
+
+
+def _snapshot(t: int, params: ModelParams, outcome: StepOutcome, batch: TaskBatch) -> _Snapshots:
+    """The one-record stack of iteration ``t``."""
+    return _Snapshots(
+        np.array([t]), params.rep[None], params.head[None], outcome.adapted_heads[None],
+        batch.heads[None],
+    )
 
 
 # --- independent reference pipelines -------------------------------------
@@ -341,7 +353,7 @@ class TestStepStructure:
         else:
             assert outcome.adapted_reps is None
         perp = orth_complement(env.ground_truth_rep)
-        record = _try_record(0, params, outcome, batch, env, perp, hp.alpha)
+        (record,) = _records(_snapshot(0, params, outcome, batch), env, perp, hp.alpha)
         assert record.psi_min <= record.psi_max
         if algo is Algorithm.AVG_RISK_MIN:
             assert record.psi_min == pytest.approx(0.0, abs=1e-15)
@@ -363,7 +375,7 @@ class TestStepStructure:
         perp = orth_complement(env.ground_truth_rep)
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
-            record = _try_record(0, params, outcome, batch, env, perp, 0.1)
+            (record,) = _records(_snapshot(0, params, outcome, batch), env, perp, 0.1)
         assert math.isnan(record.psi_min) and math.isnan(record.psi_max)
 
     @pytest.mark.parametrize("algo", ALL_ALGOS, ids=lambda a: a.value)
@@ -646,3 +658,134 @@ class TestRunTrajectory:
         assert not result.diverged
         assert result.trajectory[-1].dist < 0.1 * result.trajectory[0].dist
         assert result.trajectory[-1].loss < result.trajectory[0].loss
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["rep", "head"])
+    def test_non_finite_parameters_are_diverged(self, bad: float, where: str) -> None:
+        params = _random_params(substream(28, 0, "params"), 6, 2)
+        assert not _is_diverged(params, rep_limit=1e6)
+        rep, head = params.rep.copy(), params.head.copy()
+        (rep if where == "rep" else head)[-1] = bad
+        assert _is_diverged(ModelParams(rep, head), rep_limit=1e6)
+
+    @pytest.mark.parametrize("blow_up", [False, True], ids=["collapse-only", "then-diverge"])
+    def test_mid_run_collapse_truncates_at_its_record(self, blow_up: bool, monkeypatch) -> None:
+        # The step into t=140 zeroes a column of the representation, so the
+        # record at t=140 (record 70, inside the second chunk) has collapsed;
+        # the column regrows on the next step.  With ``blow_up`` a huge head
+        # at t=151 also ends the run before that chunk is recorded.
+        record_every, collapse_at, blow_up_at = 2, 140, 151
+        env = _env(d=6, k=2, seed=27)
+        hp = _hp(Algorithm.FO_ANIL, iters=400, n=3)
+        init = init_model(env, hp.alpha, InitScheme.SPEC, substream(27, 0, "init"))
+        make_step = linrep.algorithms.step_for
+        steps: list[int] = []
+
+        def patched_step_for(hp):
+            step = make_step(hp)
+
+            def patched(params, env, batch, hp):
+                t = len(steps)
+                steps.append(t)
+                outcome = step(params, env, batch, hp)
+                rep, head = outcome.params_next.rep.copy(), outcome.params_next.head.copy()
+                if t + 1 == collapse_at:
+                    rep[:, 1] = 0.0
+                if blow_up and t + 1 == blow_up_at:
+                    head[:] = 1e7
+                return StepOutcome(ModelParams(rep, head), outcome.adapted_heads, outcome.adapted_reps)
+
+            return patched
+
+        monkeypatch.setattr(linrep.algorithms, "step_for", patched_step_for)
+
+        def run() -> RunResult:
+            steps.clear()
+            return run_trajectory(env, hp, init, substream(27, 0, "tasks"), record_every)
+
+        result = run()
+        chunked_steps = len(steps)
+        monkeypatch.setattr(linrep.algorithms, "_RECORD_CHUNK", 1)  # check at every record
+        reference = run()
+
+        assert len(steps) == collapse_at + 1
+        assert collapse_at + 1 <= chunked_steps <= collapse_at + 1 + _RECORD_CHUNK * record_every
+        assert result.diverged and result.diverged_at == collapse_at == reference.diverged_at
+        assert result.trajectory == reference.trajectory
+        assert result.trajectory[-1].t == collapse_at - record_every
+        assert not result.final_params.rep[:, 1].any()
+        np.testing.assert_array_equal(result.final_params.rep, reference.final_params.rep)
+        np.testing.assert_array_equal(result.final_params.head, reference.final_params.head)
+        assert result.gt_stats_running == reference.gt_stats_running
+        assert len(result.gt_stats_running) == len(result.trajectory)
+        assert result.head_stats == reference.head_stats == result.gt_stats_running[-1]
+
+
+def _bits(records) -> list[tuple]:
+    """Records as tuples with every float spelled in hex (bitwise, NaN-safe)."""
+    rows = [r if isinstance(r, tuple) else dataclasses.astuple(r) for r in records]
+    return [tuple(v.hex() if type(v) is float else v for v in row) for row in rows]
+
+
+def _snapshot_stack(seed: int, count: int, d: int = 8, k: int = 3, n: int = 4):
+    """Random snapshots over six decades of scale, with the tiled heads of the
+    average-risk baseline (a rank-one spectrum) every third round."""
+    env = _env(d=d, k=k, seed=seed, noise_std=0.3)
+    rng = np.random.default_rng(seed)
+    rep = rng.normal(size=(count, d, k)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(count, 1, 1))
+    head = rng.normal(size=(count, k)) * 10.0 ** rng.uniform(-2.0, 2.0, size=(count, 1))
+    adapted = rng.normal(size=(count, n, k))
+    adapted[2::3] = head[2::3, None, :]
+    task_heads = rng.normal(size=(count, n, k)) + 2.0
+    return env, _Snapshots(10 * np.arange(count), rep, head, adapted, task_heads)
+
+
+class TestRecordPass:
+    def _compare(self, env, snapshots, alpha: float = 0.1) -> list:
+        perp = orth_complement(env.ground_truth_rep)
+        got = _records(snapshots, env, perp, alpha)
+        want = record_loop(snapshots, env.ground_truth_rep, perp, env.noise_std, alpha)
+        assert _bits(got) == _bits(want)
+        return got
+
+    @pytest.mark.parametrize("count", [1, 7, _RECORD_CHUNK])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_stacked_pass_equals_the_per_record_loop(self, seed: int, count: int) -> None:
+        env, snapshots = _snapshot_stack(seed, count)
+        assert len(self._compare(env, snapshots)) == count
+
+    def test_non_finite_adapted_heads_give_quiet_nan_psi(self) -> None:
+        env, snapshots = _snapshot_stack(40, 12)
+        bad = {1: 1e200, 4: math.inf, 6: -math.inf, 9: math.nan}
+        for index, value in bad.items():
+            snapshots.adapted_heads[index] = value
+        snapshots.adapted_heads[10, 0, 0] = math.nan  # one non-finite head entry
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            records = self._compare(env, snapshots)
+        assert len(records) == len(snapshots.t)
+        for index in [*bad, 10]:
+            assert math.isnan(records[index].psi_min) and math.isnan(records[index].psi_max)
+        assert all(math.isfinite(r.psi_max) for i, r in enumerate(records) if i not in [*bad, 10])
+
+    @pytest.mark.parametrize("index", [0, 5, _RECORD_CHUNK - 1])
+    @pytest.mark.parametrize("defect", ["zero-column", "dependent-columns", "nan"])
+    def test_collapsed_representation_truncates_at_its_index(self, index: int, defect: str) -> None:
+        env, snapshots = _snapshot_stack(41, _RECORD_CHUNK)
+        rep = snapshots.rep[index]
+        if defect == "zero-column":
+            rep[:, 1] = 0.0
+        elif defect == "dependent-columns":
+            rep[:, 2] = 2.0 * rep[:, 0]
+        else:
+            rep[3, 0] = math.nan
+        if index < _RECORD_CHUNK - 1:
+            snapshots.rep[-1, :, 0] = 0.0  # a later collapse is never reached
+        assert len(self._compare(env, snapshots)) == index
+
+    def test_records_hold_python_floats(self) -> None:
+        env, snapshots = _snapshot_stack(42, 3)
+        perp = orth_complement(env.ground_truth_rep)
+        for record in _records(snapshots, env, perp, 0.1):
+            assert type(record.t) is int
+            assert all(type(v) is float for v in dataclasses.astuple(record)[1:])

@@ -192,6 +192,85 @@ class TestDeltaNorm:
             assert delta_norm(B, alpha) == pytest.approx(want, rel=1e-12)
 
 
+def _same_bits(stacked, singles) -> bool:
+    stacked = np.asarray(stacked, dtype=float)
+    singles = np.asarray(singles, dtype=float)
+    return stacked.shape == singles.shape and np.array_equal(
+        stacked.view(np.uint64), singles.view(np.uint64)
+    )
+
+
+def _random_stack(seed: int, count: int, d: int = 9, k: int = 3) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(count, d, k)) * 10.0 ** rng.uniform(-4.0, 4.0, size=(count, 1, 1))
+
+
+class TestStackedGeometry:
+    """A leading stack axis gives, bit for bit, the per-matrix results."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_qr_orthonormalize(self, seed: int) -> None:
+        stack = _random_stack(seed, 17)
+        Q, R = qr_orthonormalize(stack)
+        singles = [qr_orthonormalize(M) for M in stack]
+        assert _same_bits(Q, [q for q, _ in singles])
+        assert _same_bits(R, [r for _, r in singles])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_spectral_norm(self, seed: int) -> None:
+        stack = _random_stack(seed, 17)
+        assert _same_bits(spectral_norm(stack), [spectral_norm(M) for M in stack])
+        nested = stack.reshape(17, 1, 9, 3)
+        assert _same_bits(spectral_norm(nested), [[spectral_norm(M)] for M in stack])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_principal_angle_dist(self, seed: int) -> None:
+        stack = _random_stack(seed, 17)
+        Bstar, _ = qr_orthonormalize(np.random.default_rng(100 + seed).normal(size=(9, 3)))
+        perp = orth_complement(Bstar)
+        stack[3] = Bstar * 2.5  # distance 0 up to rounding
+        got = principal_angle_dist(stack, perp)
+        assert _same_bits(got, [principal_angle_dist(B, perp) for B in stack])
+        assert np.all((0.0 <= got) & (got <= 1.0))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_delta_norm(self, seed: int) -> None:
+        stack = _random_stack(seed, 17)
+        assert _same_bits(delta_norm(stack, 0.1), [delta_norm(B, 0.1) for B in stack])
+
+    def test_two_dimensional_calls_return_floats(self) -> None:
+        B = _random_stack(9, 1)[0]
+        perp = orth_complement(qr_orthonormalize(np.eye(9, 3))[0])
+        for value in (spectral_norm(B), principal_angle_dist(B, perp), delta_norm(B, 0.1),
+                      spectral_norm(np.zeros((4, 0)))):
+            assert type(value) is float
+
+    def test_empty_matrices_in_a_stack_have_norm_zero(self) -> None:
+        norms = spectral_norm(np.zeros((3, 4, 0)))
+        assert _same_bits(norms, np.zeros(3))
+
+    def test_rank_deficient_member_raises_and_names_it(self) -> None:
+        stack = _random_stack(10, 5)
+        stack[2, :, 1] = 3.0 * stack[2, :, 0]
+        with pytest.raises(np.linalg.LinAlgError, match=r"matrix \(2,\) .*ratio"):
+            qr_orthonormalize(stack)
+        perp = orth_complement(qr_orthonormalize(np.eye(9, 3))[0])
+        with pytest.raises(np.linalg.LinAlgError):
+            principal_angle_dist(stack, perp)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_member_rejected(self, bad: float) -> None:
+        stack = _random_stack(11, 4)
+        stack[1, 0, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            spectral_norm(stack)
+
+    @pytest.mark.parametrize("shape", [(4,), (), (5, 0)])
+    def test_qr_rejects_vectors_and_column_free_input(self, shape: tuple) -> None:
+        with pytest.raises(ValueError, match="2-D"):
+            qr_orthonormalize(np.ones(shape))
+
+
 class TestFitLogLinearRate:
     def test_exact_geometric_series_recovers_rate(self) -> None:
         rho = 0.93

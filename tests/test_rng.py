@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from linrep.rng import chi_square, standard_normal, substream
+from oracles import box_muller_two_calls
 
 
 def test_same_substream_identical_draws() -> None:
@@ -33,6 +34,17 @@ def test_standard_normal_shapes_and_determinism() -> None:
     assert odd.shape == (7,)
     scalar_shape = standard_normal(substream(7, 0, "z"), ())
     assert scalar_shape.shape == ()
+
+
+@pytest.mark.parametrize("count", [0, 1, 9, 210, 8400])
+def test_standard_normal_is_the_two_draw_transform_bitwise(count: int) -> None:
+    rng, reference = substream(8, count, "bm"), substream(8, count, "bm")
+    draws = standard_normal(rng, count)
+    want = box_muller_two_calls(reference, count)
+    assert draws.shape == want.shape == (count,)
+    assert np.array_equal(draws.view(np.uint64), want.view(np.uint64))
+    # Both leave the stream at the same place.
+    assert np.array_equal(rng.random(4), reference.random(4))
 
 
 def test_standard_normal_moments_match_gaussian() -> None:
