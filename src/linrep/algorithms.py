@@ -17,11 +17,13 @@ skips inner adaptation entirely and descends the mean unadapted risk.
 
 A run draws its rounds in blocks of ``R = max(1, _BLOCK_FLOATS // (n d^2))``
 rounds, the last block trimmed so that a run draws ``iters + 1`` rounds.  A
-block draws the heads of its rounds one round at a time; a finite-sample
-block then draws the inner sets of all its ``R n`` tasks in one call over the
-stacked heads, then the outer sets likewise, and round ``r`` of the block
-takes rows ``r n : (r + 1) n`` of each.  ``R`` depends only on ``(n, d)``, so
-the stream, and every artifact, is the same on any host and worker count.
+block draws the ``(R, n, k)`` heads of its rounds in one ``standard_normal``
+call of ``R`` rows, bitwise the heads of ``R`` per-round draws; a
+finite-sample block then draws the inner sets of all its ``R n`` tasks in one
+call over the stacked heads, then the outer sets likewise, and round ``r`` of
+the block takes rows ``r n : (r + 1) n`` of each.  ``R`` depends only on
+``(n, d)``, so the stream, and every artifact, is the same on any host and
+worker count.
 
 Recording is kept out of the step loop.  At a scheduled record the loop
 keeps a snapshot (the iteration, the parameters, the round's adapted heads
@@ -49,9 +51,9 @@ from .env import (
     DiversityStats,
     TaskBatch,
     TaskEnvironment,
+    _round_heads,
     diversity_stats,
     sample_dataset,
-    sample_task_batch,
 )
 from .metrics import (
     TrajectoryRecord,
@@ -180,7 +182,7 @@ def _grads_exact_anil(B, w, inner, outer, alpha):
     grad_head = (UB - alpha * (cov_lift @ B)).sum(axis=0) / n
     grad_rep = (
         U.T @ adapted / n
-        - alpha * np.outer(cov_lift.sum(axis=0) / n, w)
+        - alpha * ((cov_lift.sum(axis=0) / n)[:, None] * w)
         - alpha * (inner_res.T @ UB) / n
     )
     return grad_head, grad_rep, adapted, None
@@ -224,7 +226,7 @@ def _grads_exact_maml(B, w, inner, outer, alpha):
     grad_head = (u - alpha * hess_head).sum(axis=0) / n
     grad_rep = (
         q.T @ adapted
-        - alpha * np.outer((cov_Bu + overlaps[:, None] * cov_q).sum(axis=0), w)
+        - alpha * ((cov_Bu + overlaps[:, None] * cov_q).sum(axis=0)[:, None] * w)
         - alpha * (inner_res.T @ u)
     ) / n
     return grad_head, grad_rep, adapted, adapted_reps
@@ -235,8 +237,8 @@ def _grads_avg(B, w, inner, outer, alpha):
     n = outer[1].shape[0]
     res = _residual(outer, B @ w)
     grad_head = (res @ B).sum(axis=0) / n
-    grad_rep = np.outer(res.sum(axis=0) / n, w)
-    return grad_head, grad_rep, np.tile(w, (n, 1)), None
+    grad_rep = (res.sum(axis=0) / n)[:, None] * w
+    return grad_head, grad_rep, np.repeat(w[None], n, axis=0), None
 
 
 _GRADS: dict[Algorithm, Callable] = {
@@ -300,21 +302,22 @@ def _sample_rounds(env: TaskEnvironment, hp: HyperParams, rng, count: int) -> li
     """Sample ``count`` consecutive rounds' tasks (and data sets in
     finite-sample mode).
 
-    The draw order is fixed — each round's heads in turn, then the inner
-    sets of every task of the block in one call, then their outer sets in
-    one call — so that every algorithm consumes the random stream
-    identically and trajectories are comparable across algorithms.
+    The draw order is fixed — the heads of every round of the block in one
+    call, then the inner sets of every task of the block in one call, then
+    their outer sets in one call — so that every algorithm consumes the
+    random stream identically and trajectories are comparable across
+    algorithms.
     """
-    rounds = [sample_task_batch(env, hp.n, rng) for _ in range(count)]
+    heads = _round_heads(env, count, hp.n, rng)
     if hp.mode is Mode.POPULATION:
-        return rounds
-    heads = np.concatenate([batch.heads for batch in rounds])
-    inner = sample_dataset(env, heads, hp.m_in, rng)
-    outer = sample_dataset(env, heads, hp.m_out, rng)
+        return [TaskBatch(heads=round_heads) for round_heads in heads]
+    tasks = heads.reshape(count * hp.n, env.k)
+    inner = sample_dataset(env, tasks, hp.m_in, rng)
+    outer = sample_dataset(env, tasks, hp.m_out, rng)
     rows = [slice(r * hp.n, (r + 1) * hp.n) for r in range(count)]
     return [
-        TaskBatch(heads=batch.heads, inner_sets=inner[row], outer_sets=outer[row])
-        for batch, row in zip(rounds, rows)
+        TaskBatch(heads=round_heads, inner_sets=inner[row], outer_sets=outer[row])
+        for round_heads, row in zip(heads, rows)
     ]
 
 
@@ -516,25 +519,27 @@ def run_trajectory(
     params = init
     diverged_at: int | None = None
 
-    for t, batch in enumerate(_rounds(env, hp, rng)):
-        stats = diversity_stats(batch)
-        mu_sq, L_sq = min(mu_sq, stats.mu_sq), max(L_sq, stats.L_sq)
-        eta, L_max = min(eta, stats.eta), max(L_max, stats.L_max)
-        with np.errstate(over="ignore", invalid="ignore"):
+    # A diverging run overflows in its steps, its divergence checks and its
+    # records; it is declared divergent (or records NaN) rather than warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, batch in enumerate(_rounds(env, hp, rng)):
+            stats = diversity_stats(batch)
+            mu_sq, L_sq = min(mu_sq, stats.mu_sq), max(L_sq, stats.L_sq)
+            eta, L_max = min(eta, stats.eta), max(L_max, stats.L_max)
             outcome = step(params, env, batch, hp)
-        if t % record_every == 0 or t == hp.iters:
-            running = DiversityStats(mu_sq=mu_sq, L_sq=L_sq, eta=eta, L_max=L_max)
-            recorder.keep(t, params, outcome, batch, running)
-            if recorder.collapsed is not None:
+            if t % record_every == 0 or t == hp.iters:
+                running = DiversityStats(mu_sq=mu_sq, L_sq=L_sq, eta=eta, L_max=L_max)
+                recorder.keep(t, params, outcome, batch, running)
+                if recorder.collapsed is not None:
+                    break
+            if t == hp.iters:
                 break
-        if t == hp.iters:
-            break
-        params = outcome.params_next
-        if _is_diverged(params, rep_limit):
-            diverged_at = t + 1
-            break
-    if recorder.collapsed is None:
-        recorder.flush()
+            params = outcome.params_next
+            if _is_diverged(params, rep_limit):
+                diverged_at = t + 1
+                break
+        if recorder.collapsed is None:
+            recorder.flush()
     if recorder.collapsed is not None:
         diverged_at, params = recorder.collapsed
 

@@ -244,10 +244,19 @@ def sample_environment(
 
 def sample_task_batch(env: TaskEnvironment, n: int, rng: np.random.Generator) -> TaskBatch:
     """Draw ``n`` task heads ``w* ~ N(head_mean, head_scale^2 I_k)``."""
+    return TaskBatch(heads=_round_heads(env, 1, n, rng)[0])
+
+
+def _round_heads(
+    env: TaskEnvironment, rounds: int, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """The ``(rounds, n, k)`` task heads of ``rounds`` successive rounds of
+    ``n`` tasks, drawn with one ``standard_normal`` call: bitwise the heads of
+    ``rounds`` calls of ``sample_task_batch`` made in turn."""
     if n < 1:
         raise ValueError(f"need at least one task per batch, got n={n}")
-    heads = env.head_mean + env.head_scale * standard_normal(rng, (n, env.k))
-    return TaskBatch(heads=heads)
+    normals = standard_normal(rng, (rounds, n, env.k), rows=rounds)
+    return env.head_mean + env.head_scale * normals
 
 
 def sample_dataset(

@@ -96,7 +96,8 @@ def qr_orthonormalize(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(Q, R)`` with orthonormal ``Q``, upper-triangular ``R`` whose
     diagonal entries are nonnegative, and ``Q @ R == M``. Raises
     ``numpy.linalg.LinAlgError`` when ``M`` is (numerically) column-rank
-    deficient, reporting the offending singular-value ratio.  A stack of
+    deficient or its singular values are not finite, reporting the offending
+    singular-value ratio.  A stack of
     matrices (leading axes) is factored matrix by matrix, and raises if any
     one of them is deficient.
     """
@@ -109,11 +110,13 @@ def qr_orthonormalize(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     singular_values = np.linalg.svd(M, compute_uv=False)
     largest = singular_values[..., 0]
     smallest = singular_values[..., -1]
-    deficient = (largest == 0.0) | (smallest <= _RANK_TOL * largest)
+    # NaN singular values (LAPACK's answer to infinite entries) count as
+    # deficient: the comparison is False for them and for a zero matrix.
+    deficient = ~(smallest > _RANK_TOL * largest)
     if deficient.any():
         index = tuple(int(i) for i in np.argwhere(deficient)[0])
         top, bottom = float(largest[index]), float(smallest[index])
-        ratio = bottom / top if top > 0.0 else 0.0
+        ratio = bottom / top if top != 0.0 else 0.0  # NaN when not finite
         where = f" {index}" if index else ""
         raise np.linalg.LinAlgError(
             f"matrix{where} is numerically rank deficient: singular value ratio {ratio:.3e}"

@@ -49,28 +49,39 @@ def substream(master_seed: int, *tags: int | str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
-def standard_normal(rng: np.random.Generator, shape: int | tuple[int, ...]) -> np.ndarray:
+def standard_normal(
+    rng: np.random.Generator, shape: int | tuple[int, ...], *, rows: int = 1
+) -> np.ndarray:
     """Draw standard normal variates via the Box-Muller transform.
 
     Uses ``1 - U`` for the radial uniform so the logarithm never sees an
     exact zero. Consumes ``2 * ceil(count / 2)`` uniforms from ``rng`` in
     one draw, the radial ones first and then the angular ones; the cosine
     branch gives the first half of the variates and the sine branch the rest.
+
+    ``rows`` (a divisor of ``count``) splits the draw into that many
+    successive transforms of ``count // rows`` variates each, filled into the
+    result in C order: the variates, and the stream position after them, are
+    bitwise those of ``rows`` calls of that size made in turn.  The uniforms
+    of every row still come from one ``rng.random`` call.
     """
     shape = (shape,) if isinstance(shape, int) else tuple(shape)
     count = 1
     for dim in shape:
         count *= int(dim)
+    if rows < 1 or count % rows:
+        raise ValueError(f"rows must be a positive divisor of the {count} variates, got {rows}")
     if count == 0:
         return np.zeros(shape)
-    half = (count + 1) // 2
-    uniforms = rng.random(2 * half)
-    radius = np.sqrt(-2.0 * np.log(1.0 - uniforms[:half]))  # 1 - U in (0, 1]
-    angle = 2.0 * np.pi * uniforms[half:]
-    draws = np.empty(2 * half)
-    np.multiply(radius, np.cos(angle), out=draws[:half])
-    np.multiply(radius, np.sin(angle), out=draws[half:])
-    return draws[:count].reshape(shape)
+    per_row = count // rows
+    half = (per_row + 1) // 2
+    uniforms = rng.random((rows, 2 * half))
+    radius = np.sqrt(-2.0 * np.log(1.0 - uniforms[:, :half]))  # 1 - U in (0, 1]
+    angle = 2.0 * np.pi * uniforms[:, half:]
+    draws = np.empty((rows, 2 * half))
+    np.multiply(radius, np.cos(angle), out=draws[:, :half])
+    np.multiply(radius, np.sin(angle), out=draws[:, half:])
+    return draws[:, :per_row].reshape(shape)
 
 
 def chi_square(rng: np.random.Generator, dof: float | np.ndarray) -> np.ndarray:

@@ -483,15 +483,19 @@ class TestFiniteMatchesPopulationAtLargeSamples:
 
 
 class TestRoundBlocks:
-    def test_population_block_is_successive_head_draws(self) -> None:
-        env = _env(d=6, k=2, seed=24)
-        hp = _hp(Algorithm.FO_ANIL, n=3)
-        block = _sample_rounds(env, hp, substream(24, 0, "tasks"), 5)
-        rng = substream(24, 0, "tasks")
-        assert len(block) == 5
+    # In the second case n k = 9 is odd, so each round's draw trims a variate.
+    @pytest.mark.parametrize("k, n, count", [(2, 3, 5), (3, 3, 15)])
+    def test_population_block_is_successive_head_draws(self, k: int, n: int, count: int) -> None:
+        env = _env(d=6, k=k, seed=24)
+        hp = _hp(Algorithm.FO_ANIL, n=n)
+        rng, reference = substream(24, 0, "tasks"), substream(24, 0, "tasks")
+        block = _sample_rounds(env, hp, rng, count)
+        assert len(block) == count
         for batch in block:
-            np.testing.assert_array_equal(batch.heads, sample_task_batch(env, 3, rng).heads)
+            want = sample_task_batch(env, n, reference).heads
+            assert np.array_equal(batch.heads.view(np.uint64), want.view(np.uint64))
             assert batch.inner_sets is None and batch.outer_sets is None
+        assert np.array_equal(rng.random(4), reference.random(4))
 
     def test_round_stacks_inner_then_outer_sets(self) -> None:
         env = _env(d=6, k=2, seed=21, noise_std=0.1)
@@ -533,9 +537,9 @@ class TestRoundBlocks:
         counts = {"normal": 0, "chi2": 0}
         normal, chi2 = linrep.env.standard_normal, linrep.env.chi_square
 
-        def counting_normal(rng, shape):
+        def counting_normal(rng, shape, *, rows=1):
             counts["normal"] += int(np.prod(shape))
-            return normal(rng, shape)
+            return normal(rng, shape, rows=rows)
 
         def counting_chi2(rng, dof):
             counts["chi2"] += int(np.size(dof))
@@ -559,19 +563,19 @@ class TestRoundBlocks:
         # n = 10, d = 20 gives blocks of 4 rounds; 10 rounds are 4 + 4 + 2.
         d, n, iters = 20, 10, 9
         assert _BLOCK_FLOATS // (n * d * d) == 4
-        heads_calls: list[int] = []
+        head_rows: list[int] = []
         set_rows: list[int] = []
-        draw_heads, draw_sets = linrep.algorithms.sample_task_batch, linrep.algorithms.sample_dataset
+        draw_heads, draw_sets = linrep.algorithms._round_heads, linrep.algorithms.sample_dataset
 
-        def counting_heads(env, n, rng):
-            heads_calls.append(n)
-            return draw_heads(env, n, rng)
+        def counting_heads(env, rounds, n, rng):
+            head_rows.append(rounds * n)
+            return draw_heads(env, rounds, n, rng)
 
         def counting_sets(env, heads, m, rng):
             set_rows.append(len(heads))
             return draw_sets(env, heads, m, rng)
 
-        monkeypatch.setattr(linrep.algorithms, "sample_task_batch", counting_heads)
+        monkeypatch.setattr(linrep.algorithms, "_round_heads", counting_heads)
         monkeypatch.setattr(linrep.algorithms, "sample_dataset", counting_sets)
         env = _env(d=d, k=3, seed=26, noise_std=0.1)
         hp = _hp(Algorithm.FO_ANIL, mode, n=n, iters=iters, m_in=30, m_out=30)
@@ -579,7 +583,7 @@ class TestRoundBlocks:
         result = run_trajectory(env, hp, init, substream(26, 0, "tasks"), record_every=3)
         assert not result.diverged
         assert [r.t for r in result.trajectory] == [0, 3, 6, 9]
-        assert heads_calls == [n] * (iters + 1)
+        assert head_rows == [4 * n, 4 * n, 2 * n]
         expected = [4 * n, 4 * n, 4 * n, 4 * n, 2 * n, 2 * n] if mode is Mode.FINITE else []
         assert set_rows == expected
 
@@ -667,6 +671,31 @@ class TestRunTrajectory:
         rep, head = params.rep.copy(), params.head.copy()
         (rep if where == "rep" else head)[-1] = bad
         assert _is_diverged(ModelParams(rep, head), rep_limit=1e6)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_initial_representation_diverges_at_zero(self, bad: float) -> None:
+        env = _env(d=6, k=2, seed=29)
+        hp = _hp(Algorithm.FO_ANIL, iters=20)
+        init = init_model(env, hp.alpha, InitScheme.SPEC, substream(29, 0, "init"))
+        rep = init.rep.copy()
+        rep[0, 0] = bad
+        result = run_trajectory(env, hp, ModelParams(rep, init.head), substream(29, 0, "tasks"))
+        assert result.diverged and result.diverged_at == 0
+        assert result.trajectory == () and result.head_stats is None
+        assert np.array_equal(result.final_params.rep, rep, equal_nan=True)
+
+    @pytest.mark.parametrize("algo", ALL_ALGOS, ids=lambda a: a.value)
+    def test_overflowing_head_diverges_without_warning(self, algo: Algorithm) -> None:
+        env = _env(d=6, k=2, seed=30)
+        hp = _hp(algo, iters=20)
+        init = init_model(env, hp.alpha, InitScheme.SPEC, substream(30, 0, "init"))
+        huge = ModelParams(init.rep, np.full(2, 1e200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_trajectory(env, hp, huge, substream(30, 0, "tasks"), record_every=5)
+        assert result.diverged and result.diverged_at == 1
+        assert [r.t for r in result.trajectory] == [0]
+        assert result.trajectory[0].w_norm == math.inf
 
     @pytest.mark.parametrize("blow_up", [False, True], ids=["collapse-only", "then-diverge"])
     def test_mid_run_collapse_truncates_at_its_record(self, blow_up: bool, monkeypatch) -> None:

@@ -54,6 +54,16 @@ class TestQrOrthonormalize:
         with pytest.raises(np.linalg.LinAlgError, match="ratio"):
             qr_orthonormalize(M)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_raises_linalg_error(self, bad: float) -> None:
+        M = _random_matrix(np.random.default_rng(3), 6, 2)
+        M[0, 0] = bad
+        with pytest.raises(np.linalg.LinAlgError):
+            qr_orthonormalize(M)
+        stack = np.stack([_random_matrix(np.random.default_rng(4), 6, 2), M])
+        with pytest.raises(np.linalg.LinAlgError):
+            qr_orthonormalize(stack)
+
 
 class TestOrthComplement:
     def test_completes_basis_with_tiny_cross_products(self) -> None:

@@ -47,6 +47,31 @@ def test_standard_normal_is_the_two_draw_transform_bitwise(count: int) -> None:
     assert np.array_equal(rng.random(4), reference.random(4))
 
 
+@pytest.mark.parametrize("rows", [1, 2, 13])
+@pytest.mark.parametrize("per_row", [1, 9, 21])
+def test_rows_are_successive_two_draw_transforms_bitwise(per_row: int, rows: int) -> None:
+    rng, reference = substream(9, per_row, rows, "bm"), substream(9, per_row, rows, "bm")
+    draws = standard_normal(rng, (rows, per_row), rows=rows)
+    want = np.stack([box_muller_two_calls(reference, per_row) for _ in range(rows)])
+    assert draws.shape == want.shape == (rows, per_row)
+    assert np.array_equal(draws.view(np.uint64), want.view(np.uint64))
+    # Both leave the stream at the same place.
+    assert np.array_equal(rng.random(4), reference.random(4))
+
+
+def test_rows_fill_any_shape_in_c_order() -> None:
+    draws = standard_normal(substream(9, "shape"), (5, 3, 3), rows=5)
+    flat = standard_normal(substream(9, "shape"), (5, 9), rows=5)
+    assert draws.shape == (5, 3, 3)
+    np.testing.assert_array_equal(draws.reshape(5, 9), flat)
+
+
+@pytest.mark.parametrize("rows", [0, -1, 4])
+def test_rows_must_divide_the_variates(rows: int) -> None:
+    with pytest.raises(ValueError, match="rows"):
+        standard_normal(substream(9, "rows"), (3, 3), rows=rows)
+
+
 def test_standard_normal_moments_match_gaussian() -> None:
     m = 200_000
     draws = standard_normal(substream(99, 0, "moments"), m)
