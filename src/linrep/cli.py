@@ -56,33 +56,36 @@ def _build_parser() -> _Parser:
         prog="linrep",
         description="Multi-task linear representation learning experiments.",
     )
-    common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="override the config master seed")
-    common.add_argument(
+    # Each subcommand takes only the flags its handler reads.
+    seed = _Parser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None, help="override the config master seed")
+    jobs = _Parser(add_help=False)
+    jobs.add_argument(
         "--jobs", type=_positive_int, default=1,
         help="trial worker processes, at most one per trial and CPU (default 1)",
     )
-    common.add_argument("--out", type=Path, default=None, help="override the output directory")
+    out = _Parser(add_help=False)
+    out.add_argument("--out", type=Path, default=None, help="override the output directory")
 
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    run_p = sub.add_parser("run", parents=[common], help="run the configured trials")
+    run_p = sub.add_parser("run", parents=[seed, jobs, out], help="run the configured trials")
     run_p.add_argument("config", type=Path)
     run_p.set_defaults(handler=_cmd_run)
 
     grad_p = sub.add_parser(
-        "gradcheck", parents=[common], help="compare outer gradients to finite differences"
+        "gradcheck", parents=[seed], help="compare outer gradients to finite differences"
     )
     grad_p.add_argument("config", type=Path)
     grad_p.set_defaults(handler=_cmd_gradcheck)
 
     hyp_p = sub.add_parser(
-        "hypcheck", parents=[common], help="evaluate trajectory-condition margins"
+        "hypcheck", parents=[seed, out], help="evaluate trajectory-condition margins"
     )
     hyp_p.add_argument("config", type=Path)
     hyp_p.set_defaults(handler=_cmd_hypcheck)
 
-    sweep_p = sub.add_parser("sweep", parents=[common], help="sweep one hyperparameter")
+    sweep_p = sub.add_parser("sweep", parents=[seed, jobs, out], help="sweep one hyperparameter")
     sweep_p.add_argument("config", type=Path)
     sweep_p.add_argument(
         "--axis", required=True, choices=[axis.value for axis in SweepAxis]

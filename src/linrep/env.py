@@ -7,10 +7,11 @@ a Gaussian, and independent Gaussian label noise ``z``.
 
 Finite samples are kept as their sufficient statistics: every empirical
 loss and gradient of the package reads a task's ``(X, y)`` only through
-``X^T X / m``, ``X^T y / m`` and ``y^T y / m``.  For ``m >= d`` the sampler
-draws these directly, in ``O(d^2)`` work whatever ``m`` is, from the Bartlett
+``X^T X / m``, ``X^T y / m`` and ``y^T y / m``.  The sampler draws these
+directly, in ``O(d^2)`` work whatever ``m`` is, from the Bartlett
 decomposition of the Wishart matrix ``X^T X`` (Smith and Hocking 1972,
-algorithm AS 53); raw inputs are formed only when ``m < d``.
+algorithm AS 53), in its singular form when ``m < d`` (Srivastava 2003,
+Ann. Statist. 31(5)); raw inputs are never formed.
 """
 from __future__ import annotations
 
@@ -157,7 +158,15 @@ class DataSet:
     def __getitem__(self, i: int | slice) -> DataSet:
         if self.cov.ndim != 3:
             raise TypeError("only a stacked DataSet can be indexed by task")
-        return DataSet(cov=self.cov[i], xty=self.xty[i], yty=self.yty[i], m=self.m)
+        cov = self.cov[i]
+        if cov.ndim == 3 and cov.shape[0] < 1:
+            raise ValueError("a stacked DataSet needs at least one task")
+        # Rows of a validated stack are valid: skip ``__post_init__``'s scans.
+        part = object.__new__(DataSet)
+        for name, value in (("cov", cov), ("xty", self.xty[i]), ("yty", self.yty[i, ...]),
+                            ("m", self.m)):
+            object.__setattr__(part, name, value)
+        return part
 
 
 @dataclass(frozen=True)
@@ -271,22 +280,20 @@ def sample_dataset(
     rounds' heads stacked round after round and gives round ``r`` the rows
     ``r n : (r + 1) n``, so one call draws one side of the whole block.
 
-    For ``m >= d`` the statistics are drawn exactly without forming ``X``.
-    With ``X = Q R`` (``Q`` Haar, independent of ``R``), ``L = R^T`` is the
-    lower-triangular Bartlett factor of ``W = X^T X``: ``L_jj`` is
-    ``sqrt(chi2(m - j))`` for ``j = 0..d-1`` and the entries below the
-    diagonal are ``N(0, 1)``.  Then ``X^T z = L g`` with ``g = Q^T z ~
-    N(0, I_d)`` and ``||z||^2 = ||g||^2 + chi2(m - d)``, all independent.
-    The stream is consumed by two calls: ``n x (d + 1)`` chi-squares (per
-    task the ``d`` diagonal ones, then the one of ``m - d`` dof), then
-    ``n x (d(d-1)/2 + d)`` normals (per task the below-diagonal entries in
-    row-major order, then ``g``); only the chi-square sampler's rejection
-    retries depend on ``m``.
-
-    For ``m < d`` the ``n x m x d`` inputs are drawn, then the ``n x m``
-    noise, and reduced by ``DataSet.from_samples``.  Both branches draw the
-    noise variates even when ``noise_std == 0``, so input draws are
-    identical across noise settings under the same stream.
+    The statistics are drawn exactly without forming ``X``.  With
+    ``X^T = L Q^T`` (``Q`` an ``m x min(m, d)`` Haar frame, independent of
+    ``L``), ``L`` is the lower-triangular Bartlett factor of ``W = X^T X``:
+    ``L_jj`` is ``sqrt(chi2(max(m - j, 0)))`` for ``j = 0..d-1``, the entries
+    below the diagonal are ``N(0, 1)``, and when ``m < d`` the columns
+    ``m..d-1`` are zero, so ``W`` has rank ``min(m, d)``.  Then ``X^T z = L g``
+    with ``g ~ N(0, I_d)`` (of which ``L`` reads the first ``min(m, d)``
+    entries) and ``||z||^2 = ||g[:m]||^2 + chi2(max(m - d, 0))``, all
+    independent.  The stream is consumed by two calls: ``n x (d + 1)``
+    chi-squares (per task the ``d`` diagonal ones, then the remainder; a
+    zero-dof one is exactly 0 and draws nothing), then ``n x (d(d-1)/2 + d)``
+    normals (per task the below-diagonal entries in row-major order, then
+    ``g``), drawn whatever ``m`` and ``noise_std`` are; only the chi-square
+    sampler's rejection retries depend on ``m``.
     """
     if m < 1:
         raise ValueError(f"need at least one sample, got m={m}")
@@ -295,20 +302,16 @@ def sample_dataset(
         raise ValueError(f"heads must have shape (n, {env.k}), got {heads.shape}")
     n, d, sigma = heads.shape[0], env.d, env.noise_std
     betas = heads @ env.ground_truth_rep.T  # row i is B* w*_i
-    if m < d:
-        inputs = standard_normal(rng, (n, m, d))
-        noise = sigma * standard_normal(rng, (n, m))
-        return DataSet.from_samples(inputs, np.einsum("nmd,nd->nm", inputs, betas) + noise)
-
-    chi2 = chi_square(rng, np.broadcast_to(m - np.arange(d + 1), (n, d + 1)))
+    chi2 = chi_square(rng, np.broadcast_to(np.maximum(m - np.arange(d + 1), 0), (n, d + 1)))
     below = d * (d - 1) // 2
     normals = standard_normal(rng, (n, below + d))
     factor = np.zeros((n, d, d))
     factor[:, np.tri(d, k=-1, dtype=bool)] = normals[:, :below]  # row-major
+    factor[:, :, m:] = 0.0  # rank m when m < d
     diagonal = np.arange(d)
     factor[:, diagonal, diagonal] = np.sqrt(chi2[:, :d])
     g = normals[:, below:]
-    z_sq = np.einsum("nd,nd->n", g, g) + chi2[:, d]
+    z_sq = np.einsum("nd,nd->n", g[:, :m], g[:, :m]) + chi2[:, d]
 
     wishart = factor @ np.swapaxes(factor, 1, 2)
     w_beta = np.einsum("nij,nj->ni", wishart, betas)

@@ -509,7 +509,7 @@ class TestRoundBlocks:
         np.testing.assert_array_equal(batch.inner_sets.cov, sample_dataset(env, heads, 12, rng).cov)
         np.testing.assert_array_equal(batch.outer_sets.yty, sample_dataset(env, heads, 30, rng).yty)
 
-    @pytest.mark.parametrize("m_in", [4, 12], ids=["raw-inputs", "bartlett"])
+    @pytest.mark.parametrize("m_in", [4, 12], ids=["m<d", "m>=d"])
     def test_block_rounds_read_rows_of_one_draw_per_side(self, m_in: int) -> None:
         env = _env(d=6, k=2, seed=25, noise_std=0.1)
         count, n = 3, 4
@@ -550,13 +550,29 @@ class TestRoundBlocks:
         d, k, n, count = 6, 2, 4, 3
         env = _env(d=d, k=k, seed=22, noise_std=0.1)
         seen = set()
-        for m_in, m_out in ((d, d), (4 * d, 1000), (100_000, 4 * d)):
+        for m_in, m_out in ((1, d - 1), (d, d), (4 * d, 1000), (100_000, 4 * d)):
             counts.update(normal=0, chi2=0)
             hp = _hp(Algorithm.FO_ANIL, Mode.FINITE, n=n, m_in=m_in, m_out=m_out)
             _sample_rounds(env, hp, substream(22, m_in, m_out), count)
             seen.add((counts["normal"], counts["chi2"]))
         per_round = (n * k + 2 * n * (d * (d - 1) // 2 + d), 2 * n * (d + 1))
         assert seen == {(count * per_round[0], count * per_round[1])}
+
+    def test_block_validates_each_side_once(self, monkeypatch) -> None:
+        # A round's sets are rows of its block's validated draws.
+        calls = []
+        validate = DataSet.__post_init__
+
+        def counting_validate(self) -> None:
+            calls.append(self.m)
+            validate(self)
+
+        monkeypatch.setattr(DataSet, "__post_init__", counting_validate)
+        env = _env(d=6, k=2, seed=27, noise_std=0.1)
+        hp = _hp(Algorithm.FO_ANIL, Mode.FINITE, n=4, m_in=3, m_out=30)
+        block = _sample_rounds(env, hp, substream(27, 0, "tasks"), 5)
+        assert len(block) == 5 and block[-1].outer_sets.m == 30
+        assert calls == [3, 30]
 
     @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
     def test_run_draws_exactly_its_rounds_in_trimmed_blocks(self, mode: Mode, monkeypatch) -> None:

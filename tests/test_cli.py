@@ -208,6 +208,19 @@ class TestPlotCommand:
 
 
 class TestParser:
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("gradcheck", ["--jobs", "2"]), ("gradcheck", ["--out", "x"]), ("hypcheck", ["--jobs", "2"])],
+        ids=["gradcheck-jobs", "gradcheck-out", "hypcheck-jobs"],
+    )
+    def test_flag_the_command_does_not_read_exits_one(self, tmp_path, capsys, command, flag):
+        cfg = _write_config(tmp_path)
+        assert main([command, str(cfg), *flag]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: linrep")
+        assert f"unrecognized arguments: {flag[0]}" in err
+
+
     def test_no_command_exits_one(self, capsys):
         assert main([]) == 1
         assert capsys.readouterr().err != ""

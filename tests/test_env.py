@@ -92,7 +92,7 @@ class TestSampleDataset:
         ds = sample_dataset(env, np.zeros((1, 2)), m=m, rng=substream(3, 0, "data"))[0]
         assert np.abs(ds.cov - np.eye(d)).max() <= 5.0 / np.sqrt(m)
 
-    @pytest.mark.parametrize("m", [5, 500], ids=["raw", "bartlett"])
+    @pytest.mark.parametrize("m", [5, 500], ids=["m<d", "m>=d"])
     def test_noiseless_labels_are_exact_linear_responses(self, m: int) -> None:
         env = _env(d=8, k=3, noise_std=0.0)
         head = np.array([1.0, -2.0, 0.5])
@@ -190,7 +190,9 @@ class TestSampleDataset:
         with pytest.raises(ValueError, match="one data set per task"):
             TaskBatch(heads=np.zeros((1, 2)), outer_sets=sets[0])
 
-    @pytest.mark.parametrize("m", [3, 5, 20], ids=["raw-m=d-2", "bartlett-m=d", "bartlett-m=4d"])
+    @pytest.mark.parametrize(
+        "m", [1, 3, 5, 20], ids=["m<d-m=1", "m<d-m=d-2", "m>=d-m=d", "m>=d-m=4d"]
+    )
     def test_statistics_moments_match_raw_monte_carlo(self, m: int) -> None:
         # Seeds and the 5-standard-error tolerance were fixed before the
         # first run.  Means and variances of every entry of (S, b, y^T y/m)
@@ -233,19 +235,20 @@ class TestSampleDataset:
             assert np.all(np.abs(mean_s - theory_mean[name]) <= 5.0 * mean_se_s), name
             assert np.all(np.abs(var_s - theory_var[name]) <= 5.0 * var_se_s), name
 
-    def test_raw_fallback_draws_inputs_then_noise(self) -> None:
-        # Below d samples the inputs are drawn (n x m x d), then the noise.
-        d, n, m, sigma = 6, 4, 4, 0.1
-        env = _env(d=d, k=2, noise_std=sigma)
-        heads = np.ones((n, 2))
-        ds = sample_dataset(env, heads, m, substream(7, 0, "fallback"))
-        rng = substream(7, 0, "fallback")
-        X = standard_normal(rng, (n, m, d))
-        y = X @ (env.ground_truth_rep @ heads[0]) + sigma * standard_normal(rng, (n, m))
-        want = DataSet.from_samples(X, y)
-        np.testing.assert_allclose(ds.cov, want.cov, rtol=1e-14, atol=1e-14)
-        np.testing.assert_allclose(ds.xty, want.xty, rtol=1e-14, atol=1e-14)
-        np.testing.assert_allclose(ds.yty, want.yty, rtol=1e-14, atol=1e-14)
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_few_samples_give_rank_m_statistics(self, m: int) -> None:
+        # Below d samples X^T X has rank m, and X^T y = X^T (X beta + s z)
+        # lies in the row space of X, the range of the covariance.
+        d, n = 6, 50
+        env = _env(d=d, k=2, noise_std=0.5)
+        heads = standard_normal(substream(8, m, "heads"), (n, 2))
+        ds = sample_dataset(env, heads, m, substream(8, m, "rank"))
+        for i in range(n):
+            eigenvalues, vectors = np.linalg.eigh(ds.cov[i])
+            null = eigenvalues <= 1e-12 * eigenvalues[-1]
+            assert int((~null).sum()) == m
+            along_null = vectors[:, null].T @ ds.xty[i]
+            assert np.abs(along_null).max() <= 1e-12 * np.linalg.norm(ds.xty[i])
 
 
 class TestDiversityStats:

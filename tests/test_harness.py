@@ -322,6 +322,28 @@ class TestGradCheck:
         assert report.passed
         assert max(report.max_rel_err_head, report.max_rel_err_rep) <= 1e-5
 
+    @pytest.mark.parametrize("m_in, m_out", [(1, 2), (3, 5)])
+    @pytest.mark.parametrize("algo", [a.value for a in Algorithm])
+    def test_finite_passes_with_fewer_samples_than_dimensions(
+        self, algo: str, m_in: int, m_out: int
+    ) -> None:
+        # d = 6: every sampled covariance is rank deficient.
+        cfg = ExperimentConfig.model_validate(
+            _base_dict(
+                **{
+                    "hp.algo": algo,
+                    "hp.mode": "FINITE",
+                    "hp.m_in": m_in,
+                    "hp.m_out": m_out,
+                    "hp.iters": 5,
+                    "env.noise_std": 0.1,
+                }
+            )
+        )
+        report = gradcheck(cfg)
+        assert report.passed
+        assert max(report.max_rel_err_head, report.max_rel_err_rep) <= 1e-5
+
     def test_large_dimension_rejected(self) -> None:
         cfg = ExperimentConfig.model_validate(_base_dict(**{"env.d": 12}))
         with pytest.raises(ConfigError, match="d"):
