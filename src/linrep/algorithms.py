@@ -435,61 +435,6 @@ def _records(
     ]
 
 
-class _Recorder:
-    """A run's records, built a chunk at a time.
-
-    ``keep`` copies a scheduled record's snapshot into preallocated arrays;
-    every ``_RECORD_CHUNK`` snapshots, and at ``flush``, one stacked pass
-    (``_records``) turns the pending ones into records.  A collapsed
-    representation ends the records: ``collapsed`` then holds the
-    iteration and parameters of its snapshot, and is None until then.
-    """
-
-    def __init__(self, env: TaskEnvironment, hp: HyperParams, perp: np.ndarray) -> None:
-        self._env, self._perp, self._alpha = env, perp, hp.alpha
-        size, d, k, n = _RECORD_CHUNK, env.d, env.k, hp.n
-        self._pending = _Snapshots(
-            np.zeros(size, dtype=np.int64),
-            np.empty((size, d, k)),
-            np.empty((size, k)),
-            np.empty((size, n, k)),
-            np.empty((size, n, k)),
-        )
-        self._stats: list[DiversityStats] = []  # running statistics, pending
-        self.records: list[TrajectoryRecord] = []
-        self.running: list[DiversityStats] = []
-        self.collapsed: tuple[int, ModelParams] | None = None
-
-    def keep(
-        self,
-        t: int,
-        params: ModelParams,
-        outcome: StepOutcome,
-        batch: TaskBatch,
-        stats: DiversityStats,
-    ) -> None:
-        """Keep record ``t``'s snapshot, with the running statistics."""
-        row = len(self._stats)
-        values = (t, params.rep, params.head, outcome.adapted_heads, batch.heads)
-        for column, value in zip(self._pending, values):
-            column[row] = value
-        self._stats.append(stats)
-        if row + 1 == _RECORD_CHUNK:
-            self.flush()
-
-    def flush(self) -> None:
-        """Record the pending snapshots, up to one that has collapsed."""
-        pending = self._pending.first(len(self._stats))
-        done = _records(pending, self._env, self._perp, self._alpha)
-        self.records.extend(done)
-        self.running.extend(self._stats[: len(done)])
-        self._stats.clear()
-        if len(done) < len(pending.t):
-            row = len(done)
-            params = ModelParams(rep=pending.rep[row].copy(), head=pending.head[row].copy())
-            self.collapsed = (int(pending.t[row]), params)
-
-
 def run_trajectory(
     env: TaskEnvironment,
     hp: HyperParams,
@@ -511,13 +456,42 @@ def run_trajectory(
     if record_every < 1:
         raise ValueError(f"record_every must be at least 1, got {record_every}")
     step = step_for(hp)
-    recorder = _Recorder(env, hp, orth_complement(env.ground_truth_rep))
+    perp = orth_complement(env.ground_truth_rep)
     rep_limit = _DIVERGENCE_NORM / math.sqrt(hp.alpha)
+    # Snapshots of scheduled records not yet recorded, with their running
+    # diversity statistics.
+    pending = _Snapshots(
+        np.zeros(_RECORD_CHUNK, dtype=np.int64),
+        np.empty((_RECORD_CHUNK, env.d, env.k)),
+        np.empty((_RECORD_CHUNK, env.k)),
+        np.empty((_RECORD_CHUNK, hp.n, env.k)),
+        np.empty((_RECORD_CHUNK, hp.n, env.k)),
+    )
+    pending_stats: list[DiversityStats] = []
+    records: list[TrajectoryRecord] = []
+    running: list[DiversityStats] = []
 
     mu_sq = eta = math.inf
     L_sq = L_max = -math.inf
     params = init
     diverged_at: int | None = None
+
+    def flush() -> bool:
+        """Record the pending snapshots, up to one whose representation has
+        collapsed; at such a snapshot the run ends: its iteration is
+        ``diverged_at`` and its parameters are the final ones."""
+        nonlocal params, diverged_at
+        kept = pending.first(len(pending_stats))
+        done = _records(kept, env, perp, hp.alpha)
+        records.extend(done)
+        running.extend(pending_stats[: len(done)])
+        pending_stats.clear()
+        if len(done) == len(kept.t):
+            return False
+        row = len(done)
+        diverged_at = int(kept.t[row])
+        params = ModelParams(rep=kept.rep[row].copy(), head=kept.head[row].copy())
+        return True
 
     # A diverging run overflows in its steps, its divergence checks and its
     # records; it is declared divergent (or records NaN) rather than warning.
@@ -528,9 +502,14 @@ def run_trajectory(
             eta, L_max = min(eta, stats.eta), max(L_max, stats.L_max)
             outcome = step(params, env, batch, hp)
             if t % record_every == 0 or t == hp.iters:
-                running = DiversityStats(mu_sq=mu_sq, L_sq=L_sq, eta=eta, L_max=L_max)
-                recorder.keep(t, params, outcome, batch, running)
-                if recorder.collapsed is not None:
+                row = len(pending_stats)
+                values = (t, params.rep, params.head, outcome.adapted_heads, batch.heads)
+                for column, value in zip(pending, values):
+                    column[row] = value
+                pending_stats.append(
+                    DiversityStats(mu_sq=mu_sq, L_sq=L_sq, eta=eta, L_max=L_max)
+                )
+                if row + 1 == _RECORD_CHUNK and flush():
                     break
             if t == hp.iters:
                 break
@@ -538,16 +517,13 @@ def run_trajectory(
             if _is_diverged(params, rep_limit):
                 diverged_at = t + 1
                 break
-        if recorder.collapsed is None:
-            recorder.flush()
-    if recorder.collapsed is not None:
-        diverged_at, params = recorder.collapsed
+        flush()
 
     return RunResult(
-        trajectory=tuple(recorder.records),
+        trajectory=tuple(records),
         final_params=params,
         diverged=diverged_at is not None,
         diverged_at=diverged_at,
-        head_stats=recorder.running[-1] if recorder.running else None,
-        gt_stats_running=tuple(recorder.running),
+        head_stats=running[-1] if running else None,
+        gt_stats_running=tuple(running),
     )

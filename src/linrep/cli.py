@@ -27,20 +27,6 @@ from .harness import (
 _VIOLATION_KEYS = ("A1", "A2", "A3", "A4", "A5", "A6")
 
 
-class _UsageError(Exception):
-    def __init__(self, usage: str, message: str) -> None:
-        super().__init__(message)
-        self.usage = usage
-
-
-class _Parser(argparse.ArgumentParser):
-    """Argument parser that reports usage problems as exit code 1 instead
-    of argparse's default 2 (reserved here for check failures)."""
-
-    def error(self, message: str) -> None:  # type: ignore[override]
-        raise _UsageError(self.format_usage(), message)
-
-
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -51,39 +37,39 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
         prog="linrep",
         description="Multi-task linear representation learning experiments.",
     )
     # Each subcommand takes only the flags its handler reads.
-    seed = _Parser(add_help=False)
+    seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=None, help="override the config master seed")
-    jobs = _Parser(add_help=False)
+    jobs = argparse.ArgumentParser(add_help=False)
     jobs.add_argument(
         "--jobs", type=_positive_int, default=1,
         help="trial worker processes, at most one per trial and CPU (default 1)",
     )
-    out = _Parser(add_help=False)
+    out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", type=Path, default=None, help="override the output directory")
 
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     run_p = sub.add_parser("run", parents=[seed, jobs, out], help="run the configured trials")
     run_p.add_argument("config", type=Path)
-    run_p.set_defaults(handler=_cmd_run)
+    run_p.set_defaults(handler=_cmd_run, parser=run_p)
 
     grad_p = sub.add_parser(
         "gradcheck", parents=[seed], help="compare outer gradients to finite differences"
     )
     grad_p.add_argument("config", type=Path)
-    grad_p.set_defaults(handler=_cmd_gradcheck)
+    grad_p.set_defaults(handler=_cmd_gradcheck, parser=grad_p)
 
     hyp_p = sub.add_parser(
         "hypcheck", parents=[seed, out], help="evaluate trajectory-condition margins"
     )
     hyp_p.add_argument("config", type=Path)
-    hyp_p.set_defaults(handler=_cmd_hypcheck)
+    hyp_p.set_defaults(handler=_cmd_hypcheck, parser=hyp_p)
 
     sweep_p = sub.add_parser("sweep", parents=[seed, jobs, out], help="sweep one hyperparameter")
     sweep_p.add_argument("config", type=Path)
@@ -91,12 +77,12 @@ def _build_parser() -> _Parser:
         "--axis", required=True, choices=[axis.value for axis in SweepAxis]
     )
     sweep_p.add_argument("--values", required=True, help="comma-separated values, e.g. 50,200,800")
-    sweep_p.set_defaults(handler=_cmd_sweep)
+    sweep_p.set_defaults(handler=_cmd_sweep, parser=sweep_p)
 
     plot_p = sub.add_parser("plot", parents=[], help="render a trajectory CSV as SVG")
     plot_p.add_argument("csv", type=Path)
     plot_p.add_argument("-o", "--out", dest="out_svg", type=Path, required=True)
-    plot_p.set_defaults(handler=_cmd_plot)
+    plot_p.set_defaults(handler=_cmd_plot, parser=plot_p)
     return parser
 
 
@@ -193,15 +179,20 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    # Usage errors exit 1 (argparse's status 2 is reserved here for check
+    # failures) and show the usage line of the subcommand they concern,
+    # which lists the flags it does take; ``--help`` exits 0 as usual.
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(exc.usage, end="", file=sys.stderr)
-        print(f"error: {exc}", file=sys.stderr)
+        args, unknown = parser.parse_known_args(argv)
+        if unknown:
+            args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    except SystemExit as exc:
+        if exc.code == 0:
+            raise
         return 1
     try:
         return args.handler(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -94,10 +94,15 @@ class ConfigError(ValueError):
 # Configuration schema
 # --------------------------------------------------------------------------
 
-class EnvConfig(BaseModel):
-    """Task environment block."""
+class _Block(BaseModel):
+    """Config block policy: unknown keys, mutation and non-finite numbers
+    are rejected."""
 
     model_config = ConfigDict(extra="forbid", frozen=True, allow_inf_nan=False)
+
+
+class EnvConfig(_Block):
+    """Task environment block."""
 
     d: int = Field(ge=2)
     k: int = Field(ge=1)
@@ -116,11 +121,9 @@ class EnvConfig(BaseModel):
         return self
 
 
-class HpConfig(BaseModel):
+class HpConfig(_Block):
     """Algorithm and step-size block; ``alpha`` may be the literal "auto"
     to request the horizon-matched inner step size."""
-
-    model_config = ConfigDict(extra="forbid", frozen=True, allow_inf_nan=False)
 
     algo: Algorithm
     mode: Mode
@@ -144,10 +147,8 @@ class HpConfig(BaseModel):
         return self
 
 
-class InitConfig(BaseModel):
+class InitConfig(_Block):
     """Initialization block."""
-
-    model_config = ConfigDict(extra="forbid", frozen=True, allow_inf_nan=False)
 
     scheme: InitScheme = InitScheme.SPEC
     target_band: tuple[float, float] | None = None
@@ -163,10 +164,8 @@ class InitConfig(BaseModel):
         return self
 
 
-class RunConfig(BaseModel):
+class RunConfig(_Block):
     """Trial-count, seeding, and output block."""
-
-    model_config = ConfigDict(extra="forbid", frozen=True, allow_inf_nan=False)
 
     trials: int = Field(default=5, ge=1)
     master_seed: int = Field(default=0, ge=0)
@@ -174,20 +173,16 @@ class RunConfig(BaseModel):
     output_dir: str = "out"
 
 
-class ChecksConfig(BaseModel):
+class ChecksConfig(_Block):
     """Optional checks attached to a run."""
-
-    model_config = ConfigDict(extra="forbid", frozen=True, allow_inf_nan=False)
 
     gradcheck: bool = False
     hypcheck: bool = False
     hyp_constant_C_A1: float = Field(default=1.0, gt=0.0)
 
 
-class ExperimentConfig(BaseModel):
+class ExperimentConfig(_Block):
     """Complete experiment description (the JSON file's top level)."""
-
-    model_config = ConfigDict(extra="forbid", frozen=True, allow_inf_nan=False)
 
     env: EnvConfig
     hp: HpConfig
@@ -240,16 +235,7 @@ def resolve_hyper(config: ExperimentConfig) -> HyperParams:
         alpha = rate_matched_alpha(config.env.k, l_star, hp.iters, hp.alpha_auto_constant)
     else:
         alpha = float(hp.alpha)
-    return HyperParams(
-        algo=hp.algo,
-        mode=hp.mode,
-        alpha=alpha,
-        beta=hp.beta,
-        n=hp.n,
-        iters=hp.iters,
-        m_in=hp.m_in,
-        m_out=hp.m_out,
-    )
+    return HyperParams(**hp.model_dump(exclude={"alpha", "alpha_auto_constant"}), alpha=alpha)
 
 
 # --------------------------------------------------------------------------
@@ -404,6 +390,13 @@ def _worker_count(jobs: int, trials: int) -> int:
     return min(jobs, trials, os.cpu_count() or 1)
 
 
+def _out_dir(config: ExperimentConfig, out_dir: str | Path | None) -> Path:
+    """``out_dir`` (default: the config's output_dir), created if missing."""
+    out = Path(out_dir) if out_dir is not None else Path(config.run.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def run_experiment(
     config: ExperimentConfig, *, out_dir: str | Path | None = None, jobs: int = 1
 ) -> ExperimentArtifacts:
@@ -419,8 +412,7 @@ def run_experiment(
     """
     _check_jobs(jobs)
     hp = resolve_hyper(config)  # surfaces alpha='auto' problems before any work
-    out = Path(out_dir) if out_dir is not None else Path(config.run.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(config, out_dir)
     trials = config.run.trials
     workers = _worker_count(jobs, trials)
     if workers > 1:
@@ -589,8 +581,7 @@ def hypcheck(config: ExperimentConfig, *, out_dir: str | Path | None = None) -> 
     trajectory-condition margins, and write hypotheses.csv."""
     result = _run_trial(config, 0, record_every=1)
     report = _hypothesis_report(config, resolve_hyper(config), result)
-    out = Path(out_dir) if out_dir is not None else Path(config.run.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(config, out_dir)
     csv_path = out / "hypotheses.csv"
     rows = zip(report.iters, report.a1, report.a2, report.a3,
                report.a4_lower, report.a4_upper, report.a5, report.a6)
@@ -652,8 +643,7 @@ def _plateau(results: tuple[RunResult, ...], iters: int) -> float | None:
     cutoff = 0.9 * iters
     values = [
         record.dist
-        for result in results
-        if not result.diverged
+        for result in _survivors(results)
         for record in result.trajectory
         if record.t >= cutoff
     ]
@@ -680,11 +670,11 @@ def sweep(
     axis = SweepAxis(axis)
     if axis in (SweepAxis.M_IN, SweepAxis.M_OUT) and config.hp.mode is not Mode.FINITE:
         raise ConfigError(f"{axis.value} sweep requires FINITE mode")
-    out = Path(out_dir) if out_dir is not None else Path(config.run.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(config, out_dir)
     cells: list[SweepCell] = []
     for value in values:
         label = _value_label(axis, value)
+        stats = dict(final_dist_mean=None, plateau_dist=None, diverged=None, error=None)
         try:
             cell_config = _cell_config(config, axis, value)
             artifacts = run_experiment(
@@ -692,27 +682,14 @@ def sweep(
                 out_dir=out / f"{axis.value.lower()}_{label}",
                 jobs=jobs,
             )
-            cells.append(
-                SweepCell(
-                    axis=axis,
-                    value=label,
-                    final_dist_mean=artifacts.summary["final_dist_mean"],
-                    plateau_dist=_plateau(artifacts.results, cell_config.hp.iters),
-                    diverged=artifacts.summary["diverged"],
-                    error=None,
-                )
+            stats.update(
+                final_dist_mean=artifacts.summary["final_dist_mean"],
+                plateau_dist=_plateau(artifacts.results, cell_config.hp.iters),
+                diverged=artifacts.summary["diverged"],
             )
         except Exception as exc:
-            cells.append(
-                SweepCell(
-                    axis=axis,
-                    value=label,
-                    final_dist_mean=None,
-                    plateau_dist=None,
-                    diverged=None,
-                    error=str(exc) or type(exc).__name__,
-                )
-            )
+            stats["error"] = str(exc) or type(exc).__name__
+        cells.append(SweepCell(axis=axis, value=label, **stats))
     csv_path = out / "sweep.csv"
     rows = ((c.axis.value, c.value, c.final_dist_mean, c.plateau_dist, c.diverged, c.error)
             for c in cells)
@@ -738,7 +715,9 @@ def emit_plot(csv_path: str | Path, out_path: str | Path) -> Path:
 
     x is the iteration, y is dist on a log10 scale clamped below at 1e-16;
     one polyline per trial plus a bold mean line when there are at least
-    two trials.
+    two trials.  A file that does not start with the trajectory header, or
+    a row whose first three fields are not integer ``t,trial`` and a finite
+    ``dist``, raises ``ValueError`` naming the file (and the line).
     """
     csv_path = Path(csv_path)
     lines = csv_path.read_text().splitlines()
@@ -747,11 +726,19 @@ def emit_plot(csv_path: str | Path, out_path: str | Path) -> Path:
             f"{csv_path} does not start with the trajectory header {TRAJECTORY_HEADER!r}"
         )
     series: dict[int, list[tuple[int, float]]] = {}
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         parts = line.split(",")
-        t, trial, dist = int(parts[0]), int(parts[1]), float(parts[2])
+        try:
+            t, trial, dist = int(parts[0]), int(parts[1]), float(parts[2])
+        except (IndexError, ValueError):
+            dist = math.nan
+        if not math.isfinite(dist):
+            raise ValueError(
+                f"{csv_path} line {number}: expected integer t and trial and a finite "
+                f"dist, got {line!r}"
+            )
         series.setdefault(trial, []).append((t, max(dist, _DIST_FLOOR)))
     if not series:
         raise ValueError(f"{csv_path} contains no data rows")

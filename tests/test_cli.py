@@ -74,6 +74,15 @@ class TestRunCommand:
         assert main(["run", str(tmp_path / "absent.json")]) == 1
         assert "absent.json" in capsys.readouterr().err
 
+    def test_out_naming_a_file_exits_one(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["run", str(cfg), "--out", str(taken)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "taken" in err
+
     def test_invalid_json_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -206,6 +215,21 @@ class TestPlotCommand:
         assert main(["plot", str(bad), "-o", str(tmp_path / "p.svg")]) == 1
         assert "header" in capsys.readouterr().err
 
+    def test_missing_csv_exits_one(self, tmp_path, capsys):
+        assert main(["plot", str(tmp_path / "absent.csv"), "-o", str(tmp_path / "p.svg")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "absent.csv" in err
+
+    @pytest.mark.parametrize("row", ["0,0", "0,0,far,0,0,0,0,0,1"], ids=["short", "non-numeric"])
+    def test_malformed_row_exits_one(self, tmp_path, capsys, row):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"{harness_module.TRAJECTORY_HEADER}\n{row}\n")
+        assert main(["plot", str(bad), "-o", str(tmp_path / "p.svg")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "line 2" in err
+
 
 class TestParser:
     @pytest.mark.parametrize(
@@ -217,9 +241,8 @@ class TestParser:
         cfg = _write_config(tmp_path)
         assert main([command, str(cfg), *flag]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("usage: linrep")
+        assert err.startswith(f"usage: linrep {command} ")
         assert f"unrecognized arguments: {flag[0]}" in err
-
 
     def test_no_command_exits_one(self, capsys):
         assert main([]) == 1

@@ -33,6 +33,7 @@ from linrep.harness import (
 from linrep.model import Algorithm, InitScheme, Mode, rate_matched_alpha
 
 TRAJECTORY_HEADER = "t,trial,dist,delta_norm,w_norm,psi_min,psi_max,bperp_norm,loss"
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 
 
 def _base_dict(**overrides) -> dict:
@@ -108,6 +109,13 @@ class TestConfigLoading:
         reparsed_path = tmp_path / "dumped.json"
         reparsed_path.write_text(text)
         assert load_config(reparsed_path) == original
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.stem)
+    def test_shipped_config_loads_and_dumps_to_its_own_bytes(self, path: Path) -> None:
+        assert dump_config(load_config(path)) == path.read_text()
+
+    def test_configs_are_shipped(self) -> None:
+        assert SHIPPED_CONFIGS, "no configs/*.json next to the tests"
 
     def test_vector_head_mean_length_checked(self, tmp_path: Path) -> None:
         with pytest.raises(ConfigError, match="head_mean"):
@@ -503,6 +511,19 @@ class TestEmitPlot:
         path.write_text("t,trial,dist\n0,0,1.0\n")
         with pytest.raises(ValueError, match="header"):
             emit_plot(path, tmp_path / "bad.svg")
+
+    @pytest.mark.parametrize(
+        "row",
+        ["10,0", "10,0,far,0,0,0,0,0,1", "ten,0,0.5,0,0,0,0,0,1", "10,0,inf,0,0,0,0,0,1",
+         "10,0,nan,0,0,0,0,0,1"],
+        ids=["short", "non-numeric-dist", "non-integer-t", "infinite-dist", "nan-dist"],
+    )
+    def test_malformed_row_rejected_naming_file_and_line(self, tmp_path: Path, row) -> None:
+        path = tmp_path / "rows.csv"
+        path.write_text(TRAJECTORY_HEADER + "\n0,0,0.9,0,0,0,0,0,1\n" + row + "\n")
+        with pytest.raises(ValueError, match=r"rows\.csv line 3"):
+            emit_plot(path, tmp_path / "rows.svg")
+        assert not (tmp_path / "rows.svg").exists()
 
     def test_empty_data_rejected(self, tmp_path: Path) -> None:
         path = tmp_path / "empty.csv"
