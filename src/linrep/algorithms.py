@@ -29,8 +29,9 @@ Recording is kept out of the step loop.  At a scheduled record the loop
 keeps a snapshot (the iteration, the parameters, the round's adapted heads
 and sampled heads, the running diversity statistics); every
 ``_RECORD_CHUNK`` snapshots, and once at the end of the run, ``_records``
-turns the pending ones into ``TrajectoryRecord``s with one stacked call of
-each geometry function of ``metrics`` (which take a leading stack axis).
+turns the pending ones into rows of the trajectory's record array with one
+stacked call of each geometry function of ``metrics`` (which take a leading
+stack axis); the run's chunks are joined once, when it ends.
 A stacked LAPACK call factors its matrices one by one, so every record has
 the bytes a call on its own matrix gives.  A representation that has
 collapsed at a record is found in that pass: the run is truncated there
@@ -42,6 +43,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -56,7 +58,6 @@ from .env import (
     sample_dataset,
 )
 from .metrics import (
-    TrajectoryRecord,
     delta_norm,
     orth_complement,
     principal_angle_dist,
@@ -97,22 +98,35 @@ class StepOutcome:
 class RunResult:
     """A recorded training trajectory.
 
-    ``trajectory`` contains one record per scheduled iteration, always
-    including iteration 0 and, for runs that do not diverge, the final
-    iteration.  ``gt_stats_running`` mirrors ``trajectory`` and holds the
-    running aggregate of the sampled task-diversity statistics (minimum
-    ``mu_sq``/``eta``, maximum ``L_sq``/``L_max`` over all rounds so far);
-    ``head_stats`` is its last entry.  Diverged runs are truncated: no
-    record describes a divergent state, and ``diverged_at`` is the first
-    iteration index whose parameters failed the finiteness/norm checks.
+    ``trajectory`` is a record array (``np.recarray``) with one row per
+    scheduled iteration, always including iteration 0 and, for runs that do
+    not diverge, the final iteration; ``trajectory.dist`` is a column and
+    ``trajectory[i].dist`` one row's entry (rows, indexed or iterated, read
+    as Python scalars).  Its columns:
+
+    - ``t``: iteration index of the recorded state (int64; the rest float64);
+    - ``dist``: principal-angle distance of the representation to the truth;
+    - ``delta_norm``: spectral norm of ``I_k - alpha * B^T B``;
+    - ``w_norm``: Euclidean norm of the shared head;
+    - ``psi_min``, ``psi_max``: extreme eigenvalues of the round's adapted-head
+      second moment;
+    - ``bperp_norm``: spectral norm of the unnormalized misalignment ``Bperp^T B``;
+    - ``loss``: mean population task loss over the round's sampled heads;
+    - ``mu_sq``, ``L_sq``, ``eta``, ``L_max``: running aggregate of the sampled
+      task-diversity statistics, minimum ``mu_sq``/``eta`` and maximum
+      ``L_sq``/``L_max`` over every round up to and including the recorded one.
+
+    ``head_stats`` holds the last row's running statistics (None when
+    nothing was recorded).  Diverged runs are truncated: no record
+    describes a divergent state, and ``diverged_at`` is the first iteration
+    index whose parameters failed the finiteness/norm checks.
     """
 
-    trajectory: tuple[TrajectoryRecord, ...]
+    trajectory: _Trajectory
     final_params: ModelParams
     diverged: bool
     diverged_at: int | None
     head_stats: DiversityStats | None
-    gt_stats_running: tuple[DiversityStats, ...]
 
 
 # --------------------------------------------------------------------------
@@ -348,16 +362,39 @@ def _is_diverged(params: ModelParams, rep_limit: float) -> bool:
 _RECORD_CHUNK = 64
 
 
+# A row of ``RunResult.trajectory``; the last four columns are the fields
+# of ``DiversityStats``.
+_RECORD = np.dtype(
+    [("t", np.int64)]
+    + [(name, np.float64) for name in ("dist", "delta_norm", "w_norm", "psi_min", "psi_max",
+                                       "bperp_norm", "loss", "mu_sq", "L_sq", "eta", "L_max")]
+)
+
+
+class _Trajectory(np.recarray):
+    """A record array whose rows, indexed or iterated, read as Python
+    scalars (an ``int`` ``t``, as ``json`` takes it); columns stay arrays."""
+
+    def __getitem__(self, index):
+        item = super().__getitem__(index)
+        if isinstance(item, np.record):
+            return SimpleNamespace(**dict(zip(item.dtype.names, item.tolist())))
+        return item
+
+
 class _Snapshots(NamedTuple):
     """Stacked snapshots of scheduled records: the iterations ``t`` and,
     per record, the parameters before the round's step (``rep``, ``head``),
-    the round's adapted heads and its sampled task heads (each ``n x k``)."""
+    the round's adapted heads and its sampled task heads (each ``n x k``),
+    and the running diversity statistics up to the round (``stats``, four
+    columns in ``DiversityStats`` field order)."""
 
     t: np.ndarray
     rep: np.ndarray
     head: np.ndarray
     adapted_heads: np.ndarray
     task_heads: np.ndarray
+    stats: np.ndarray
 
     def first(self, count: int) -> _Snapshots:
         """The first ``count`` snapshots."""
@@ -382,18 +419,18 @@ def _psi_spectra(adapted: np.ndarray) -> np.ndarray:
 
 def _records(
     snapshots: _Snapshots, env: TaskEnvironment, perp: np.ndarray, alpha: float
-) -> list[TrajectoryRecord]:
-    """The diagnostic records of consecutive snapshots, in one stacked pass.
+) -> np.recarray:
+    """The trajectory rows of consecutive snapshots, in one stacked pass.
 
     Stops at the first snapshot whose representation has numerically
     collapsed, where the geometry is undefined: the result then holds the
-    records of the snapshots before it.  ``psi_min``/``psi_max`` are the
+    rows of the snapshots before it.  ``psi_min``/``psi_max`` are the
     spectrum of each round's adapted heads (for the average-risk baseline,
     of ``w w^T``).
     """
     reps, heads = snapshots.rep, snapshots.head
     if not len(reps):
-        return []
+        return np.recarray(0, dtype=_RECORD)
     try:
         dist = principal_angle_dist(reps, perp)
         bperp = spectral_norm(perp.T @ reps)
@@ -418,21 +455,11 @@ def _records(
     # NaN rather than a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         psi_min, psi_max = _psi_spectra(snapshots.adapted_heads).T
-    columns = zip(
-        snapshots.t.tolist(),
-        dist.tolist(),
-        delta_norm(reps, alpha).tolist(),
-        w_norm.tolist(),
-        psi_min.tolist(),
-        psi_max.tolist(),
-        bperp.tolist(),
-        loss.tolist(),
+    return np.rec.fromarrays(
+        [snapshots.t, dist, delta_norm(reps, alpha), w_norm, psi_min, psi_max, bperp, loss,
+         *snapshots.stats.T],
+        dtype=_RECORD,
     )
-    return [
-        TrajectoryRecord(t=t, dist=d, delta_norm=delta, w_norm=w, psi_min=low, psi_max=high,
-                         bperp_norm=b, loss=risk)
-        for t, d, delta, w, low, high, b, risk in columns
-    ]
 
 
 def run_trajectory(
@@ -458,18 +485,17 @@ def run_trajectory(
     step = step_for(hp)
     perp = orth_complement(env.ground_truth_rep)
     rep_limit = _DIVERGENCE_NORM / math.sqrt(hp.alpha)
-    # Snapshots of scheduled records not yet recorded, with their running
-    # diversity statistics.
+    # Snapshots not yet recorded (the first ``filled``) and the recorded chunks.
     pending = _Snapshots(
         np.zeros(_RECORD_CHUNK, dtype=np.int64),
         np.empty((_RECORD_CHUNK, env.d, env.k)),
         np.empty((_RECORD_CHUNK, env.k)),
         np.empty((_RECORD_CHUNK, hp.n, env.k)),
         np.empty((_RECORD_CHUNK, hp.n, env.k)),
+        np.empty((_RECORD_CHUNK, 4)),
     )
-    pending_stats: list[DiversityStats] = []
-    records: list[TrajectoryRecord] = []
-    running: list[DiversityStats] = []
+    filled = 0
+    chunks: list[np.recarray] = []
 
     mu_sq = eta = math.inf
     L_sq = L_max = -math.inf
@@ -480,12 +506,11 @@ def run_trajectory(
         """Record the pending snapshots, up to one whose representation has
         collapsed; at such a snapshot the run ends: its iteration is
         ``diverged_at`` and its parameters are the final ones."""
-        nonlocal params, diverged_at
-        kept = pending.first(len(pending_stats))
+        nonlocal params, diverged_at, filled
+        kept = pending.first(filled)
+        filled = 0
         done = _records(kept, env, perp, hp.alpha)
-        records.extend(done)
-        running.extend(pending_stats[: len(done)])
-        pending_stats.clear()
+        chunks.append(done)
         if len(done) == len(kept.t):
             return False
         row = len(done)
@@ -502,14 +527,12 @@ def run_trajectory(
             eta, L_max = min(eta, stats.eta), max(L_max, stats.L_max)
             outcome = step(params, env, batch, hp)
             if t % record_every == 0 or t == hp.iters:
-                row = len(pending_stats)
-                values = (t, params.rep, params.head, outcome.adapted_heads, batch.heads)
+                values = (t, params.rep, params.head, outcome.adapted_heads, batch.heads,
+                          (mu_sq, L_sq, eta, L_max))
                 for column, value in zip(pending, values):
-                    column[row] = value
-                pending_stats.append(
-                    DiversityStats(mu_sq=mu_sq, L_sq=L_sq, eta=eta, L_max=L_max)
-                )
-                if row + 1 == _RECORD_CHUNK and flush():
+                    column[filled] = value
+                filled += 1
+                if filled == _RECORD_CHUNK and flush():
                     break
             if t == hp.iters:
                 break
@@ -519,11 +542,15 @@ def run_trajectory(
                 break
         flush()
 
+    trajectory = np.concatenate(chunks).view(_Trajectory)
+    head_stats = None
+    if len(trajectory):
+        last = trajectory[-1]
+        head_stats = DiversityStats(last.mu_sq, last.L_sq, last.eta, last.L_max)
     return RunResult(
-        trajectory=tuple(records),
+        trajectory=trajectory,
         final_params=params,
         diverged=diverged_at is not None,
         diverged_at=diverged_at,
-        head_stats=running[-1] if running else None,
-        gt_stats_running=tuple(running),
+        head_stats=head_stats,
     )

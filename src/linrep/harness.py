@@ -190,6 +190,11 @@ class ExperimentConfig(_Block):
     run: RunConfig = Field(default_factory=RunConfig)
     checks: ChecksConfig = Field(default_factory=ChecksConfig)
 
+    @model_validator(mode="after")
+    def _check(self) -> "ExperimentConfig":
+        resolve_hyper(self)  # fails on an alpha='auto' the config leaves undefined
+        return self
+
 
 def load_config(path: str | Path) -> ExperimentConfig:
     """Load and fully validate a JSON experiment config.
@@ -224,15 +229,18 @@ def dump_config(config: ExperimentConfig) -> str:
 
 def resolve_hyper(config: ExperimentConfig) -> HyperParams:
     """Build concrete hyperparameters, resolving ``alpha = "auto"`` to the
-    horizon-matched step size using the configured head-distribution scale."""
+    horizon-matched step size using the configured head-distribution scale;
+    a ``ConfigError`` names ``hp.alpha`` where the config leaves it undefined."""
     hp = config.hp
     if hp.alpha == "auto":
-        if hp.iters < 1:
-            raise ConfigError("alpha='auto' requires iters >= 1")
         mean = np.asarray(config.env.head_mean, dtype=float)
         mean_sq = float(np.sum(mean**2)) if mean.ndim else float(mean) ** 2 * config.env.k
         l_star = math.sqrt(config.env.head_scale**2 + mean_sq)
-        alpha = rate_matched_alpha(config.env.k, l_star, hp.iters, hp.alpha_auto_constant)
+        try:
+            alpha = rate_matched_alpha(config.env.k, l_star, hp.iters, hp.alpha_auto_constant)
+        except ValueError as exc:
+            raise ConfigError(f"hp.alpha='auto' needs hp.iters >= 1 and a nonzero head"
+                              f" distribution (env.head_scale, env.head_mean): {exc}") from exc
     else:
         alpha = float(hp.alpha)
     return HyperParams(**hp.model_dump(exclude={"alpha", "alpha_auto_constant"}), alpha=alpha)
@@ -312,7 +320,7 @@ def _hypothesis_report(
         result.trajectory,
         hp,
         result.head_stats,
-        result.trajectory[0].dist,
+        float(result.trajectory.dist[0]),
         c_a1=config.checks.hyp_constant_C_A1,
     )
 
@@ -346,14 +354,14 @@ def _mean_series(results: tuple[RunResult, ...]) -> tuple[list[int], list[float]
     alive = _survivors(results)
     if not alive:
         return [], [], []
-    ts = [record.t for record in alive[0].trajectory]
-    stacked = np.array([[record.dist for record in result.trajectory] for result in alive])
+    ts = alive[0].trajectory.t.tolist()
+    stacked = np.array([result.trajectory.dist for result in alive])
     return ts, np.mean(stacked, axis=0).tolist(), np.std(stacked, axis=0).tolist()
 
 
 def _summarize(config: ExperimentConfig, hp: HyperParams, results: tuple[RunResult, ...]) -> dict:
     alive = _survivors(results)
-    finals = [result.trajectory[-1].dist for result in alive]
+    finals = [result.trajectory.dist[-1] for result in alive]
     summary: dict = {
         "final_dist_mean": float(np.mean(finals)) if finals else None,
         "final_dist_std": float(np.std(finals)) if finals else None,
@@ -386,8 +394,10 @@ def _check_jobs(jobs: int) -> None:
 
 def _worker_count(jobs: int, trials: int) -> int:
     """Pool size for ``jobs`` requested workers: never more processes than
-    trials or CPUs, since the pool starts all of its workers at once."""
-    return min(jobs, trials, os.cpu_count() or 1)
+    trials or CPUs this process may run on, since the pool starts all of its
+    workers at once."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(jobs, trials, cpus or 1)
 
 
 def _out_dir(config: ExperimentConfig, out_dir: str | Path | None) -> Path:
@@ -424,10 +434,11 @@ def run_experiment(
     trajectory_csv = out / "trajectory.csv"
     mean_csv = out / "mean.csv"
     summary_json = out / "summary.json"
+    columns = ["t", *TRAJECTORY_HEADER.split(",")[2:]]  # the header's, without ``trial``
     rows = (
-        (r.t, trial, r.dist, r.delta_norm, r.w_norm, r.psi_min, r.psi_max, r.bperp_norm, r.loss)
+        (t, trial, *diagnostics)
         for trial, result in enumerate(results)
-        for r in result.trajectory
+        for t, *diagnostics in result.trajectory[columns].tolist()
     )
     _write_csv(trajectory_csv, TRAJECTORY_HEADER, rows)
     _write_csv(mean_csv, MEAN_HEADER, zip(*_mean_series(results)))
@@ -641,13 +652,9 @@ def _plateau(results: tuple[RunResult, ...], iters: int) -> float | None:
     """Mean recorded dist over the last 10% of iterations, pooled over
     trials that never diverged."""
     cutoff = 0.9 * iters
-    values = [
-        record.dist
-        for result in _survivors(results)
-        for record in result.trajectory
-        if record.t >= cutoff
-    ]
-    return float(np.mean(values)) if values else None
+    trajectories = [result.trajectory for result in _survivors(results)]
+    values = np.concatenate([np.empty(0), *(traj.dist[traj.t >= cutoff] for traj in trajectories)])
+    return float(np.mean(values)) if values.size else None
 
 
 def sweep(

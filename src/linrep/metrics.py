@@ -19,7 +19,6 @@ if TYPE_CHECKING:  # imported for annotations only; no runtime dependency
 
 __all__ = [
     "HypothesisReport",
-    "TrajectoryRecord",
     "check_hypotheses",
     "delta_norm",
     "fit_log_linear_rate",
@@ -30,38 +29,6 @@ __all__ = [
 ]
 
 _RANK_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """Diagnostics captured for one recorded iteration of a trajectory.
-
-    Attributes
-    ----------
-    t:
-        Iteration index of the recorded state.
-    dist:
-        Principal-angle distance of the representation to the truth.
-    delta_norm:
-        Spectral norm of ``I_k - alpha * B^T B``.
-    w_norm:
-        Euclidean norm of the shared head.
-    psi_min, psi_max:
-        Extreme eigenvalues of the round's adapted-head second moment.
-    bperp_norm:
-        Spectral norm of the unnormalized misalignment ``Bperp^T B``.
-    loss:
-        Mean population task loss over the round's sampled heads.
-    """
-
-    t: int
-    dist: float
-    delta_norm: float
-    w_norm: float
-    psi_min: float
-    psi_max: float
-    bperp_norm: float
-    loss: float
 
 
 @dataclass(frozen=True)
@@ -237,14 +204,15 @@ def fit_log_linear_rate(
 
 
 def check_hypotheses(
-    trajectory: Sequence[TrajectoryRecord],
+    trajectory: np.recarray,
     hp: "HyperParams",
     env_stats: "DiversityStats | None",
     dist0: float,
     *,
     c_a1: float = 1.0,
 ) -> HypothesisReport:
-    """Evaluate the six trajectory-condition margins at every record.
+    """Evaluate the six trajectory-condition margins at every record of a
+    trajectory (the record array of ``RunResult.trajectory``).
 
     The conditions, with margins defined so that "holds" means margin >= 0:
 
@@ -271,24 +239,20 @@ def check_hypotheses(
             math.sqrt(hp.alpha) * min(1.0, mu_sq / eta**2) * eta * c_a1 if eta > 0.0 else 0.0
         )
 
-    iters = tuple(record.t for record in trajectory)
-    columns = np.array(
-        [(r.dist, r.delta_norm, r.w_norm, r.psi_min, r.psi_max, r.bperp_norm) for r in trajectory],
-        dtype=float,
-    ).reshape(-1, 6)
-    dist, delta, w_norm, psi_min, psi_max, bperp = columns.T
+    iters = trajectory.t.tolist()
+    dist, delta, bperp = trajectory.dist, trajectory.delta_norm, trajectory.bperp_norm
     # The squares here and the powers of rho in A6 are Python float powers
     # (libm ``pow``); numpy squares by multiplying, which can round apart.
-    dist_sq = np.array([record.dist**2 for record in trajectory], dtype=float)
+    dist_sq = np.array([value**2 for value in dist.tolist()], dtype=float)
 
     # Without head statistics the constants are NaN, and so is every margin
     # that reads one.
-    a1 = a1_bound - w_norm
+    a1 = a1_bound - trajectory.w_norm
     a2 = np.full(len(iters), math.nan)
     a2[1:] = rho * delta[:-1] + 1.25 * hp.alpha**2 * hp.beta**2 * l_sq**2 * dist_sq[:-1] - delta[1:]
     a3 = 0.1 - delta
-    a4_lower = psi_min - 0.9 * hp.alpha * e0 * mu_sq
-    a4_upper = 1.2 * hp.alpha * l_sq - psi_max
+    a4_lower = trajectory.psi_min - 0.9 * hp.alpha * e0 * mu_sq
+    a4_upper = 1.2 * hp.alpha * l_sq - trajectory.psi_max
     a4_lower[:1] = a4_upper[:1] = math.nan
     a5 = np.full(len(iters), math.nan)
     a5[1:] = rho * bperp[:-1] - bperp[1:]
@@ -305,7 +269,7 @@ def check_hypotheses(
         first_violation[name] = iters[hits[0]] if hits.size else None
 
     return HypothesisReport(
-        iters=iters,
+        iters=tuple(iters),
         a1=tuple(a1.tolist()),
         a2=tuple(a2.tolist()),
         a3=tuple(a3.tolist()),

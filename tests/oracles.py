@@ -170,16 +170,18 @@ def record_loop(snapshots, ground_truth_rep, perp, noise_std, alpha):
     """Per-record loop over the diagnostic records of a trajectory.
 
     ``snapshots`` holds stacked columns ``t``, ``rep``, ``head``,
-    ``adapted_heads`` and ``task_heads``.  Each record is checked and built
-    on its own matrices, one at a time; the loop stops at the first snapshot
-    whose representation is numerically rank deficient, so the number of
-    records returned is that snapshot's index.  A record is the tuple
-    ``(t, dist, delta_norm, w_norm, psi_min, psi_max, bperp_norm, loss)``.
+    ``adapted_heads``, ``task_heads`` and ``stats`` (the running task
+    statistics ``mu_sq``, ``L_sq``, ``eta``, ``L_max``).  Each record is
+    checked and built on its own matrices, one at a time; the loop stops at
+    the first snapshot whose representation is numerically rank deficient,
+    so the number of records returned is that snapshot's index.  A record is
+    the tuple ``(t, dist, delta_norm, w_norm, psi_min, psi_max, bperp_norm,
+    loss, mu_sq, L_sq, eta, L_max)``, the statistics passed through.
     """
     records = []
     rows = zip(snapshots.t, snapshots.rep, snapshots.head, snapshots.adapted_heads,
-               snapshots.task_heads)
-    for t, rep, head, adapted, task_heads in rows:
+               snapshots.task_heads, snapshots.stats)
+    for t, rep, head, adapted, task_heads, stats in rows:
         try:
             Q = _orthonormal_basis(rep)
             dist = min(max(_top_singular_value(perp.T @ Q), 0.0), 1.0)
@@ -193,5 +195,6 @@ def record_loop(snapshots, ground_truth_rep, perp, noise_std, alpha):
         k = rep.shape[1]
         delta = float(np.abs(np.linalg.eigvalsh(np.eye(k) - alpha * (rep.T @ rep))).max())
         w_norm = float(np.linalg.norm(head))
-        records.append((int(t), dist, delta, w_norm, psi_min, psi_max, bperp, loss))
+        records.append((int(t), dist, delta, w_norm, psi_min, psi_max, bperp, loss,
+                        *(float(value) for value in stats)))
     return records

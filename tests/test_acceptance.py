@@ -119,8 +119,8 @@ def population_runs(tmp_path_factory):
 def _mean_dist_series(artifacts) -> tuple[np.ndarray, np.ndarray]:
     """Per-record mean dist over trials (grids align: no divergence)."""
     runs = [res.trajectory for res in artifacts.results]
-    ts = np.array([rec.t for rec in runs[0]])
-    dists = np.array([[rec.dist for rec in run] for run in runs])
+    ts = runs[0].t
+    dists = np.array([run.dist for run in runs])
     return ts, dists.mean(axis=0)
 
 
@@ -154,7 +154,7 @@ def test_criterion_1_population_convergence_tail_fit_and_baseline(population_run
 
     baseline = artifacts["AVG_RISK_MIN"]
     base_final = baseline.summary["final_dist_mean"]
-    dist0 = float(np.mean([res.trajectory[0].dist for res in baseline.results]))
+    dist0 = float(np.mean([res.trajectory.dist[0] for res in baseline.results]))
     if not base_final > 0.5 * dist0:
         failures.append(
             f"baseline final mean dist {base_final:.3e} <= 0.5*dist0 {0.5 * dist0:.3e}"
@@ -224,18 +224,18 @@ def test_criterion_3_contraction_factor_bound_under_margins(population_runs):
     for algo in ("FO_ANIL", "EXACT_ANIL"):
         for res in artifacts[algo].results:
             records = res.trajectory
-            stats = res.gt_stats_running
             dist0 = records[0].dist
             e0 = 0.9 - dist0 * dist0
-            # The first record precedes any completed round, so its
-            # adapted-head spectrum margin is undefined (gate closed).
-            for rec, st in list(zip(records, stats))[1:]:
+            # Each row holds the running task statistics up to it.  The
+            # first record precedes any completed round, so its adapted-head
+            # spectrum margin is undefined (gate closed).
+            for rec in records[1:]:
                 a3 = 0.1 - rec.delta_norm
-                a4_lower = rec.psi_min - 0.9 * alpha * e0 * st.mu_sq
-                a4_upper = 1.2 * alpha * st.L_sq - rec.psi_max
+                a4_lower = rec.psi_min - 0.9 * alpha * e0 * rec.mu_sq
+                a4_upper = 1.2 * alpha * rec.L_sq - rec.psi_max
                 if not (a3 >= 0.0 and a4_lower >= 0.0 and a4_upper >= 0.0):
                     continue
-                rho = 1.0 - 0.5 * beta * alpha * e0 * st.mu_sq
+                rho = 1.0 - 0.5 * beta * alpha * e0 * rec.mu_sq
                 bound = rho ** (rec.t - 1) + 1e-9
                 checked += 1
                 worst_slack = max(worst_slack, rec.dist - bound)
@@ -261,10 +261,8 @@ def test_criterion_4_mean_shifted_heads_algorithm_contrast(tmp_path):
         )
         stats = []
         for res in artifacts.results:
-            records = res.trajectory
-            dist0 = records[0].dist
-            dist_min = min(rec.dist for rec in records)
-            stats.append((dist0, dist_min, res.diverged))
+            dists = res.trajectory.dist
+            stats.append((dists[0], dists.min(), res.diverged))
         return stats
 
     def tally(stats, predicate):

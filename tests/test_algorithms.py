@@ -8,6 +8,7 @@ calling the package's own gradient code.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import warnings
 
@@ -30,7 +31,9 @@ from linrep.algorithms import (
 )
 from linrep.env import (
     DataSet,
+    DiversityStats,
     TaskBatch,
+    diversity_stats,
     sample_dataset,
     sample_environment,
     sample_task_batch,
@@ -101,10 +104,11 @@ def _random_params(rng, d: int, k: int) -> ModelParams:
 
 
 def _snapshot(t: int, params: ModelParams, outcome: StepOutcome, batch: TaskBatch) -> _Snapshots:
-    """The one-record stack of iteration ``t``."""
+    """The one-record stack of iteration ``t``, with the round's own task
+    statistics."""
     return _Snapshots(
         np.array([t]), params.rep[None], params.head[None], outcome.adapted_heads[None],
-        batch.heads[None],
+        batch.heads[None], np.array([dataclasses.astuple(diversity_stats(batch))]),
     )
 
 
@@ -628,7 +632,7 @@ class TestRunTrajectory:
         result = run_trajectory(env, hp, collapsed, substream(14, 0, "tasks"), record_every=10)
         assert result.diverged
         assert result.diverged_at == 0
-        assert result.trajectory == ()
+        assert len(result.trajectory) == 0
         assert result.head_stats is None
 
     def test_recording_schedule_includes_final_iteration(self) -> None:
@@ -637,8 +641,12 @@ class TestRunTrajectory:
         init = init_model(env, hp.alpha, InitScheme.SPEC, substream(15, 0, "init"))
         result = run_trajectory(env, hp, init, substream(15, 0, "tasks"), record_every=10)
         assert [r.t for r in result.trajectory] == [0, 10, 20, 25]
-        assert len(result.gt_stats_running) == 4
-        assert result.head_stats == result.gt_stats_running[-1]
+        # Rows read as Python scalars, as JSON takes them; columns are arrays.
+        assert all(type(r.t) is int and type(r.dist) is float for r in result.trajectory)
+        assert json.loads(json.dumps([r.t for r in result.trajectory])) == [0, 10, 20, 25]
+        assert result.trajectory.dist.dtype == np.float64
+        last = result.trajectory[-1]
+        assert result.head_stats == DiversityStats(last.mu_sq, last.L_sq, last.eta, last.L_max)
 
     def test_deterministic_given_same_stream(self) -> None:
         env = _env(d=6, k=2, seed=16)
@@ -654,10 +662,43 @@ class TestRunTrajectory:
         hp = _hp(Algorithm.FO_ANIL, iters=60, n=2)
         init = init_model(env, hp.alpha, InitScheme.SPEC, substream(17, 0, "init"))
         result = run_trajectory(env, hp, init, substream(17, 0, "tasks"), record_every=10)
-        mu = [s.mu_sq for s in result.gt_stats_running]
-        lsq = [s.L_sq for s in result.gt_stats_running]
+        mu = result.trajectory.mu_sq.tolist()
+        lsq = result.trajectory.L_sq.tolist()
         assert all(a >= b for a, b in zip(mu, mu[1:]))
         assert all(a <= b for a, b in zip(lsq, lsq[1:]))
+
+    def test_running_statistics_are_exact_running_extremes(self) -> None:
+        # Every round counts, recorded or not: the rounds are redrawn here
+        # one at a time with ``sample_task_batch`` on the run's stream
+        # (bitwise the heads the run draws a block at a time), and their
+        # statistics reduced to running extremes independently of the run.
+        # The run spans three record chunks.
+        record_every = 3
+        env = _env(d=6, k=2, seed=18, head_mean=0.5)
+        hp = _hp(Algorithm.FO_ANIL, iters=2 * _RECORD_CHUNK * record_every + 7, n=2)
+        init = init_model(env, hp.alpha, InitScheme.SPEC, substream(18, 0, "init"))
+        result = run_trajectory(env, hp, init, substream(18, 0, "tasks"), record_every)
+        assert not result.diverged
+        trajectory = result.trajectory
+        assert len(trajectory) > 2 * _RECORD_CHUNK
+
+        rng = substream(18, 0, "tasks")
+        rounds = [diversity_stats(sample_task_batch(env, hp.n, rng)) for _ in range(hp.iters + 1)]
+        running = {
+            "mu_sq": np.minimum.accumulate([s.mu_sq for s in rounds]),
+            "L_sq": np.maximum.accumulate([s.L_sq for s in rounds]),
+            "eta": np.minimum.accumulate([s.eta for s in rounds]),
+            "L_max": np.maximum.accumulate([s.L_max for s in rounds]),
+        }
+        for name, column in running.items():
+            np.testing.assert_array_equal(trajectory[name], column[trajectory.t], err_msg=name)
+
+        assert (trajectory.mu_sq >= 0.0).all()
+        assert (trajectory.mu_sq <= trajectory.L_sq).all()
+        assert (trajectory.L_sq <= trajectory.L_max**2).all()
+        assert (trajectory.eta**2 <= trajectory.L_sq).all()
+        last = trajectory[-1]
+        assert result.head_stats == DiversityStats(last.mu_sq, last.L_sq, last.eta, last.L_max)
 
     def test_divergence_detected_and_truncated(self) -> None:
         env = _env(d=6, k=2, seed=19, head_mean=10.0)
@@ -697,7 +738,7 @@ class TestRunTrajectory:
         rep[0, 0] = bad
         result = run_trajectory(env, hp, ModelParams(rep, init.head), substream(29, 0, "tasks"))
         assert result.diverged and result.diverged_at == 0
-        assert result.trajectory == () and result.head_stats is None
+        assert len(result.trajectory) == 0 and result.head_stats is None
         assert np.array_equal(result.final_params.rep, rep, equal_nan=True)
 
     @pytest.mark.parametrize("algo", ALL_ALGOS, ids=lambda a: a.value)
@@ -756,19 +797,23 @@ class TestRunTrajectory:
         assert len(steps) == collapse_at + 1
         assert collapse_at + 1 <= chunked_steps <= collapse_at + 1 + _RECORD_CHUNK * record_every
         assert result.diverged and result.diverged_at == collapse_at == reference.diverged_at
-        assert result.trajectory == reference.trajectory
+        assert result.trajectory.dtype == reference.trajectory.dtype
+        assert result.trajectory.tobytes() == reference.trajectory.tobytes()
         assert result.trajectory[-1].t == collapse_at - record_every
         assert not result.final_params.rep[:, 1].any()
         np.testing.assert_array_equal(result.final_params.rep, reference.final_params.rep)
         np.testing.assert_array_equal(result.final_params.head, reference.final_params.head)
-        assert result.gt_stats_running == reference.gt_stats_running
-        assert len(result.gt_stats_running) == len(result.trajectory)
-        assert result.head_stats == reference.head_stats == result.gt_stats_running[-1]
+        # The running statistics are columns of the trajectory compared above.
+        last = result.trajectory[-1]
+        assert result.head_stats == reference.head_stats == DiversityStats(
+            last.mu_sq, last.L_sq, last.eta, last.L_max
+        )
 
 
 def _bits(records) -> list[tuple]:
-    """Records as tuples with every float spelled in hex (bitwise, NaN-safe)."""
-    rows = [r if isinstance(r, tuple) else dataclasses.astuple(r) for r in records]
+    """Records (a record array or tuples) as tuples with every float spelled
+    in hex (bitwise, NaN-safe)."""
+    rows = records.tolist() if isinstance(records, np.ndarray) else records
     return [tuple(v.hex() if type(v) is float else v for v in row) for row in rows]
 
 
@@ -782,7 +827,8 @@ def _snapshot_stack(seed: int, count: int, d: int = 8, k: int = 3, n: int = 4):
     adapted = rng.normal(size=(count, n, k))
     adapted[2::3] = head[2::3, None, :]
     task_heads = rng.normal(size=(count, n, k)) + 2.0
-    return env, _Snapshots(10 * np.arange(count), rep, head, adapted, task_heads)
+    stats = rng.uniform(0.0, 5.0, size=(count, 4))
+    return env, _Snapshots(10 * np.arange(count), rep, head, adapted, task_heads, stats)
 
 
 class TestRecordPass:
@@ -829,8 +875,14 @@ class TestRecordPass:
         assert len(self._compare(env, snapshots)) == index
 
     def test_records_hold_python_floats(self) -> None:
+        # An int64 iteration column and float64 diagnostics, which read
+        # back as Python scalars.
         env, snapshots = _snapshot_stack(42, 3)
         perp = orth_complement(env.ground_truth_rep)
-        for record in _records(snapshots, env, perp, 0.1):
-            assert type(record.t) is int
-            assert all(type(v) is float for v in dataclasses.astuple(record)[1:])
+        records = _records(snapshots, env, perp, 0.1)
+        assert isinstance(records, np.recarray)
+        assert records.dtype.fields["t"][0] == np.int64
+        assert all(records.dtype.fields[name][0] == np.float64 for name in records.dtype.names[1:])
+        for row in records.tolist():
+            assert type(row[0]) is int
+            assert all(type(v) is float for v in row[1:])

@@ -107,6 +107,17 @@ class TestRunCommand:
         assert "finite" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"env.head_scale": 0.0, "env.head_mean": 0.0}, {"hp.iters": 0}],
+        ids=["zero-heads", "zero-iters"],
+    )
+    def test_unresolvable_auto_alpha_exits_one_naming_field(self, tmp_path, capsys, overrides):
+        cfg = _write_config(tmp_path, **{"hp.alpha": "auto", **overrides})
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "hp.alpha" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exits_one(self, tmp_path, capsys, jobs):
         cfg = _write_config(tmp_path)

@@ -155,6 +155,16 @@ class TestConfigLoading:
         assert hp.algo is Algorithm.FO_ANIL
         assert hp.mode is Mode.POPULATION
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"env.head_scale": 0.0, "env.head_mean": 0.0}, {"hp.iters": 0}],
+        ids=["zero-heads", "zero-iters"],
+    )
+    def test_unresolvable_auto_alpha_rejected_naming_field(self, tmp_path: Path, overrides) -> None:
+        path = _write(tmp_path, _base_dict(**{"hp.alpha": "auto", **overrides}))
+        with pytest.raises(ConfigError, match=r"hp\.alpha"):
+            load_config(path)
+
 
 class TestRunExperiment:
     def test_zero_iteration_run_writes_single_row(self, tmp_path: Path) -> None:
@@ -243,11 +253,22 @@ class TestRunExperiment:
         assert not (tmp_path / "o").exists() and not (tmp_path / "sw").exists()
 
     def test_worker_count_bounded_by_trials_and_cpus(self, monkeypatch) -> None:
-        monkeypatch.setattr(harness_module.os, "cpu_count", lambda: 4)
+        # The CPUs counted are those the process may run on (its affinity
+        # mask), not every CPU of the host; cpu_count() is the fallback
+        # where the mask cannot be read.
+        monkeypatch.setattr(harness_module.os, "sched_getaffinity", lambda pid: {0, 2, 5, 7},
+                            raising=False)
+        monkeypatch.setattr(harness_module.os, "cpu_count", lambda: 64)
         assert harness_module._worker_count(10**9, 10**9) == 4
         assert harness_module._worker_count(10**9, 3) == 3
         assert harness_module._worker_count(2, 10**9) == 2
         assert harness_module._worker_count(1, 10**9) == 1
+        monkeypatch.setattr(harness_module.os, "sched_getaffinity", lambda pid: {0})
+        assert harness_module._worker_count(2, 10**9) == 1
+        monkeypatch.delattr(harness_module.os, "sched_getaffinity")
+        monkeypatch.setattr(harness_module.os, "cpu_count", lambda: 4)
+        assert harness_module._worker_count(10**9, 10**9) == 4
+        assert harness_module._worker_count(10**9, 3) == 3
         monkeypatch.setattr(harness_module.os, "cpu_count", lambda: None)
         assert harness_module._worker_count(10**9, 10**9) == 1
 

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linrep.algorithms import _RECORD, _Trajectory
 from linrep.metrics import (
     HypothesisReport,
-    TrajectoryRecord,
     check_hypotheses,
     delta_norm,
     fit_log_linear_rate,
@@ -312,12 +312,19 @@ class TestFitLogLinearRate:
             fit_log_linear_rate([1.0, 0.5, 0.0, 0.25, 0.1, 0.05], 1.0)
 
 
-def _record(t: int, **kw: float) -> TrajectoryRecord:
+def _record(t: int, **kw: float) -> tuple:
+    """One trajectory row, as a tuple in the record array's column order."""
     defaults = dict(
-        dist=0.5, delta_norm=0.01, w_norm=0.02, psi_min=0.05, psi_max=0.3, bperp_norm=0.6, loss=1.0
+        dist=0.5, delta_norm=0.01, w_norm=0.02, psi_min=0.05, psi_max=0.3, bperp_norm=0.6, loss=1.0,
+        mu_sq=0.4, L_sq=1.5, eta=0.9, L_max=1.6,
     )
     defaults.update(kw)
-    return TrajectoryRecord(t=t, **defaults)
+    return tuple(defaults[name] if name != "t" else t for name in _RECORD.names)
+
+
+def _trajectory(records: list[tuple]) -> _Trajectory:
+    """The trajectory of ``records``; its rows read as Python scalars."""
+    return np.rec.fromrecords(records, dtype=_RECORD).view(_Trajectory)
 
 
 class TestCheckHypotheses:
@@ -342,7 +349,9 @@ class TestCheckHypotheses:
         hp = self._hp()
         stats = self._stats()
         dist0 = 0.5
-        trajectory = [_record(0, dist=0.5, bperp_norm=0.6), _record(1, dist=0.45, bperp_norm=0.55)]
+        trajectory = _trajectory(
+            [_record(0, dist=0.5, bperp_norm=0.6), _record(1, dist=0.45, bperp_norm=0.55)]
+        )
         report = check_hypotheses(trajectory, hp, stats, dist0)
         assert isinstance(report, HypothesisReport)
 
@@ -378,18 +387,18 @@ class TestCheckHypotheses:
     def test_first_violation_indices(self) -> None:
         hp = self._hp()
         stats = self._stats()
-        trajectory = [
+        trajectory = _trajectory([
             _record(0, delta_norm=0.01),
             _record(1, delta_norm=0.2),  # violates A3 (0.1 - 0.2 < 0)
             _record(2, delta_norm=0.3),
-        ]
+        ])
         report = check_hypotheses(trajectory, hp, stats, 0.5)
         assert report.first_violation["A3"] == 1
         assert report.first_violation["A1"] is None
 
     def test_missing_stats_marks_margins_not_evaluated(self) -> None:
         hp = self._hp()
-        trajectory = [_record(0), _record(1)]
+        trajectory = _trajectory([_record(0), _record(1)])
         report = check_hypotheses(trajectory, hp, None, 0.5)
         assert all(math.isnan(v) for v in report.a1)
         assert all(math.isnan(v) for v in report.a2)
@@ -400,7 +409,7 @@ class TestCheckHypotheses:
     def test_c_a1_scales_the_head_norm_allowance(self) -> None:
         hp = self._hp()
         stats = self._stats()
-        trajectory = [_record(0, w_norm=0.0)]
+        trajectory = _trajectory([_record(0, w_norm=0.0)])
         base = check_hypotheses(trajectory, hp, stats, 0.5)
         doubled = check_hypotheses(trajectory, hp, stats, 0.5, c_a1=2.0)
         assert doubled.a1[0] == pytest.approx(2.0 * base.a1[0])
@@ -413,7 +422,7 @@ class TestCheckHypotheses:
         # ``dist**2`` term to the last bit, where numpy's square and
         # Python's ``pow`` can round apart.
         rng = np.random.default_rng(23)
-        trajectory = [
+        trajectory = _trajectory([
             _record(
                 t,
                 dist=float(rng.uniform(0.0, 1.0)),
@@ -424,7 +433,7 @@ class TestCheckHypotheses:
                 bperp_norm=float(rng.uniform(0.0, 1.0)),
             )
             for t in range(5000)
-        ]
+        ])
         hp = self._hp()
         stats = self._stats() if with_stats else None
         report = check_hypotheses(trajectory, hp, stats, 0.6, c_a1=1.5)
@@ -433,6 +442,7 @@ class TestCheckHypotheses:
             (stats.mu_sq, stats.L_sq, stats.eta) if with_stats else None, 0.6, c_a1=1.5,
         )
         assert report.iters == tuple(r.t for r in trajectory)
+        assert all(type(t) is int for t in report.iters)
         for name, expected in margins.items():
             got = getattr(report, name)
             assert all(type(v) is float for v in got)
