@@ -23,7 +23,10 @@ finite-sample block then draws the inner sets of all its ``R n`` tasks in one
 call over the stacked heads, then the outer sets likewise, and round ``r`` of
 the block takes rows ``r n : (r + 1) n`` of each.  ``R`` depends only on
 ``(n, d)``, so the stream, and every artifact, is the same on any host and
-worker count.
+worker count.  A block is validated once, and each of its rounds refers to
+it (``env._block_rounds``): the loop asks ``diversity_stats`` for every
+round's task statistics, and the first such call of a block computes those
+of all its rounds in one stacked pass, with the bits of a round on its own.
 
 Recording is kept out of the step loop.  At a scheduled record the loop
 keeps a snapshot (the iteration, the parameters, the round's adapted heads
@@ -53,6 +56,7 @@ from .env import (
     DiversityStats,
     TaskBatch,
     TaskEnvironment,
+    _block_rounds,
     _round_heads,
     diversity_stats,
     sample_dataset,
@@ -324,15 +328,11 @@ def _sample_rounds(env: TaskEnvironment, hp: HyperParams, rng, count: int) -> li
     """
     heads = _round_heads(env, count, hp.n, rng)
     if hp.mode is Mode.POPULATION:
-        return [TaskBatch(heads=round_heads) for round_heads in heads]
+        return _block_rounds(heads)
     tasks = heads.reshape(count * hp.n, env.k)
     inner = sample_dataset(env, tasks, hp.m_in, rng)
     outer = sample_dataset(env, tasks, hp.m_out, rng)
-    rows = [slice(r * hp.n, (r + 1) * hp.n) for r in range(count)]
-    return [
-        TaskBatch(heads=round_heads, inner_sets=inner[row], outer_sets=outer[row])
-        for round_heads, row in zip(heads, rows)
-    ]
+    return _block_rounds(heads, inner, outer)
 
 
 def _rounds(env: TaskEnvironment, hp: HyperParams, rng) -> Iterator[TaskBatch]:

@@ -15,8 +15,7 @@ Ann. Statist. 31(5)); raw inputs are never formed.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -176,17 +175,23 @@ class TaskBatch:
     ``inner_sets``/``outer_sets`` are stacked data sets, one task per entry
     of the leading axis, used by finite-sample algorithms for adaptation and
     for the outer update respectively; population-mode batches carry heads
-    only.
+    only.  A round of a sampled block also refers to its block and its row
+    there (``_round``, see ``_block_rounds``); that reference takes no part in
+    equality or ``repr``, and ``dataclasses.replace`` drops it.
     """
 
     heads: np.ndarray
     inner_sets: DataSet | None = None
     outer_sets: DataSet | None = None
+    _round: tuple[_Block, int] | None = field(default=None, init=False, repr=False,
+                                              compare=False)
 
     def __post_init__(self) -> None:
         heads = np.asarray(self.heads, dtype=float)
         if heads.ndim != 2 or heads.shape[0] < 1:
             raise ValueError(f"heads must be (n, k) with n >= 1, got shape {heads.shape}")
+        if not np.isfinite(heads).all():
+            raise ValueError("heads must be finite")
         for name in ("inner_sets", "outer_sets"):
             sets = getattr(self, name)
             if sets is not None and sets.n != heads.shape[0]:
@@ -197,6 +202,45 @@ class TaskBatch:
     def n(self) -> int:
         """Number of tasks in the round."""
         return self.heads.shape[0]
+
+
+class _Block:
+    """The ``(R, n, k)`` heads of a block of ``R`` sampled rounds and, once
+    the statistics of any of its rounds are asked for, those of all ``R``
+    (rows of ``[mu_sq, L_sq, eta, L_max]``)."""
+
+    __slots__ = ("heads", "stats")
+
+    def __init__(self, heads: np.ndarray) -> None:
+        self.heads = heads
+        self.stats: list[list[float]] | None = None
+
+
+def _block_rounds(
+    heads: np.ndarray, inner_sets: DataSet | None = None, outer_sets: DataSet | None = None
+) -> list[TaskBatch]:
+    """The rounds of a sampled block.
+
+    ``heads`` is ``(R, n, k)``; the data sets, if any, stack the block's
+    ``R n`` tasks round after round.  Round ``r`` holds ``heads[r]`` and rows
+    ``r n : (r + 1) n`` of each set.  The block is validated once, as one
+    batch of ``R n`` tasks, so its rounds skip ``TaskBatch.__post_init__``;
+    they share the block's statistics (see ``diversity_stats``).
+    """
+    count, n, k = heads.shape
+    whole = TaskBatch(heads.reshape(count * n, k), inner_sets, outer_sets)
+    block = _Block(whole.heads.reshape(count, n, k))
+    rounds = []
+    for r, round_heads in enumerate(block.heads):
+        rows = slice(r * n, (r + 1) * n)
+        part = object.__new__(TaskBatch)
+        for name, value in (("heads", round_heads),
+                            ("inner_sets", None if inner_sets is None else inner_sets[rows]),
+                            ("outer_sets", None if outer_sets is None else outer_sets[rows]),
+                            ("_round", (block, r))):
+            object.__setattr__(part, name, value)
+        rounds.append(part)
+    return rounds
 
 
 @dataclass(frozen=True)
@@ -329,16 +373,37 @@ def sample_dataset(
 
 
 def diversity_stats(batch: TaskBatch) -> DiversityStats:
-    """Spectral statistics of the batch's ground-truth heads."""
-    heads = batch.heads
-    n = heads.shape[0]
-    second_moment = heads.T @ heads / n
-    eigenvalues = np.linalg.eigvalsh(second_moment)
-    mean = heads.sum(axis=0) / n
-    row_sq = np.einsum("ij,ij->i", heads, heads)
-    return DiversityStats(
-        mu_sq=max(float(eigenvalues[0]), 0.0),
-        L_sq=float(eigenvalues[-1]),
-        eta=math.sqrt(float(mean @ mean)),
-        L_max=math.sqrt(float(row_sq.max())),
-    )
+    """Spectral statistics of the batch's ground-truth heads.
+
+    A round of a sampled block reads its row of the block's statistics; the
+    first call on any round of the block computes them for every round, in
+    one stacked pass.  Any other batch is computed as a block of one round,
+    with the same bits.
+    """
+    if batch._round is None:
+        return DiversityStats(*_head_statistics(batch.heads[None])[0])
+    block, row = batch._round
+    if block.stats is None:
+        block.stats = _head_statistics(block.heads)
+    return DiversityStats(*block.stats[row])
+
+
+def _head_statistics(heads: np.ndarray) -> list[list[float]]:
+    """``[mu_sq, L_sq, eta, L_max]`` of each round of ``(R, n, k)`` heads,
+    ``mu_sq`` clipped at 0.
+
+    Every reduction is the one a round on its own makes (matmul's dot product
+    for the mean head's squared norm, where an einsum rounds apart), and a
+    stacked LAPACK call factors its matrices one by one, so a round's row has
+    the same bits whatever the block around it.
+    """
+    n = heads.shape[-2]
+    eigenvalues = np.linalg.eigvalsh(np.swapaxes(heads, -1, -2) @ heads / n)
+    low, high = eigenvalues[:, 0], eigenvalues[:, -1]
+    mean = heads.sum(axis=-2) / n
+    eta_sq = (mean[:, None, :] @ mean[:, :, None])[:, 0, 0]
+    row_sq = np.einsum("rnk,rnk->rn", heads, heads)
+    return np.stack(
+        [np.where(low < 0.0, 0.0, low), high, np.sqrt(eta_sq), np.sqrt(row_sq.max(axis=-1))],
+        axis=1,
+    ).tolist()

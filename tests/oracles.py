@@ -198,3 +198,18 @@ def record_loop(snapshots, ground_truth_rep, perp, noise_std, alpha):
         records.append((int(t), dist, delta, w_norm, psi_min, psi_max, bperp, loss,
                         *(float(value) for value in stats)))
     return records
+
+
+def diversity_stats_loop(heads: np.ndarray) -> tuple[float, float, float, float]:
+    """``(mu_sq, L_sq, eta, L_max)`` of one round's ``n x k`` heads, each
+    reduction made on that round's arrays alone."""
+    n = heads.shape[0]
+    eigenvalues = np.linalg.eigvalsh(heads.T @ heads / n)
+    mean = heads.sum(axis=0) / n
+    row_sq = np.einsum("ij,ij->i", heads, heads)
+    return (
+        max(float(eigenvalues[0]), 0.0),
+        float(eigenvalues[-1]),
+        math.sqrt(float(mean @ mean)),
+        math.sqrt(float(row_sq.max())),
+    )

@@ -8,6 +8,7 @@ calling the package's own gradient code.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import warnings
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 import linrep.algorithms
+import linrep.env
 from linrep.algorithms import (
     _BLOCK_FLOATS,
     _RECORD_CHUNK,
@@ -48,7 +50,7 @@ from linrep.model import (
     init_model,
 )
 from linrep.rng import standard_normal, substream
-from oracles import central_diff_pair, record_loop, rel_err
+from oracles import central_diff_pair, diversity_stats_loop, record_loop, rel_err
 
 ALL_ALGOS = list(Algorithm)
 ADAPTING_ALGOS = [algo for algo in Algorithm if algo is not Algorithm.AVG_RISK_MIN]
@@ -563,20 +565,25 @@ class TestRoundBlocks:
         assert seen == {(count * per_round[0], count * per_round[1])}
 
     def test_block_validates_each_side_once(self, monkeypatch) -> None:
-        # A round's sets are rows of its block's validated draws.
+        # A round's heads and sets are rows of its block's validated draws.
         calls = []
-        validate = DataSet.__post_init__
+        validate, validate_batch = DataSet.__post_init__, TaskBatch.__post_init__
 
         def counting_validate(self) -> None:
             calls.append(self.m)
             validate(self)
 
+        def counting_validate_batch(self) -> None:
+            calls.append(("batch", len(self.heads)))
+            validate_batch(self)
+
         monkeypatch.setattr(DataSet, "__post_init__", counting_validate)
+        monkeypatch.setattr(TaskBatch, "__post_init__", counting_validate_batch)
         env = _env(d=6, k=2, seed=27, noise_std=0.1)
         hp = _hp(Algorithm.FO_ANIL, Mode.FINITE, n=4, m_in=3, m_out=30)
         block = _sample_rounds(env, hp, substream(27, 0, "tasks"), 5)
         assert len(block) == 5 and block[-1].outer_sets.m == 30
-        assert calls == [3, 30]
+        assert calls == [3, 30, ("batch", 20)]
 
     @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
     def test_run_draws_exactly_its_rounds_in_trimmed_blocks(self, mode: Mode, monkeypatch) -> None:
@@ -606,6 +613,60 @@ class TestRoundBlocks:
         assert head_rows == [4 * n, 4 * n, 2 * n]
         expected = [4 * n, 4 * n, 4 * n, 4 * n, 2 * n, 2 * n] if mode is Mode.FINITE else []
         assert set_rows == expected
+
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("blow_up_at", [None, 9], ids=["full", "diverges"])
+    def test_statistics_computed_once_per_block(
+        self, mode: Mode, blow_up_at: int | None, monkeypatch
+    ) -> None:
+        # n = 10, d = 20 gives blocks of 4 rounds; 10 rounds are 4 + 4 + 2.
+        # The diverging run blows its head up on the step into t = 9, so it
+        # stops one round into its third block.  Either run must equal the
+        # same run with every round's statistics computed on its own.
+        d, n, iters = 20, 10, 9
+        assert _BLOCK_FLOATS // (n * d * d) == 4
+        blocks: list[int] = []
+        stacked = linrep.env._head_statistics
+
+        def counting_statistics(heads):
+            blocks.append(len(heads))
+            return stacked(heads)
+
+        make_step = linrep.algorithms.step_for
+
+        def blowing_step_for(hp):
+            step, taken = make_step(hp), itertools.count(1)
+
+            def patched(params, env, batch, hp):
+                outcome = step(params, env, batch, hp)
+                if next(taken) == blow_up_at:
+                    huge = ModelParams(outcome.params_next.rep, np.full(env.k, 1e7))
+                    return dataclasses.replace(outcome, params_next=huge)
+                return outcome
+
+            return patched
+
+        monkeypatch.setattr(linrep.env, "_head_statistics", counting_statistics)
+        monkeypatch.setattr(linrep.algorithms, "step_for", blowing_step_for)
+        env = _env(d=d, k=3, seed=26, noise_std=0.1)
+        hp = _hp(Algorithm.FO_ANIL, mode, n=n, iters=iters, m_in=30, m_out=30)
+        init = init_model(env, hp.alpha, InitScheme.SPEC, substream(26, 0, "init"))
+
+        def run() -> RunResult:
+            return run_trajectory(env, hp, init, substream(26, 0, "tasks"), record_every=3)
+
+        result = run()
+        assert blocks == [4, 4, 2]
+        monkeypatch.setattr(
+            linrep.algorithms, "diversity_stats",
+            lambda batch: DiversityStats(*diversity_stats_loop(batch.heads)),
+        )
+        reference = run()
+        assert blocks == [4, 4, 2]
+        assert result.diverged_at == reference.diverged_at == blow_up_at
+        assert result.trajectory.tobytes() == reference.trajectory.tobytes()
+        assert result.head_stats == reference.head_stats
 
 
 class TestRunTrajectory:

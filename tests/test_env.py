@@ -1,9 +1,13 @@
 """Tests for task environments, batches, data sampling, and diversity statistics."""
 from __future__ import annotations
 
+import dataclasses
+import math
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linrep.env import (
@@ -11,13 +15,14 @@ from linrep.env import (
     DiversityStats,
     TaskBatch,
     TaskEnvironment,
+    _block_rounds,
     diversity_stats,
     sample_dataset,
     sample_environment,
     sample_task_batch,
 )
 from linrep.rng import standard_normal, substream
-from oracles import rayleigh_min_bruteforce
+from oracles import diversity_stats_loop, rayleigh_min_bruteforce
 
 
 def _env(d: int = 6, k: int = 2, **kw: object) -> TaskEnvironment:
@@ -83,6 +88,15 @@ class TestSampleTaskBatch:
         env = _env()
         with pytest.raises(ValueError):
             sample_task_batch(env, n=0, rng=substream(2, 0, "tasks"))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_heads_rejected_naming_heads(self, bad: float) -> None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="heads must be finite"):
+                TaskBatch(heads=[[bad, 0.0], [1.0, 2.0]])
+            with pytest.raises(ValueError, match="heads must be finite"):
+                _block_rounds(np.array([[[1.0, 0.0]], [[0.0, bad]]]))
 
 
 class TestSampleDataset:
@@ -288,6 +302,49 @@ class TestDiversityStats:
         assert 0.0 <= stats.mu_sq <= stats.L_sq + tol
         assert stats.L_sq <= stats.L_max**2 + tol
         assert stats.eta**2 <= stats.L_sq + tol
+
+    @given(
+        st.integers(1, 20), st.integers(1, 6), st.integers(1, 5),
+        st.sampled_from(["gaussian", "zeros", "mean 1e3"]), st.integers(0, 2**32 - 1),
+    )
+    @example(4, 3, 3, "zeros", 0)
+    @example(5, 2, 5, "gaussian", 1)  # n < k: rank deficient
+    @example(13, 3, 3, "mean 1e3", 2)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_block_rows_equal_one_round_statistics_bitwise(
+        self, rounds: int, n: int, k: int, kind: str, seed: int
+    ) -> None:
+        if kind == "zeros":
+            heads = np.zeros((rounds, n, k))
+        else:
+            mean = 1e3 if kind == "mean 1e3" else 0.0
+            heads = mean + np.random.default_rng(seed).normal(size=(rounds, n, k))
+        block = _block_rounds(heads)
+        for r, batch in enumerate(block):
+            got = [value.hex() for value in dataclasses.astuple(diversity_stats(batch))]
+            alone = diversity_stats(TaskBatch(heads=heads[r].copy()))
+            assert got == [value.hex() for value in dataclasses.astuple(alone)]
+            assert got == [value.hex() for value in diversity_stats_loop(heads[r])]
+            if kind == "zeros":
+                assert alone == DiversityStats(0.0, 0.0, 0.0, 0.0)
+            if n < k:  # rank deficient: rounding noise at most, never negative
+                assert 0.0 <= alone.mu_sq <= 1e-12 * alone.L_sq
+
+    def test_block_round_is_a_plain_batch_of_its_heads(self) -> None:
+        env = _env(d=5, k=2)
+        heads = standard_normal(substream(9, 0, "heads"), (3, 4, 2))
+        sets = sample_dataset(env, heads.reshape(12, 2), m=10, rng=substream(9, 1, "data"))
+        for batch in _block_rounds(heads) + _block_rounds(heads, sets, sets):
+            plain = TaskBatch(batch.heads, batch.inner_sets, batch.outer_sets)
+            assert batch == plain and repr(batch) == repr(plain)
+            assert diversity_stats(batch) == diversity_stats(plain)
+        # A replaced batch drops the block: no statistics of the old heads.
+        other = np.array([[3.0, 0.0], [0.0, -1.0], [1.0, 1.0], [2.0, 2.0]])
+        for batch in _block_rounds(heads):
+            diversity_stats(batch)
+            replaced = dataclasses.replace(batch, heads=other)
+            assert diversity_stats(replaced) == diversity_stats(TaskBatch(heads=other))
+            assert diversity_stats(replaced) != diversity_stats(batch)
 
     def test_invalid_stats_rejected(self) -> None:
         with pytest.raises(ValueError):
