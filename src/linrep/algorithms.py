@@ -15,18 +15,25 @@ exact moments of isotropic Gaussian inputs, ``(I, B* w*_i)`` on both sides,
 so the expected risk needs no code of its own.  The average-risk baseline
 skips inner adaptation entirely and descends the mean unadapted risk.
 
-A run draws its rounds in blocks of ``R = max(1, _BLOCK_FLOATS // (n d^2))``
-rounds, the last block trimmed so that a run draws ``iters + 1`` rounds.  A
-block draws the ``(R, n, k)`` heads of its rounds in one ``standard_normal``
-call of ``R`` rows, bitwise the heads of ``R`` per-round draws; a
-finite-sample block then draws the inner sets of all its ``R n`` tasks in one
-call over the stacked heads, then the outer sets likewise, and round ``r`` of
-the block takes rows ``r n : (r + 1) n`` of each.  ``R`` depends only on
-``(n, d)``, so the stream, and every artifact, is the same on any host and
-worker count.  A block is validated once, and each of its rounds refers to
-it (``env._block_rounds``): the loop asks ``diversity_stats`` for every
-round's task statistics, and the first such call of a block computes those
-of all its rounds in one stacked pass, with the bits of a round on its own.
+A run draws its rounds in blocks of ``R`` rounds, the last block trimmed so
+that a run draws ``iters + 1`` rounds.  A block draws the ``(R, n, k)`` heads
+of its rounds in one ``standard_normal`` call of ``R`` rows, bitwise the
+heads of ``R`` per-round draws; a finite-sample block then draws the inner
+sets of all its ``R n`` tasks in one call over the stacked heads, then the
+outer sets likewise, and round ``r`` of the block takes rows
+``r n : (r + 1) n`` of each.  ``R`` is sized by what a round holds:
+``max(1, _BLOCK_FLOATS // (n d^2))`` for the statistics of a finite-sample
+round, ``max(1, _HEAD_BLOCK_FLOATS // (n k))`` for the heads of a population
+round.  A finite-sample run's draw order, and so its bytes, depend on ``R``,
+which depends only on ``(n, d)``, so the stream, and every artifact, is the
+same on any host and worker count.  A population run's bytes do not depend
+on ``R`` at all: its blocks draw only heads, and the heads and statistics of
+a round are bitwise the same whatever block it is drawn in.  A block is
+validated once, and its rounds are built as the loop reads them, each
+referring to the block (``env._block_rounds``): the loop asks
+``diversity_stats`` for every round's task statistics, and the first such
+call of a block computes and checks those of all its rounds in one stacked
+pass, with the bits of a round on its own.
 
 Recording is kept out of the step loop.  At a scheduled record the loop
 keeps a snapshot (the iteration, the parameters, the round's adapted heads
@@ -58,6 +65,7 @@ from .env import (
     TaskEnvironment,
     _block_rounds,
     _round_heads,
+    _trusted,
     diversity_stats,
     sample_dataset,
 )
@@ -80,6 +88,10 @@ __all__ = [
 # Iterates whose head norm or representation spectral norm (relative to the
 # 1/sqrt(alpha) parameter scale) pass this bound are declared divergent.
 _DIVERGENCE_NORM = 1e6
+# Relative margin by which ``_is_diverged``'s two shortcuts keep clear of
+# the exact ``eigvalsh`` check's limit: far wider than the rounding of either
+# side (some ``d k`` units of 2^-53), so that neither changes its verdict.
+_SHORTCUT_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -295,13 +307,12 @@ def step_for(hp: HyperParams) -> Callable[..., StepOutcome]:
     ) -> StepOutcome:
         inner, outer = _sets(env, batch, mode)
         grad_head, grad_rep, heads, reps = grads(params.rep, params.head, inner, outer, hp.alpha)
-        return StepOutcome(
-            params_next=ModelParams(
-                rep=params.rep - hp.beta * grad_rep, head=params.head - hp.beta * grad_head
-            ),
-            adapted_heads=heads,
-            adapted_reps=reps,
+        # Built unchecked: an update of validated parameters keeps their shapes.
+        params_next = _trusted(
+            ModelParams, rep=params.rep - hp.beta * grad_rep, head=params.head - hp.beta * grad_head
         )
+        return _trusted(StepOutcome, params_next=params_next, adapted_heads=heads,
+                        adapted_reps=reps)
 
     return step
 
@@ -310,13 +321,22 @@ def step_for(hp: HyperParams) -> Callable[..., StepOutcome]:
 # Trajectory driver
 # --------------------------------------------------------------------------
 
-# Finite-sample statistics a block of rounds may hold per side, in floats
-# (``n d^2`` per round).  Not a setting: the block size must depend only on
-# the run's dimensions for artifacts to stay byte-identical across hosts.
+# Floats a block of rounds may hold: a finite-sample block ``n d^2`` per
+# round and side, up to ``_BLOCK_FLOATS``; a population block, which holds
+# nothing else, its rounds' ``n k`` heads, up to ``_HEAD_BLOCK_FLOATS``.
+# Drawing, validating and reducing a block of heads briefly takes several
+# times their size, so the population budget is the smaller: at n = k = 3,
+# blocks of 2^14 head floats raised the peak memory of five 10^4-step runs
+# by about 0.6 MiB over blocks of 13 rounds, blocks of 2^10 kept it within
+# noise.  Not settings: a finite-sample block size must depend only on the
+# run's dimensions for artifacts to stay byte-identical across hosts.
 _BLOCK_FLOATS = 2**14
+_HEAD_BLOCK_FLOATS = 2**10
 
 
-def _sample_rounds(env: TaskEnvironment, hp: HyperParams, rng, count: int) -> list[TaskBatch]:
+def _sample_rounds(
+    env: TaskEnvironment, hp: HyperParams, rng, count: int
+) -> Iterator[TaskBatch]:
     """Sample ``count`` consecutive rounds' tasks (and data sets in
     finite-sample mode).
 
@@ -337,14 +357,27 @@ def _sample_rounds(env: TaskEnvironment, hp: HyperParams, rng, count: int) -> li
 
 def _rounds(env: TaskEnvironment, hp: HyperParams, rng) -> Iterator[TaskBatch]:
     """The ``hp.iters + 1`` rounds of a run, sampled a block at a time."""
-    size = max(1, _BLOCK_FLOATS // (hp.n * env.d**2))
+    if hp.mode is Mode.POPULATION:
+        size = max(1, _HEAD_BLOCK_FLOATS // (hp.n * env.k))
+    else:
+        size = max(1, _BLOCK_FLOATS // (hp.n * env.d**2))
     total = hp.iters + 1
     for start in range(0, total, size):
         yield from _sample_rounds(env, hp, rng, min(size, total - start))
 
 
 def _is_diverged(params: ModelParams, rep_limit: float) -> bool:
+    """Whether ``params`` has a non-finite entry, a head norm above
+    ``_DIVERGENCE_NORM`` or a representation spectral norm above
+    ``rep_limit``."""
     head_sq = float(params.head @ params.head)
+    rep_sq = float(np.vdot(params.rep, params.rep))
+    # The Frobenius norm bounds the spectral norm.  Below the limit by more
+    # than the rounding of either, it settles the common case with two dot
+    # products; a NaN square fails the comparison.
+    fast_limit_sq = (1.0 - _SHORTCUT_MARGIN) * rep_limit**2
+    if head_sq <= _DIVERGENCE_NORM * _DIVERGENCE_NORM and rep_sq <= fast_limit_sq:
+        return False
     largest = float(np.abs(params.rep).max())  # NaN if any entry is NaN
     if not (math.isfinite(head_sq) and math.isfinite(largest)):
         return True
@@ -352,6 +385,8 @@ def _is_diverged(params: ModelParams, rep_limit: float) -> bool:
         return True
     if largest * math.sqrt(params.rep.size) <= rep_limit:
         return False  # Frobenius bound already below the limit
+    if largest > (1.0 + _SHORTCUT_MARGIN) * rep_limit:
+        return True  # an entry bounds the spectral norm; ``rep^T rep`` may overflow
     top = float(np.linalg.eigvalsh(params.rep.T @ params.rep)[-1])
     return math.sqrt(max(top, 0.0)) > rep_limit
 

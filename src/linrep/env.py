@@ -15,6 +15,7 @@ Ann. Statist. 31(5)); raw inputs are never formed.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,16 @@ __all__ = [
 ]
 
 _ORTHONORMAL_TOL = 1e-12
+
+
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as
+    given, without ``__post_init__``: for values that are known to pass its
+    checks, such as rows of a validated block or an update of validated
+    parameters."""
+    instance = object.__new__(cls)
+    instance.__dict__.update(fields)
+    return instance
 
 
 @dataclass(frozen=True)
@@ -160,12 +171,8 @@ class DataSet:
         cov = self.cov[i]
         if cov.ndim == 3 and cov.shape[0] < 1:
             raise ValueError("a stacked DataSet needs at least one task")
-        # Rows of a validated stack are valid: skip ``__post_init__``'s scans.
-        part = object.__new__(DataSet)
-        for name, value in (("cov", cov), ("xty", self.xty[i]), ("yty", self.yty[i, ...]),
-                            ("m", self.m)):
-            object.__setattr__(part, name, value)
-        return part
+        # Rows of a validated stack are valid.
+        return _trusted(DataSet, cov=cov, xty=self.xty[i], yty=self.yty[i, ...], m=self.m)
 
 
 @dataclass(frozen=True)
@@ -207,40 +214,42 @@ class TaskBatch:
 class _Block:
     """The ``(R, n, k)`` heads of a block of ``R`` sampled rounds and, once
     the statistics of any of its rounds are asked for, those of all ``R``
-    (rows of ``[mu_sq, L_sq, eta, L_max]``)."""
+    (``R x 4``, rows of ``[mu_sq, L_sq, eta, L_max]``)."""
 
     __slots__ = ("heads", "stats")
 
     def __init__(self, heads: np.ndarray) -> None:
         self.heads = heads
-        self.stats: list[list[float]] | None = None
+        self.stats: np.ndarray | None = None
 
 
 def _block_rounds(
     heads: np.ndarray, inner_sets: DataSet | None = None, outer_sets: DataSet | None = None
-) -> list[TaskBatch]:
-    """The rounds of a sampled block.
+) -> Iterator[TaskBatch]:
+    """The rounds of a sampled block, each built when it is read.
 
     ``heads`` is ``(R, n, k)``; the data sets, if any, stack the block's
     ``R n`` tasks round after round.  Round ``r`` holds ``heads[r]`` and rows
-    ``r n : (r + 1) n`` of each set.  The block is validated once, as one
-    batch of ``R n`` tasks, so its rounds skip ``TaskBatch.__post_init__``;
-    they share the block's statistics (see ``diversity_stats``).
+    ``r n : (r + 1) n`` of each set.  The block is validated once, by this
+    call, as one batch of ``R n`` tasks, so its rounds skip
+    ``TaskBatch.__post_init__``; they share the block's statistics (see
+    ``diversity_stats``).
     """
     count, n, k = heads.shape
     whole = TaskBatch(heads.reshape(count * n, k), inner_sets, outer_sets)
     block = _Block(whole.heads.reshape(count, n, k))
-    rounds = []
-    for r, round_heads in enumerate(block.heads):
+
+    def round_(r: int) -> TaskBatch:
         rows = slice(r * n, (r + 1) * n)
-        part = object.__new__(TaskBatch)
-        for name, value in (("heads", round_heads),
-                            ("inner_sets", None if inner_sets is None else inner_sets[rows]),
-                            ("outer_sets", None if outer_sets is None else outer_sets[rows]),
-                            ("_round", (block, r))):
-            object.__setattr__(part, name, value)
-        rounds.append(part)
-    return rounds
+        return _trusted(
+            TaskBatch,
+            heads=block.heads[r],
+            inner_sets=None if inner_sets is None else inner_sets[rows],
+            outer_sets=None if outer_sets is None else outer_sets[rows],
+            _round=(block, r),
+        )
+
+    return map(round_, range(count))
 
 
 @dataclass(frozen=True)
@@ -257,13 +266,31 @@ class DiversityStats:
     L_max: float
 
     def __post_init__(self) -> None:
-        slop = 1e-9 * max(1.0, self.L_max**2)
-        if not 0.0 <= self.mu_sq <= self.L_sq + slop:
-            raise ValueError(f"require 0 <= mu_sq <= L_sq, got {self.mu_sq}, {self.L_sq}")
-        if self.L_sq > self.L_max**2 + slop:
-            raise ValueError(f"require L_sq <= L_max^2, got {self.L_sq}, {self.L_max ** 2}")
-        if self.eta**2 > self.L_sq + slop:
-            raise ValueError(f"require eta^2 <= L_sq, got {self.eta ** 2}, {self.L_sq}")
+        _check_statistics(np.array([[self.mu_sq, self.L_sq, self.eta, self.L_max]]))
+
+
+def _check_statistics(stats: np.ndarray) -> None:
+    """Check the invariant chain of ``DiversityStats`` on every row of
+    ``stats`` (``R x 4``, rows of ``[mu_sq, L_sq, eta, L_max]``) at once:
+    ``0 <= mu_sq <= L_sq``, ``L_sq <= L_max^2`` and ``eta^2 <= L_sq``, each to
+    within ``1e-9 max(1, L_max^2)``.  Raises ``ValueError`` naming the first
+    invariant that the first breaking row breaks.
+    """
+    mu_sq, L_sq, eta, L_max = stats.T
+    L_max_sq, eta_sq = L_max**2, eta**2
+    slop = 1e-9 * np.fmax(1.0, L_max_sq)  # a NaN L_max leaves the slop at 1e-9
+    chain = (
+        ("0 <= mu_sq <= L_sq", (0.0 <= mu_sq) & (mu_sq <= L_sq + slop), mu_sq, L_sq),
+        ("L_sq <= L_max^2", ~(L_sq > L_max_sq + slop), L_sq, L_max_sq),
+        ("eta^2 <= L_sq", ~(eta_sq > L_sq + slop), eta_sq, L_sq),
+    )
+    holds = chain[0][1] & chain[1][1] & chain[2][1]
+    if holds.all():
+        return
+    row = int(np.argmin(holds))
+    for name, link, left, right in chain:
+        if not link[row]:
+            raise ValueError(f"require {name}, got {float(left[row])}, {float(right[row])}")
 
 
 def sample_environment(
@@ -377,20 +404,21 @@ def diversity_stats(batch: TaskBatch) -> DiversityStats:
 
     A round of a sampled block reads its row of the block's statistics; the
     first call on any round of the block computes them for every round, in
-    one stacked pass.  Any other batch is computed as a block of one round,
-    with the same bits.
+    one stacked pass, and checks their invariants once, for the whole block.
+    Any other batch is computed as a block of one round, with the same bits.
     """
-    if batch._round is None:
-        return DiversityStats(*_head_statistics(batch.heads[None])[0])
-    block, row = batch._round
+    block, row = batch._round or (_Block(batch.heads[None]), 0)
     if block.stats is None:
-        block.stats = _head_statistics(block.heads)
-    return DiversityStats(*block.stats[row])
+        stats = _head_statistics(block.heads)
+        _check_statistics(stats)
+        block.stats = stats
+    mu_sq, L_sq, eta, L_max = block.stats[row].tolist()
+    return _trusted(DiversityStats, mu_sq=mu_sq, L_sq=L_sq, eta=eta, L_max=L_max)
 
 
-def _head_statistics(heads: np.ndarray) -> list[list[float]]:
-    """``[mu_sq, L_sq, eta, L_max]`` of each round of ``(R, n, k)`` heads,
-    ``mu_sq`` clipped at 0.
+def _head_statistics(heads: np.ndarray) -> np.ndarray:
+    """The ``R x 4`` rows ``[mu_sq, L_sq, eta, L_max]`` of each round of
+    ``(R, n, k)`` heads, ``mu_sq`` clipped at 0.
 
     Every reduction is the one a round on its own makes (matmul's dot product
     for the mean head's squared norm, where an einsum rounds apart), and a
@@ -406,4 +434,4 @@ def _head_statistics(heads: np.ndarray) -> list[list[float]]:
     return np.stack(
         [np.where(low < 0.0, 0.0, low), high, np.sqrt(eta_sq), np.sqrt(row_sq.max(axis=-1))],
         axis=1,
-    ).tolist()
+    )

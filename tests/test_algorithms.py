@@ -20,6 +20,7 @@ import linrep.algorithms
 import linrep.env
 from linrep.algorithms import (
     _BLOCK_FLOATS,
+    _HEAD_BLOCK_FLOATS,
     _RECORD_CHUNK,
     RunResult,
     StepOutcome,
@@ -40,7 +41,7 @@ from linrep.env import (
     sample_environment,
     sample_task_batch,
 )
-from linrep.metrics import orth_complement, principal_angle_dist
+from linrep.metrics import orth_complement, principal_angle_dist, spectral_norm
 from linrep.model import (
     Algorithm,
     HyperParams,
@@ -103,6 +104,14 @@ def _finite_batch(env, n: int, m_in: int, m_out: int, seed: int):
 
 def _random_params(rng, d: int, k: int) -> ModelParams:
     return ModelParams(rep=standard_normal(rng, (d, k)), head=standard_normal(rng, (k,)))
+
+
+def _block_size(mode: Mode, d: int, k: int, n: int) -> int:
+    """Rounds per sampled block: a finite-sample round holds ``n d^2``
+    statistics per side, a population round its ``n k`` heads."""
+    if mode is Mode.FINITE:
+        return max(1, _BLOCK_FLOATS // (n * d * d))
+    return max(1, _HEAD_BLOCK_FLOATS // (n * k))
 
 
 def _snapshot(t: int, params: ModelParams, outcome: StepOutcome, batch: TaskBatch) -> _Snapshots:
@@ -489,13 +498,15 @@ class TestFiniteMatchesPopulationAtLargeSamples:
 
 
 class TestRoundBlocks:
-    # In the second case n k = 9 is odd, so each round's draw trims a variate.
-    @pytest.mark.parametrize("k, n, count", [(2, 3, 5), (3, 3, 15)])
+    # From the second case on n k = 9 is odd, so each round's draw trims a
+    # variate; the last two are a population block at n = k = 3 and one of
+    # 2^14 head floats.
+    @pytest.mark.parametrize("k, n, count", [(2, 3, 5), (3, 3, 15), (3, 3, 113), (3, 3, 1820)])
     def test_population_block_is_successive_head_draws(self, k: int, n: int, count: int) -> None:
         env = _env(d=6, k=k, seed=24)
         hp = _hp(Algorithm.FO_ANIL, n=n)
         rng, reference = substream(24, 0, "tasks"), substream(24, 0, "tasks")
-        block = _sample_rounds(env, hp, rng, count)
+        block = list(_sample_rounds(env, hp, rng, count))
         assert len(block) == count
         for batch in block:
             want = sample_task_batch(env, n, reference).heads
@@ -520,7 +531,7 @@ class TestRoundBlocks:
         env = _env(d=6, k=2, seed=25, noise_std=0.1)
         count, n = 3, 4
         hp = _hp(Algorithm.FO_ANIL, Mode.FINITE, n=n, m_in=m_in, m_out=30)
-        block = _sample_rounds(env, hp, substream(25, 0, "tasks"), count)
+        block = list(_sample_rounds(env, hp, substream(25, 0, "tasks"), count))
         rng = substream(25, 0, "tasks")
         heads = [sample_task_batch(env, n, rng).heads for _ in range(count)]
         inner = sample_dataset(env, np.concatenate(heads), m_in, rng)
@@ -581,15 +592,16 @@ class TestRoundBlocks:
         monkeypatch.setattr(TaskBatch, "__post_init__", counting_validate_batch)
         env = _env(d=6, k=2, seed=27, noise_std=0.1)
         hp = _hp(Algorithm.FO_ANIL, Mode.FINITE, n=4, m_in=3, m_out=30)
-        block = _sample_rounds(env, hp, substream(27, 0, "tasks"), 5)
+        block = list(_sample_rounds(env, hp, substream(27, 0, "tasks"), 5))
         assert len(block) == 5 and block[-1].outer_sets.m == 30
         assert calls == [3, 30, ("batch", 20)]
 
     @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
     def test_run_draws_exactly_its_rounds_in_trimmed_blocks(self, mode: Mode, monkeypatch) -> None:
-        # n = 10, d = 20 gives blocks of 4 rounds; 10 rounds are 4 + 4 + 2.
-        d, n, iters = 20, 10, 9
-        assert _BLOCK_FLOATS // (n * d * d) == 4
+        # 2 R + 2 rounds are two full blocks and a trimmed one of 2 rounds.
+        d, k, n = 20, 3, 10
+        size = _block_size(mode, d, k, n)
+        iters = 2 * size + 1
         head_rows: list[int] = []
         set_rows: list[int] = []
         draw_heads, draw_sets = linrep.algorithms._round_heads, linrep.algorithms.sample_dataset
@@ -604,28 +616,32 @@ class TestRoundBlocks:
 
         monkeypatch.setattr(linrep.algorithms, "_round_heads", counting_heads)
         monkeypatch.setattr(linrep.algorithms, "sample_dataset", counting_sets)
-        env = _env(d=d, k=3, seed=26, noise_std=0.1)
+        env = _env(d=d, k=k, seed=26, noise_std=0.1)
         hp = _hp(Algorithm.FO_ANIL, mode, n=n, iters=iters, m_in=30, m_out=30)
         init = init_model(env, hp.alpha, InitScheme.SPEC, substream(26, 0, "init"))
         result = run_trajectory(env, hp, init, substream(26, 0, "tasks"), record_every=3)
         assert not result.diverged
-        assert [r.t for r in result.trajectory] == [0, 3, 6, 9]
-        assert head_rows == [4 * n, 4 * n, 2 * n]
-        expected = [4 * n, 4 * n, 4 * n, 4 * n, 2 * n, 2 * n] if mode is Mode.FINITE else []
-        assert set_rows == expected
+        schedule = sorted({*range(0, iters + 1, 3), iters})
+        assert [r.t for r in result.trajectory] == schedule
+        assert head_rows == [size * n, size * n, 2 * n]
+        expected = [size * n, size * n, size * n, size * n, 2 * n, 2 * n]
+        assert set_rows == (expected if mode is Mode.FINITE else [])
 
 
     @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
-    @pytest.mark.parametrize("blow_up_at", [None, 9], ids=["full", "diverges"])
+    @pytest.mark.parametrize("diverges", [False, True], ids=["full", "diverges"])
     def test_statistics_computed_once_per_block(
-        self, mode: Mode, blow_up_at: int | None, monkeypatch
+        self, mode: Mode, diverges: bool, monkeypatch
     ) -> None:
-        # n = 10, d = 20 gives blocks of 4 rounds; 10 rounds are 4 + 4 + 2.
-        # The diverging run blows its head up on the step into t = 9, so it
-        # stops one round into its third block.  Either run must equal the
-        # same run with every round's statistics computed on its own.
-        d, n, iters = 20, 10, 9
-        assert _BLOCK_FLOATS // (n * d * d) == 4
+        # 2 R + 2 rounds are two full blocks and a trimmed one of 2 rounds.
+        # The diverging run blows its head up on the step into the last
+        # iteration, t = 2 R + 1, so it stops one round into its third block.
+        # Either run must equal the same run with every round's statistics
+        # computed on its own.
+        d, k, n = 20, 3, 10
+        size = _block_size(mode, d, k, n)
+        iters = 2 * size + 1
+        blow_up_at = iters if diverges else None
         blocks: list[int] = []
         stacked = linrep.env._head_statistics
 
@@ -649,7 +665,7 @@ class TestRoundBlocks:
 
         monkeypatch.setattr(linrep.env, "_head_statistics", counting_statistics)
         monkeypatch.setattr(linrep.algorithms, "step_for", blowing_step_for)
-        env = _env(d=d, k=3, seed=26, noise_std=0.1)
+        env = _env(d=d, k=k, seed=26, noise_std=0.1)
         hp = _hp(Algorithm.FO_ANIL, mode, n=n, iters=iters, m_in=30, m_out=30)
         init = init_model(env, hp.alpha, InitScheme.SPEC, substream(26, 0, "init"))
 
@@ -657,16 +673,76 @@ class TestRoundBlocks:
             return run_trajectory(env, hp, init, substream(26, 0, "tasks"), record_every=3)
 
         result = run()
-        assert blocks == [4, 4, 2]
+        assert blocks == [size, size, 2]
         monkeypatch.setattr(
             linrep.algorithms, "diversity_stats",
             lambda batch: DiversityStats(*diversity_stats_loop(batch.heads)),
         )
         reference = run()
-        assert blocks == [4, 4, 2]
+        assert blocks == [size, size, 2]
         assert result.diverged_at == reference.diverged_at == blow_up_at
         assert result.trajectory.tobytes() == reference.trajectory.tobytes()
         assert result.head_stats == reference.head_stats
+
+
+    @pytest.mark.parametrize(
+        "algo, beta",
+        [*((algo, 0.05) for algo in ALL_ALGOS), (Algorithm.EXACT_MAML, 1.5)],
+        ids=[*(algo.value for algo in ALL_ALGOS), "EXACT_MAML-diverges"],
+    )
+    def test_population_run_does_not_depend_on_block_size(
+        self, algo: Algorithm, beta: float, monkeypatch
+    ) -> None:
+        # A population block draws only heads, bitwise the per-round draws,
+        # and a round's statistics have the same bits in any block, so a
+        # population run has the same bytes whatever its block size: the
+        # rule's R = 113 at n = k = 3, R = 1820 (2^14 head floats), the
+        # R = 13 that the finite-sample rule gives at d = 20, and R = 1.  The
+        # 1920 rounds end in a trimmed block at every size but R = 1; the
+        # diverging run stops at t = 1555, inside a block at every size but
+        # R = 1.  This does not hold for a finite-sample run, whose block
+        # draws the heads of all its rounds before any data set, so that its
+        # bytes depend on R (see the next test).
+        d, k, n, iters = 8, 3, 3, 1919
+        env = _env(d=d, k=k, seed=31, head_mean=1.0)
+        hp = _hp(algo, alpha=0.1, beta=beta, n=n, iters=iters)
+        init = init_model(env, hp.alpha, InitScheme.SPEC, substream(31, 0, "init"))
+        first_block: list[int] = []
+        draw_heads = linrep.algorithms._round_heads
+
+        def counting_heads(env, rounds, n, rng):
+            if not first_block:
+                first_block.append(rounds)
+            return draw_heads(env, rounds, n, rng)
+
+        monkeypatch.setattr(linrep.algorithms, "_round_heads", counting_heads)
+        runs = {}
+        for floats, size in ((_HEAD_BLOCK_FLOATS, 113), (2**14, 1820), (13 * n * k, 13), (1, 1)):
+            monkeypatch.setattr(linrep.algorithms, "_HEAD_BLOCK_FLOATS", floats)
+            first_block.clear()
+            runs[size] = run_trajectory(env, hp, init, substream(31, 0, "tasks"), record_every=7)
+            assert first_block == [size]
+        result = runs[113]
+        if beta > 1.0:
+            assert result.diverged_at == 1555
+        for other in (runs[1820], runs[13], runs[1]):
+            assert other.trajectory.tobytes() == result.trajectory.tobytes()
+            assert other.head_stats == result.head_stats
+            assert other.diverged_at == result.diverged_at
+            np.testing.assert_array_equal(other.final_params.rep, result.final_params.rep)
+
+    def test_finite_run_depends_on_block_size(self, monkeypatch) -> None:
+        # A finite-sample block draws its rounds' heads, then their inner
+        # sets, then their outer sets, so R orders the stream; this is why
+        # its size follows the run's dimensions alone.
+        env = _env(d=6, k=2, seed=32, noise_std=0.1)
+        hp = _hp(Algorithm.FO_ANIL, Mode.FINITE, n=3, iters=5)
+        init = init_model(env, hp.alpha, InitScheme.SPEC, substream(32, 0, "init"))
+        runs = []
+        for floats in (_BLOCK_FLOATS, 1):
+            monkeypatch.setattr(linrep.algorithms, "_BLOCK_FLOATS", floats)
+            runs.append(run_trajectory(env, hp, init, substream(32, 0, "tasks"), record_every=1))
+        assert runs[0].trajectory.tobytes() != runs[1].trajectory.tobytes()
 
 
 class TestRunTrajectory:
@@ -789,6 +865,53 @@ class TestRunTrajectory:
         rep, head = params.rep.copy(), params.head.copy()
         (rep if where == "rep" else head)[-1] = bad
         assert _is_diverged(ModelParams(rep, head), rep_limit=1e6)
+
+    @pytest.mark.parametrize(
+        "case",
+        ["nan", "inf", "-inf", "rep squares overflow", "head squares overflow", "head at 1e6",
+         "head past 1e6", "frobenius above, spectral below", "spectral above", "ordinary"],
+    )
+    def test_divergence_verdict_is_the_exact_one(self, case: str, monkeypatch) -> None:
+        # The exact verdict: a non-finite entry, a head norm above 1e6 or a
+        # representation spectral norm above the limit.  The last three
+        # cases have no entry above the limit, and the first two of them a
+        # Frobenius norm above it, so that only ``eigvalsh`` can decide.
+        d, k, limit = 20, 3, 1e6 / math.sqrt(0.1)
+        rng = substream(33, 0, "params")
+        frame, _ = np.linalg.qr(standard_normal(rng, (d, k)))
+        rep, head = frame.copy(), np.array([0.5, -1.0, 2.0])
+        if case in ("nan", "inf", "-inf"):
+            rep[3, 1] = float(case)
+        elif case == "rep squares overflow":
+            rep[3, 1] = 1e200
+        elif case == "head squares overflow":
+            head[2] = -1e200
+        elif case in ("head at 1e6", "head past 1e6"):
+            head = np.array([0.0, 1e6 if case == "head at 1e6" else np.nextafter(1e6, 2e6), 0.0])
+        elif case == "frobenius above, spectral below":
+            rep = 0.9 * limit * frame
+        elif case == "spectral above":
+            rep = 1.1 * limit * frame
+        params = ModelParams(rep, head)
+        with np.errstate(over="ignore", invalid="ignore"):
+            exact = not (np.isfinite(rep).all() and np.isfinite(head).all()) or (
+                float(np.linalg.norm(head)) > 1e6 or spectral_norm(rep) > limit
+            )
+        expected = {"nan": True, "inf": True, "-inf": True, "rep squares overflow": True,
+                    "head squares overflow": True, "head at 1e6": False, "head past 1e6": True,
+                    "frobenius above, spectral below": False, "spectral above": True,
+                    "ordinary": False}
+        assert exact is expected[case]
+        if case in ("frobenius above, spectral below", "spectral above"):
+            assert np.abs(rep).max() < limit < math.sqrt(np.vdot(rep, rep))
+
+        solves = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(a) or eigvalsh(a))
+        with np.errstate(over="ignore", invalid="ignore"):  # as in ``run_trajectory``
+            assert _is_diverged(params, limit) is exact
+        needs_solve = case in ("frobenius above, spectral below", "spectral above")
+        assert len(solves) == needs_solve
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_initial_representation_diverges_at_zero(self, bad: float) -> None:

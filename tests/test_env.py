@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import linrep.env
 from linrep.env import (
     DataSet,
     DiversityStats,
@@ -310,6 +312,8 @@ class TestDiversityStats:
     @example(4, 3, 3, "zeros", 0)
     @example(5, 2, 5, "gaussian", 1)  # n < k: rank deficient
     @example(13, 3, 3, "mean 1e3", 2)
+    @example(113, 3, 3, "gaussian", 3)  # a population block at n = k = 3
+    @example(1820, 3, 3, "gaussian", 4)  # a block of 2^14 head floats
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_block_rows_equal_one_round_statistics_bitwise(
         self, rounds: int, n: int, k: int, kind: str, seed: int
@@ -334,7 +338,7 @@ class TestDiversityStats:
         env = _env(d=5, k=2)
         heads = standard_normal(substream(9, 0, "heads"), (3, 4, 2))
         sets = sample_dataset(env, heads.reshape(12, 2), m=10, rng=substream(9, 1, "data"))
-        for batch in _block_rounds(heads) + _block_rounds(heads, sets, sets):
+        for batch in [*_block_rounds(heads), *_block_rounds(heads, sets, sets)]:
             plain = TaskBatch(batch.heads, batch.inner_sets, batch.outer_sets)
             assert batch == plain and repr(batch) == repr(plain)
             assert diversity_stats(batch) == diversity_stats(plain)
@@ -349,3 +353,38 @@ class TestDiversityStats:
     def test_invalid_stats_rejected(self) -> None:
         with pytest.raises(ValueError):
             DiversityStats(mu_sq=1.0, L_sq=0.5, eta=0.1, L_max=1.0)
+
+    @pytest.mark.parametrize(
+        "row, invariant",
+        [
+            ([2.0, 1.0, 0.5, 1.5], "0 <= mu_sq <= L_sq"),
+            ([math.nan, 1.0, 0.5, 1.5], "0 <= mu_sq <= L_sq"),
+            ([0.5, 4.0, 0.5, 1.5], "L_sq <= L_max^2"),
+            ([0.5, 1.0, 1.2, 1.5], "eta^2 <= L_sq"),
+        ],
+        ids=["mu_sq>L_sq", "nan-mu_sq", "L_sq>L_max^2", "eta^2>L_sq"],
+    )
+    def test_block_with_a_broken_row_fails_loudly(
+        self, row: list[float], invariant: str, monkeypatch
+    ) -> None:
+        # A block's statistics are checked once, for all its rounds: a broken
+        # row fails every round of the block, its own and the others, and is
+        # never handed out, however often the block is asked.
+        heads = standard_normal(substream(12, 0, "heads"), (5, 3, 3))
+        stacked = linrep.env._head_statistics
+
+        def breaking_statistics(block_heads):
+            stats = stacked(block_heads)
+            stats[min(3, len(stats) - 1)] = row
+            return stats
+
+        monkeypatch.setattr(linrep.env, "_head_statistics", breaking_statistics)
+        message = re.escape(f"require {invariant}")
+        with pytest.raises(ValueError, match=message):
+            DiversityStats(*row)
+        rounds = list(_block_rounds(heads))
+        for batch in rounds + rounds:
+            with pytest.raises(ValueError, match=message):
+                diversity_stats(batch)
+        with pytest.raises(ValueError, match=message):
+            diversity_stats(TaskBatch(heads=heads[0]))
