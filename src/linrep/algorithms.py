@@ -28,12 +28,11 @@ round.  A finite-sample run's draw order, and so its bytes, depend on ``R``,
 which depends only on ``(n, d)``, so the stream, and every artifact, is the
 same on any host and worker count.  A population run's bytes do not depend
 on ``R`` at all: its blocks draw only heads, and the heads and statistics of
-a round are bitwise the same whatever block it is drawn in.  A block is
-validated once, and its rounds are built as the loop reads them, each
-referring to the block (``env._block_rounds``): the loop asks
-``diversity_stats`` for every round's task statistics, and the first such
-call of a block computes and checks those of all its rounds in one stacked
-pass, with the bits of a round on its own.
+a round are bitwise the same whatever block it is drawn in.  When a block is
+drawn it is validated once, and the task statistics of all its rounds are
+computed and checked in one stacked pass, with the bits of a round on its
+own (``env._block_rounds``); its rounds, each carrying its own statistics,
+are built as the loop reads them, and ``diversity_stats`` returns them.
 
 Recording is kept out of the step loop.  At a scheduled record the loop
 keeps a snapshot (the iteration, the parameters, the round's adapted heads

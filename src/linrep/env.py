@@ -80,18 +80,19 @@ class TaskEnvironment:
         rep = np.asarray(self.ground_truth_rep, dtype=float)
         if rep.shape != (self.d, self.k):
             raise ValueError(f"ground_truth_rep must have shape ({self.d}, {self.k})")
+        if not np.isfinite(rep).all():
+            raise ValueError("ground_truth_rep must be finite")
         gram_error = np.abs(rep.T @ rep - np.eye(self.k)).max()
-        if gram_error > _ORTHONORMAL_TOL:
+        if not gram_error <= _ORTHONORMAL_TOL:
             raise ValueError(
                 f"ground_truth_rep columns must be orthonormal (max Gram deviation {gram_error:.3e})"
             )
         mean = np.asarray(self.head_mean, dtype=float)
-        if mean.shape != (self.k,):
-            raise ValueError(f"head_mean must have shape ({self.k},), got {mean.shape}")
-        if self.head_scale < 0.0:
-            raise ValueError(f"head_scale must be nonnegative, got {self.head_scale}")
-        if self.noise_std < 0.0:
-            raise ValueError(f"noise_std must be nonnegative, got {self.noise_std}")
+        if mean.shape != (self.k,) or not np.isfinite(mean).all():
+            raise ValueError(f"head_mean must be finite with shape ({self.k},), got {mean}")
+        for name, value in (("head_scale", self.head_scale), ("noise_std", self.noise_std)):
+            if not 0.0 <= value < np.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         object.__setattr__(self, "ground_truth_rep", rep)
         object.__setattr__(self, "head_mean", mean)
 
@@ -182,16 +183,17 @@ class TaskBatch:
     ``inner_sets``/``outer_sets`` are stacked data sets, one task per entry
     of the leading axis, used by finite-sample algorithms for adaptation and
     for the outer update respectively; population-mode batches carry heads
-    only.  A round of a sampled block also refers to its block and its row
-    there (``_round``, see ``_block_rounds``); that reference takes no part in
-    equality or ``repr``, and ``dataclasses.replace`` drops it.
+    only.  A round of a sampled block also carries its task statistics, which
+    ``_block_rounds`` computed and checked with the block's (``_stats``, see
+    ``diversity_stats``); they take no part in equality or ``repr``, and
+    ``dataclasses.replace`` drops them.
     """
 
     heads: np.ndarray
     inner_sets: DataSet | None = None
     outer_sets: DataSet | None = None
-    _round: tuple[_Block, int] | None = field(default=None, init=False, repr=False,
-                                              compare=False)
+    _stats: DiversityStats | None = field(default=None, init=False, repr=False,
+                                          compare=False)
 
     def __post_init__(self) -> None:
         heads = np.asarray(self.heads, dtype=float)
@@ -211,42 +213,31 @@ class TaskBatch:
         return self.heads.shape[0]
 
 
-class _Block:
-    """The ``(R, n, k)`` heads of a block of ``R`` sampled rounds and, once
-    the statistics of any of its rounds are asked for, those of all ``R``
-    (``R x 4``, rows of ``[mu_sq, L_sq, eta, L_max]``)."""
-
-    __slots__ = ("heads", "stats")
-
-    def __init__(self, heads: np.ndarray) -> None:
-        self.heads = heads
-        self.stats: np.ndarray | None = None
-
-
 def _block_rounds(
     heads: np.ndarray, inner_sets: DataSet | None = None, outer_sets: DataSet | None = None
 ) -> Iterator[TaskBatch]:
     """The rounds of a sampled block, each built when it is read.
 
     ``heads`` is ``(R, n, k)``; the data sets, if any, stack the block's
-    ``R n`` tasks round after round.  Round ``r`` holds ``heads[r]`` and rows
-    ``r n : (r + 1) n`` of each set.  The block is validated once, by this
-    call, as one batch of ``R n`` tasks, so its rounds skip
-    ``TaskBatch.__post_init__``; they share the block's statistics (see
-    ``diversity_stats``).
+    ``R n`` tasks round after round.  Round ``r`` holds ``heads[r]``, rows
+    ``r n : (r + 1) n`` of each set and its task statistics.  This call
+    validates the block once, as one batch of ``R n`` tasks, and computes and
+    checks the statistics of all its rounds in one stacked pass, so a broken
+    block raises here and its rounds skip ``TaskBatch.__post_init__``.
     """
     count, n, k = heads.shape
     whole = TaskBatch(heads.reshape(count * n, k), inner_sets, outer_sets)
-    block = _Block(whole.heads.reshape(count, n, k))
+    heads = whole.heads.reshape(count, n, k)
+    stats = _checked_statistics(heads)
 
     def round_(r: int) -> TaskBatch:
         rows = slice(r * n, (r + 1) * n)
         return _trusted(
             TaskBatch,
-            heads=block.heads[r],
+            heads=heads[r],
             inner_sets=None if inner_sets is None else inner_sets[rows],
             outer_sets=None if outer_sets is None else outer_sets[rows],
-            _round=(block, r),
+            _stats=stats[r],
         )
 
     return map(round_, range(count))
@@ -402,18 +393,22 @@ def sample_dataset(
 def diversity_stats(batch: TaskBatch) -> DiversityStats:
     """Spectral statistics of the batch's ground-truth heads.
 
-    A round of a sampled block reads its row of the block's statistics; the
-    first call on any round of the block computes them for every round, in
-    one stacked pass, and checks their invariants once, for the whole block.
-    Any other batch is computed as a block of one round, with the same bits.
+    A round of a sampled block returns the statistics it was built with (see
+    ``_block_rounds``); any other batch is computed and checked as a block of
+    one round, with the same bits.
     """
-    block, row = batch._round or (_Block(batch.heads[None]), 0)
-    if block.stats is None:
-        stats = _head_statistics(block.heads)
-        _check_statistics(stats)
-        block.stats = stats
-    mu_sq, L_sq, eta, L_max = block.stats[row].tolist()
-    return _trusted(DiversityStats, mu_sq=mu_sq, L_sq=L_sq, eta=eta, L_max=L_max)
+    if batch._stats is not None:
+        return batch._stats
+    return _checked_statistics(batch.heads[None])[0]
+
+
+def _checked_statistics(heads: np.ndarray) -> list[DiversityStats]:
+    """The ``DiversityStats`` of each round of ``(R, n, k)`` heads, from one
+    stacked pass, their invariants checked once for all ``R``."""
+    stats = _head_statistics(heads)
+    _check_statistics(stats)
+    return [_trusted(DiversityStats, mu_sq=mu_sq, L_sq=L_sq, eta=eta, L_max=L_max)
+            for mu_sq, L_sq, eta, L_max in stats.tolist()]
 
 
 def _head_statistics(heads: np.ndarray) -> np.ndarray:
@@ -423,15 +418,17 @@ def _head_statistics(heads: np.ndarray) -> np.ndarray:
     Every reduction is the one a round on its own makes (matmul's dot product
     for the mean head's squared norm, where an einsum rounds apart), and a
     stacked LAPACK call factors its matrices one by one, so a round's row has
-    the same bits whatever the block around it.
+    the same bits whatever the block around it.  Finite heads whose squares
+    overflow raise ``ValueError`` naming the heads.
     """
     n = heads.shape[-2]
-    eigenvalues = np.linalg.eigvalsh(np.swapaxes(heads, -1, -2) @ heads / n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        second = np.swapaxes(heads, -1, -2) @ heads / n
+        mean = heads.sum(axis=-2) / n
+        eta_sq = (mean[:, None, :] @ mean[:, :, None])[:, 0, 0]
+        row_sq = np.einsum("rnk,rnk->rn", heads, heads).max(axis=-1)
+    if not all(np.isfinite(part).all() for part in (second, eta_sq, row_sq)):
+        raise ValueError("task heads too large: their second moment overflows float64")
+    eigenvalues = np.linalg.eigvalsh(second)
     low, high = eigenvalues[:, 0], eigenvalues[:, -1]
-    mean = heads.sum(axis=-2) / n
-    eta_sq = (mean[:, None, :] @ mean[:, :, None])[:, 0, 0]
-    row_sq = np.einsum("rnk,rnk->rn", heads, heads)
-    return np.stack(
-        [np.where(low < 0.0, 0.0, low), high, np.sqrt(eta_sq), np.sqrt(row_sq.max(axis=-1))],
-        axis=1,
-    )
+    return np.stack([np.where(low < 0.0, 0.0, low), high, np.sqrt(eta_sq), np.sqrt(row_sq)], axis=1)

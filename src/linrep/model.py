@@ -103,10 +103,10 @@ class HyperParams:
     m_out: int = 0
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.beta < 0.0:
-            raise ValueError(f"beta must be nonnegative, got {self.beta}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        if not 0.0 <= self.beta < math.inf:
+            raise ValueError(f"beta must be finite and nonnegative, got {self.beta}")
         if self.n < 1:
             raise ValueError(f"n must be at least 1, got {self.n}")
         if self.iters < 0:

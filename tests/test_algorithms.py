@@ -637,7 +637,8 @@ class TestRoundBlocks:
         # The diverging run blows its head up on the step into the last
         # iteration, t = 2 R + 1, so it stops one round into its third block.
         # Either run must equal the same run with every round's statistics
-        # computed on its own.
+        # computed on its own; that reference run draws the same blocks, and
+        # so computes their statistics once each as well.
         d, k, n = 20, 3, 10
         size = _block_size(mode, d, k, n)
         iters = 2 * size + 1
@@ -678,6 +679,7 @@ class TestRoundBlocks:
             linrep.algorithms, "diversity_stats",
             lambda batch: DiversityStats(*diversity_stats_loop(batch.heads)),
         )
+        blocks.clear()
         reference = run()
         assert blocks == [size, size, 2]
         assert result.diverged_at == reference.diverged_at == blow_up_at

@@ -60,6 +60,22 @@ class TestSampleEnvironment:
         with pytest.raises(ValueError):
             _env(noise_std=-0.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "field", ["head_scale", "noise_std", "head_mean", "ground_truth_rep"]
+    )
+    def test_non_finite_field_rejected_naming_it(self, field: str, bad: float) -> None:
+        env = _env(d=3, k=2)
+        values = dataclasses.asdict(env)
+        if field in ("head_mean", "ground_truth_rep"):
+            values[field][0, ...] = bad
+        else:
+            values[field] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=field):
+                TaskEnvironment(**values)
+
     def test_direct_construction_enforces_orthonormality(self) -> None:
         with pytest.raises(ValueError, match="orthonormal"):
             TaskEnvironment(
@@ -342,10 +358,9 @@ class TestDiversityStats:
             plain = TaskBatch(batch.heads, batch.inner_sets, batch.outer_sets)
             assert batch == plain and repr(batch) == repr(plain)
             assert diversity_stats(batch) == diversity_stats(plain)
-        # A replaced batch drops the block: no statistics of the old heads.
+        # A replaced batch drops the statistics of its old heads.
         other = np.array([[3.0, 0.0], [0.0, -1.0], [1.0, 1.0], [2.0, 2.0]])
         for batch in _block_rounds(heads):
-            diversity_stats(batch)
             replaced = dataclasses.replace(batch, heads=other)
             assert diversity_stats(replaced) == diversity_stats(TaskBatch(heads=other))
             assert diversity_stats(replaced) != diversity_stats(batch)
@@ -367,9 +382,9 @@ class TestDiversityStats:
     def test_block_with_a_broken_row_fails_loudly(
         self, row: list[float], invariant: str, monkeypatch
     ) -> None:
-        # A block's statistics are checked once, for all its rounds: a broken
-        # row fails every round of the block, its own and the others, and is
-        # never handed out, however often the block is asked.
+        # A block's statistics are computed and checked when it is drawn: a
+        # broken row makes ``_block_rounds`` itself raise, so no round of the
+        # block is ever handed out.
         heads = standard_normal(substream(12, 0, "heads"), (5, 3, 3))
         stacked = linrep.env._head_statistics
 
@@ -382,9 +397,23 @@ class TestDiversityStats:
         message = re.escape(f"require {invariant}")
         with pytest.raises(ValueError, match=message):
             DiversityStats(*row)
-        rounds = list(_block_rounds(heads))
-        for batch in rounds + rounds:
-            with pytest.raises(ValueError, match=message):
-                diversity_stats(batch)
+        with pytest.raises(ValueError, match=message):
+            _block_rounds(heads)
         with pytest.raises(ValueError, match=message):
             diversity_stats(TaskBatch(heads=heads[0]))
+
+    @pytest.mark.parametrize(
+        "heads",
+        [[[1e160, 0.0], [0.0, 1.0]], [[1.1e154, 1.1e154]]],
+        ids=["second-moment", "row-norm"],
+    )
+    def test_overflowing_heads_rejected_naming_heads(self, heads: list) -> None:
+        # Finite heads whose squares overflow float64 are blamed, without a
+        # warning, rather than the statistics they would give.
+        message = "task heads too large"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                diversity_stats(TaskBatch(heads=heads))
+            with pytest.raises(ValueError, match=message):
+                _block_rounds(np.array([[[1.0, 0.0]] * len(heads), heads]))

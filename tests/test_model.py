@@ -9,7 +9,10 @@ import pytest
 from linrep.env import DataSet, sample_environment
 from linrep.metrics import orth_complement, principal_angle_dist
 from linrep.model import (
+    Algorithm,
+    HyperParams,
     InitScheme,
+    Mode,
     ModelParams,
     finite_task_loss,
     fs_grad_B,
@@ -37,6 +40,17 @@ def _env(d: int = 6, k: int = 2, noise_std: float = 0.0, seed: int = 0):
         d, k, head_mean=0.0, head_scale=1.0, noise_std=noise_std,
         rng=substream(seed, 0, "env"),
     )
+
+
+class TestHyperParams:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    def test_non_finite_step_size_rejected_naming_it(self, field: str, bad: float) -> None:
+        values = dict(algo=Algorithm.FO_ANIL, mode=Mode.POPULATION, alpha=0.1, beta=0.1,
+                      n=3, iters=10)
+        values[field] = bad
+        with pytest.raises(ValueError, match=field):
+            HyperParams(**values)
 
 
 class TestInitModel:
