@@ -153,6 +153,16 @@ class RunResult:
 # (grad_head, grad_rep, adapted_heads, adapted_reps) with adapted_heads of
 # shape (n, k) and adapted_reps of shape (n, d, k) or None when the
 # algorithm adapts heads only.
+#
+# A product of two 2-D or 1-D arrays that runs every step is ``a.dot(b)``:
+# on these operands (contiguous arrays and transposed views) it makes the
+# BLAS call ``a @ b`` makes (gemm, gemv, ddot, or syrk for ``A A^T``), with
+# the same bits, without the matmul gufunc's dispatch (3x20 by 20x3: 0.53
+# against 1.10 us, numpy 2.4 with one OpenBLAS thread on a 2-vCPU Xeon).
+# Stacked products keep ``@``, whose N-D semantics ``dot`` does not share
+# (``_matvec``, ``_records``, ``_psi_spectra``); so do the independent
+# oracles (``model.pop_grad_*``/``fs_grad_*``, the finite-difference check),
+# to share no code path with the kernels.
 
 _Moments = tuple[np.ndarray | None, np.ndarray]
 
@@ -165,7 +175,7 @@ def _sets(env: TaskEnvironment, batch: TaskBatch, mode: Mode) -> tuple[_Moments,
     finite-sample round reads its stacked data sets.
     """
     if mode is Mode.POPULATION:
-        exact = (None, batch.heads @ env.ground_truth_rep.T)
+        exact = (None, batch.heads.dot(env.ground_truth_rep.T))
         return exact, exact
     if batch.inner_sets is None or batch.outer_sets is None:
         raise ValueError("finite-sample steps require per-task data sets in the batch")
@@ -191,28 +201,28 @@ def _residual(moments: _Moments, beta: np.ndarray) -> np.ndarray:
 
 def _grads_fo_anil(B, w, inner, outer, alpha):
     n = inner[1].shape[0]
-    inner_res = _residual(inner, B @ w)
-    adapted = w[None, :] - alpha * (inner_res @ B)
-    outer_res = _residual(outer, adapted @ B.T)
-    grad_head = (outer_res @ B).sum(axis=0) / n
-    grad_rep = outer_res.T @ adapted / n
+    inner_res = _residual(inner, B.dot(w))
+    adapted = w - alpha * inner_res.dot(B)
+    outer_res = _residual(outer, adapted.dot(B.T))
+    grad_head = outer_res.dot(B).sum(axis=0) / n
+    grad_rep = outer_res.T.dot(adapted) / n
     return grad_head, grad_rep, adapted, None
 
 
 def _grads_exact_anil(B, w, inner, outer, alpha):
     n = inner[1].shape[0]
-    inner_res = _residual(inner, B @ w)  # row i: grad of head pre-projection
-    adapted = w[None, :] - alpha * (inner_res @ B)
+    inner_res = _residual(inner, B.dot(w))  # row i: grad of head pre-projection
+    adapted = w - alpha * inner_res.dot(B)
 
-    U = _residual(outer, adapted @ B.T)
-    UB = U @ B
+    U = _residual(outer, adapted.dot(B.T))
+    UB = U.dot(B)
     # Inner-sample second moment applied to B (B^T u), per task.
-    cov_lift = _matvec(inner[0], UB @ B.T)
-    grad_head = (UB - alpha * (cov_lift @ B)).sum(axis=0) / n
+    cov_lift = _matvec(inner[0], UB.dot(B.T))
+    grad_head = (UB - alpha * cov_lift.dot(B)).sum(axis=0) / n
     grad_rep = (
-        U.T @ adapted / n
+        U.T.dot(adapted) / n
         - alpha * ((cov_lift.sum(axis=0) / n)[:, None] * w)
-        - alpha * (inner_res.T @ UB) / n
+        - alpha * inner_res.T.dot(UB) / n
     )
     return grad_head, grad_rep, adapted, None
 
@@ -220,8 +230,8 @@ def _grads_exact_anil(B, w, inner, outer, alpha):
 def _full_adaptation(B, w, inner, alpha):
     """Adapted heads and representations of the full-adaptation variants,
     with the inner residual directions ``p_i`` (rows) that move ``B``."""
-    inner_res = _residual(inner, B @ w)
-    adapted = w[None, :] - alpha * (inner_res @ B)
+    inner_res = _residual(inner, B.dot(w))
+    adapted = w - alpha * inner_res.dot(B)
     adapted_reps = B[None, :, :] - alpha * inner_res[:, :, None] * w[None, None, :]
     return inner_res, adapted, adapted_reps
 
@@ -231,8 +241,8 @@ def _grads_fo_maml(B, w, inner, outer, alpha):
     inner_res, adapted, adapted_reps = _full_adaptation(B, w, inner, alpha)
     outer_res = _residual(outer, np.einsum("ndk,nk->nd", adapted_reps, adapted))
     lift_dots = np.einsum("nd,nd->n", inner_res, outer_res)
-    grad_head = (outer_res @ B - alpha * lift_dots[:, None] * w[None, :]).sum(axis=0) / n
-    grad_rep = outer_res.T @ adapted / n
+    grad_head = (outer_res.dot(B) - alpha * lift_dots[:, None] * w).sum(axis=0) / n
+    grad_rep = outer_res.T.dot(adapted) / n
     return grad_head, grad_rep, adapted, adapted_reps
 
 
@@ -244,19 +254,19 @@ def _grads_exact_maml(B, w, inner, outer, alpha):
     u = np.einsum("ndk,nd->nk", adapted_reps, q)
     # Hessian-vector product of the inner loss at the unadapted parameters,
     # applied to (u_i, q_i w_i^T); ``inner_res`` is its gradient direction.
-    overlaps = adapted @ w
-    cov_Bu = _matvec(inner[0], u @ B.T)
+    overlaps = adapted.dot(w)
+    cov_Bu = _matvec(inner[0], u.dot(B.T))
     cov_q = _matvec(inner[0], q)
     hess_head = (
-        cov_Bu @ B
+        cov_Bu.dot(B)
         + np.einsum("nd,nd->n", q, inner_res)[:, None] * adapted
-        + overlaps[:, None] * (cov_q @ B)
+        + overlaps[:, None] * cov_q.dot(B)
     )
     grad_head = (u - alpha * hess_head).sum(axis=0) / n
     grad_rep = (
-        q.T @ adapted
+        q.T.dot(adapted)
         - alpha * ((cov_Bu + overlaps[:, None] * cov_q).sum(axis=0)[:, None] * w)
-        - alpha * (inner_res.T @ u)
+        - alpha * inner_res.T.dot(u)
     ) / n
     return grad_head, grad_rep, adapted, adapted_reps
 
@@ -264,10 +274,10 @@ def _grads_exact_maml(B, w, inner, outer, alpha):
 def _grads_avg(B, w, inner, outer, alpha):
     del inner, alpha  # no inner adaptation
     n = outer[1].shape[0]
-    res = _residual(outer, B @ w)
-    grad_head = (res @ B).sum(axis=0) / n
+    res = _residual(outer, B.dot(w))
+    grad_head = res.dot(B).sum(axis=0) / n
     grad_rep = (res.sum(axis=0) / n)[:, None] * w
-    return grad_head, grad_rep, np.repeat(w[None], n, axis=0), None
+    return grad_head, grad_rep, w[None].repeat(n, axis=0), None
 
 
 _GRADS: dict[Algorithm, Callable] = {
@@ -369,7 +379,7 @@ def _is_diverged(params: ModelParams, rep_limit: float) -> bool:
     """Whether ``params`` has a non-finite entry, a head norm above
     ``_DIVERGENCE_NORM`` or a representation spectral norm above
     ``rep_limit``."""
-    head_sq = float(params.head @ params.head)
+    head_sq = float(params.head.dot(params.head))
     rep_sq = float(np.vdot(params.rep, params.rep))
     # The Frobenius norm bounds the spectral norm.  Below the limit by more
     # than the rounding of either, it settles the common case with two dot
@@ -386,7 +396,7 @@ def _is_diverged(params: ModelParams, rep_limit: float) -> bool:
         return False  # Frobenius bound already below the limit
     if largest > (1.0 + _SHORTCUT_MARGIN) * rep_limit:
         return True  # an entry bounds the spectral norm; ``rep^T rep`` may overflow
-    top = float(np.linalg.eigvalsh(params.rep.T @ params.rep)[-1])
+    top = float(np.linalg.eigvalsh(params.rep.T.dot(params.rep))[-1])
     return math.sqrt(max(top, 0.0)) > rep_limit
 
 

@@ -357,8 +357,8 @@ def sample_dataset(
     ``g``), drawn whatever ``m`` and ``noise_std`` are; only the chi-square
     sampler's rejection retries depend on ``m``.
     """
-    if m < 1:
-        raise ValueError(f"need at least one sample, got m={m}")
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+        raise ValueError(f"m must be a positive integer sample count, got m={m!r}")
     heads = np.asarray(heads, dtype=float)
     if heads.ndim != 2 or heads.shape[1] != env.k:
         raise ValueError(f"heads must have shape (n, {env.k}), got {heads.shape}")

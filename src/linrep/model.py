@@ -135,8 +135,8 @@ def init_model(
     bisects a blend coefficient and raises ``ValueError`` if the band is
     not reached within 60 iterations.
     """
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     d, k = env.d, env.k
     scale = 1.0 / math.sqrt(alpha)
     head = np.zeros(k)
@@ -239,10 +239,10 @@ def rate_matched_alpha(k: int, l_star: float, iters: int, constant: float = 0.25
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    if l_star <= 0.0:
-        raise ValueError(f"l_star must be positive, got {l_star}")
+    if not 0.0 < l_star < math.inf:
+        raise ValueError(f"l_star must be positive and finite, got {l_star}")
     if iters < 1:
         raise ValueError(f"iters must be at least 1, got {iters}")
-    if constant <= 0.0:
-        raise ValueError(f"constant must be positive, got {constant}")
+    if not 0.0 < constant < math.inf:
+        raise ValueError(f"constant must be positive and finite, got {constant}")
     return constant * k ** (-2.0 / 3.0) / (l_star * iters**0.25)

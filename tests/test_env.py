@@ -213,6 +213,20 @@ class TestSampleDataset:
         with pytest.raises(ValueError):
             sample_dataset(env, np.zeros((3, 2)), m=0, rng=substream(6, 0, "data"))
 
+    @pytest.mark.parametrize("m", [2.5, 3.0, True], ids=["fractional", "float", "bool"])
+    def test_non_integer_sample_count_rejected_before_drawing(self, m) -> None:
+        env = _env(d=6, k=2)
+        rng = substream(6, 2, "data")
+        with pytest.raises(ValueError, match="m="):
+            sample_dataset(env, np.zeros((3, 2)), m=m, rng=rng)
+        # No variate was drawn: the stream continues where a fresh one starts.
+        np.testing.assert_array_equal(rng.random(4), substream(6, 2, "data").random(4))
+
+    def test_numpy_integer_sample_count_accepted(self) -> None:
+        env = _env(d=6, k=2)
+        sets = sample_dataset(env, np.zeros((3, 2)), m=np.int64(4), rng=substream(6, 3, "data"))
+        assert sets.m == 4 and type(sets.m) is int
+
     def test_task_batch_requires_one_stacked_set_per_task(self) -> None:
         env = _env(d=5, k=2)
         sets = sample_dataset(env, np.zeros((3, 2)), m=10, rng=substream(6, 1, "data"))

@@ -110,6 +110,11 @@ class TestInitModel:
             init_model(env, 0.05, InitScheme.NEAR_TRUTH, substream(0, 0, "init"),
                        target_band=(0.7, 0.65))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_alpha_rejected(self, bad: float) -> None:
+        with pytest.raises(ValueError, match="alpha"):
+            init_model(_env(), bad, InitScheme.SPEC, substream(0, 0, "init"))
+
 
 class TestLosses:
     def test_population_loss_hand_value(self) -> None:
@@ -259,3 +264,11 @@ class TestRateMatchedAlpha:
             rate_matched_alpha(2, 0.0, 10)
         with pytest.raises(ValueError):
             rate_matched_alpha(2, 1.0, 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", ["l_star", "constant"])
+    def test_non_finite_argument_rejected_naming_it(self, field: str, bad: float) -> None:
+        values = dict(k=3, l_star=1.0, iters=100, constant=0.25)
+        values[field] = bad
+        with pytest.raises(ValueError, match=field):
+            rate_matched_alpha(**values)
