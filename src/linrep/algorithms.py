@@ -29,10 +29,13 @@ which depends only on ``(n, d)``, so the stream, and every artifact, is the
 same on any host and worker count.  A population run's bytes do not depend
 on ``R`` at all: its blocks draw only heads, and the heads and statistics of
 a round are bitwise the same whatever block it is drawn in.  When a block is
-drawn it is validated once, and the task statistics of all its rounds are
+drawn it is validated once, the task statistics of all its rounds are
 computed and checked in one stacked pass, with the bits of a round on its
-own (``env._block_rounds``); its rounds, each carrying its own statistics,
-are built as the loop reads them, and ``diversity_stats`` returns them.
+own, and one loop builds its rounds, each carrying its own statistics
+(``env._block_rounds``).  A round of the run is then one step call, one
+``diversity_stats`` lookup kept in running extremes by comparisons, the
+record check and a two-dot divergence test whose limits are computed once
+per run; a step it does not clear gets ``_is_diverged``'s exact verdict.
 
 Recording is kept out of the step loop.  At a scheduled record the loop
 keeps a snapshot (the iteration, the parameters, the round's adapted heads
@@ -87,9 +90,10 @@ __all__ = [
 # Iterates whose head norm or representation spectral norm (relative to the
 # 1/sqrt(alpha) parameter scale) pass this bound are declared divergent.
 _DIVERGENCE_NORM = 1e6
-# Relative margin by which ``_is_diverged``'s two shortcuts keep clear of
-# the exact ``eigvalsh`` check's limit: far wider than the rounding of either
-# side (some ``d k`` units of 2^-53), so that neither changes its verdict.
+# Relative margin by which ``run_trajectory``'s two-dot test and
+# ``_is_diverged``'s largest-entry bound keep clear of the exact ``eigvalsh``
+# check's limit: far wider than the rounding of either side (some ``d k``
+# units of 2^-53), so that neither changes the verdict.
 _SHORTCUT_MARGIN = 1e-9
 
 
@@ -232,7 +236,7 @@ def _full_adaptation(B, w, inner, alpha):
     with the inner residual directions ``p_i`` (rows) that move ``B``."""
     inner_res = _residual(inner, B.dot(w))
     adapted = w - alpha * inner_res.dot(B)
-    adapted_reps = B[None, :, :] - alpha * inner_res[:, :, None] * w[None, None, :]
+    adapted_reps = B - alpha * inner_res[:, :, None] * w
     return inner_res, adapted, adapted_reps
 
 
@@ -254,18 +258,18 @@ def _grads_exact_maml(B, w, inner, outer, alpha):
     u = np.einsum("ndk,nd->nk", adapted_reps, q)
     # Hessian-vector product of the inner loss at the unadapted parameters,
     # applied to (u_i, q_i w_i^T); ``inner_res`` is its gradient direction.
-    overlaps = adapted.dot(w)
+    overlaps = adapted.dot(w)[:, None]
     cov_Bu = _matvec(inner[0], u.dot(B.T))
     cov_q = _matvec(inner[0], q)
     hess_head = (
         cov_Bu.dot(B)
         + np.einsum("nd,nd->n", q, inner_res)[:, None] * adapted
-        + overlaps[:, None] * cov_q.dot(B)
+        + overlaps * cov_q.dot(B)
     )
     grad_head = (u - alpha * hess_head).sum(axis=0) / n
     grad_rep = (
         q.T.dot(adapted)
-        - alpha * ((cov_Bu + overlaps[:, None] * cov_q).sum(axis=0)[:, None] * w)
+        - alpha * ((cov_Bu + overlaps * cov_q).sum(axis=0)[:, None] * w)
         - alpha * inner_res.T.dot(u)
     ) / n
     return grad_head, grad_rep, adapted, adapted_reps
@@ -345,7 +349,7 @@ _HEAD_BLOCK_FLOATS = 2**10
 
 def _sample_rounds(
     env: TaskEnvironment, hp: HyperParams, rng, count: int
-) -> Iterator[TaskBatch]:
+) -> list[TaskBatch]:
     """Sample ``count`` consecutive rounds' tasks (and data sets in
     finite-sample mode).
 
@@ -378,15 +382,9 @@ def _rounds(env: TaskEnvironment, hp: HyperParams, rng) -> Iterator[TaskBatch]:
 def _is_diverged(params: ModelParams, rep_limit: float) -> bool:
     """Whether ``params`` has a non-finite entry, a head norm above
     ``_DIVERGENCE_NORM`` or a representation spectral norm above
-    ``rep_limit``."""
+    ``rep_limit``: the exact verdict, which ``run_trajectory`` asks for only
+    when its two-dot test does not clear the step."""
     head_sq = float(params.head.dot(params.head))
-    rep_sq = float(np.vdot(params.rep, params.rep))
-    # The Frobenius norm bounds the spectral norm.  Below the limit by more
-    # than the rounding of either, it settles the common case with two dot
-    # products; a NaN square fails the comparison.
-    fast_limit_sq = (1.0 - _SHORTCUT_MARGIN) * rep_limit**2
-    if head_sq <= _DIVERGENCE_NORM * _DIVERGENCE_NORM and rep_sq <= fast_limit_sq:
-        return False
     largest = float(np.abs(params.rep).max())  # NaN if any entry is NaN
     if not (math.isfinite(head_sq) and math.isfinite(largest)):
         return True
@@ -529,6 +527,10 @@ def run_trajectory(
     step = step_for(hp)
     perp = orth_complement(env.ground_truth_rep)
     rep_limit = _DIVERGENCE_NORM / math.sqrt(hp.alpha)
+    # The Frobenius norm bounds the spectral norm: below the limit by more
+    # than the rounding of either, two dot products clear a step (a NaN
+    # square fails the comparison).  The limits of that test, computed once.
+    head_sq_max, rep_sq_max = _DIVERGENCE_NORM**2, (1.0 - _SHORTCUT_MARGIN) * rep_limit**2
     # Snapshots not yet recorded (the first ``filled``) and the recorded chunks.
     pending = _Snapshots(
         np.zeros(_RECORD_CHUNK, dtype=np.int64),
@@ -567,8 +569,10 @@ def run_trajectory(
     with np.errstate(over="ignore", invalid="ignore"):
         for t, batch in enumerate(_rounds(env, hp, rng)):
             stats = diversity_stats(batch)
-            mu_sq, L_sq = min(mu_sq, stats.mu_sq), max(L_sq, stats.L_sq)
-            eta, L_max = min(eta, stats.eta), max(L_max, stats.L_max)
+            mu_sq = stats.mu_sq if stats.mu_sq < mu_sq else mu_sq
+            L_sq = stats.L_sq if stats.L_sq > L_sq else L_sq
+            eta = stats.eta if stats.eta < eta else eta
+            L_max = stats.L_max if stats.L_max > L_max else L_max
             outcome = step(params, env, batch, hp)
             if t % record_every == 0 or t == hp.iters:
                 values = (t, params.rep, params.head, outcome.adapted_heads, batch.heads,
@@ -581,7 +585,9 @@ def run_trajectory(
             if t == hp.iters:
                 break
             params = outcome.params_next
-            if _is_diverged(params, rep_limit):
+            head, rep = params.head, params.rep
+            clear = head.dot(head) <= head_sq_max and np.vdot(rep, rep) <= rep_sq_max
+            if not clear and _is_diverged(params, rep_limit):
                 diverged_at = t + 1
                 break
         flush()

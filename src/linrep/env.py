@@ -15,7 +15,6 @@ Ann. Statist. 31(5)); raw inputs are never formed.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -215,32 +214,30 @@ class TaskBatch:
 
 def _block_rounds(
     heads: np.ndarray, inner_sets: DataSet | None = None, outer_sets: DataSet | None = None
-) -> Iterator[TaskBatch]:
-    """The rounds of a sampled block, each built when it is read.
+) -> list[TaskBatch]:
+    """The rounds of a sampled block, each carrying its task statistics.
 
     ``heads`` is ``(R, n, k)``; the data sets, if any, stack the block's
     ``R n`` tasks round after round.  Round ``r`` holds ``heads[r]``, rows
     ``r n : (r + 1) n`` of each set and its task statistics.  This call
     validates the block once, as one batch of ``R n`` tasks, and computes and
     checks the statistics of all its rounds in one stacked pass, so a broken
-    block raises here and its rounds skip ``TaskBatch.__post_init__``.
+    block raises here; one loop over those rows builds the rounds, which skip
+    ``TaskBatch.__post_init__``.
     """
     count, n, k = heads.shape
     whole = TaskBatch(heads.reshape(count * n, k), inner_sets, outer_sets)
     heads = whole.heads.reshape(count, n, k)
-    stats = _checked_statistics(heads)
-
-    def round_(r: int) -> TaskBatch:
-        rows = slice(r * n, (r + 1) * n)
-        return _trusted(
-            TaskBatch,
-            heads=heads[r],
-            inner_sets=None if inner_sets is None else inner_sets[rows],
-            outer_sets=None if outer_sets is None else outer_sets[rows],
-            _stats=stats[r],
-        )
-
-    return map(round_, range(count))
+    stats = _head_statistics(heads)
+    _check_statistics(stats)
+    # Each side's rows per round; None in every round of a population block.
+    sides = [[None] * count if sets is None else [sets[r * n:(r + 1) * n] for r in range(count)]
+             for sets in (inner_sets, outer_sets)]
+    return [
+        _trusted(TaskBatch, heads=heads_r, inner_sets=inner, outer_sets=outer,
+                 _stats=_trusted(DiversityStats, mu_sq=mu_sq, L_sq=L_sq, eta=eta, L_max=L_max))
+        for heads_r, inner, outer, (mu_sq, L_sq, eta, L_max) in zip(heads, *sides, stats.tolist())
+    ]
 
 
 @dataclass(frozen=True)
@@ -399,16 +396,7 @@ def diversity_stats(batch: TaskBatch) -> DiversityStats:
     """
     if batch._stats is not None:
         return batch._stats
-    return _checked_statistics(batch.heads[None])[0]
-
-
-def _checked_statistics(heads: np.ndarray) -> list[DiversityStats]:
-    """The ``DiversityStats`` of each round of ``(R, n, k)`` heads, from one
-    stacked pass, their invariants checked once for all ``R``."""
-    stats = _head_statistics(heads)
-    _check_statistics(stats)
-    return [_trusted(DiversityStats, mu_sq=mu_sq, L_sq=L_sq, eta=eta, L_max=L_max)
-            for mu_sq, L_sq, eta, L_max in stats.tolist()]
+    return DiversityStats(*_head_statistics(batch.heads[None])[0].tolist())
 
 
 def _head_statistics(heads: np.ndarray) -> np.ndarray:

@@ -96,7 +96,8 @@ class ConfigError(ValueError):
 
 class _Block(BaseModel):
     """Config block policy: unknown keys, mutation and non-finite numbers
-    are rejected."""
+    are rejected; a count field (``strict=True``) takes an integer only, not a
+    bool or a float such as ``3.0``."""
 
     model_config = ConfigDict(extra="forbid", frozen=True, allow_inf_nan=False)
 
@@ -104,8 +105,8 @@ class _Block(BaseModel):
 class EnvConfig(_Block):
     """Task environment block."""
 
-    d: int = Field(ge=2)
-    k: int = Field(ge=1)
+    d: int = Field(ge=2, strict=True)
+    k: int = Field(ge=1, strict=True)
     head_mean: float | tuple[float, ...] = 0.0
     head_scale: float = Field(default=1.0, ge=0.0)
     noise_std: float = Field(default=0.0, ge=0.0)
@@ -130,10 +131,10 @@ class HpConfig(_Block):
     alpha: float | Literal["auto"]
     alpha_auto_constant: float = Field(default=0.25, gt=0.0)
     beta: float = Field(gt=0.0)
-    n: int = Field(ge=1)
-    m_in: int = Field(default=0, ge=0)
-    m_out: int = Field(default=0, ge=0)
-    iters: int = Field(ge=0)
+    n: int = Field(ge=1, strict=True)
+    m_in: int = Field(default=0, ge=0, strict=True)
+    m_out: int = Field(default=0, ge=0, strict=True)
+    iters: int = Field(ge=0, strict=True)
 
     @model_validator(mode="after")
     def _check(self) -> "HpConfig":
@@ -167,9 +168,9 @@ class InitConfig(_Block):
 class RunConfig(_Block):
     """Trial-count, seeding, and output block."""
 
-    trials: int = Field(default=5, ge=1)
-    master_seed: int = Field(default=0, ge=0)
-    record_every: int = Field(default=10, ge=1)
+    trials: int = Field(default=5, ge=1, strict=True)
+    master_seed: int = Field(default=0, ge=0, strict=True)
+    record_every: int = Field(default=10, ge=1, strict=True)
     output_dir: str = "out"
 
 

@@ -91,6 +91,8 @@ class HyperParams:
 
     ``m_in``/``m_out`` are per-task sample counts for adaptation and for
     the outer update; they are required (positive) only in FINITE mode.
+    ``n``, ``iters``, ``m_in`` and ``m_out`` are integers (numpy's included),
+    never a bool or a float.
     """
 
     algo: Algorithm
@@ -103,6 +105,10 @@ class HyperParams:
     m_out: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n", "iters", "m_in", "m_out"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 0.0 < self.alpha < math.inf:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if not 0.0 <= self.beta < math.inf:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -213,3 +214,59 @@ def diversity_stats_loop(heads: np.ndarray) -> tuple[float, float, float, float]
         math.sqrt(float(mean @ mean)),
         math.sqrt(float(row_sq.max())),
     )
+
+
+def _diverged_loop(rep: np.ndarray, head: np.ndarray, rep_limit: float) -> bool:
+    """Divergence verdict from dense norms: a non-finite entry, a head norm
+    above 1e6 or a representation spectral norm above ``rep_limit``."""
+    if not (np.isfinite(rep).all() and np.isfinite(head).all()):
+        return True
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.linalg.norm(head)) > 1e6 or spectral_norm_svd(rep) > rep_limit
+
+
+def run_loop(env, hp, init, rng, record_every, *, step, sample_task_batch, perp):
+    """Reference population run, one round at a time.
+
+    ``step`` is the package's outer step for ``hp`` and ``sample_task_batch``
+    the package's one-round head draw, called on ``rng`` once per round, so
+    the run's rounds are redrawn in order.  Everything else is done here: the
+    running task statistics are ``min``/``max`` of ``diversity_stats_loop``
+    over every round so far; a scheduled record is ``record_loop`` on that
+    round's snapshot alone, and a collapsed one ends the run at its
+    iteration with its parameters; a step's result ends the run at the next
+    iteration when ``_diverged_loop`` says so, with the limit
+    ``1e6 / sqrt(alpha)``.  Returns ``(records, final_params, diverged_at,
+    head_stats)``, ``head_stats`` the last record's running statistics or
+    None.
+    """
+    rep_limit = 1e6 / math.sqrt(hp.alpha)
+    mu_sq = eta = math.inf
+    L_sq = L_max = -math.inf
+    records = []
+    params, diverged_at = init, None
+    for t in range(hp.iters + 1):
+        batch = sample_task_batch(env, hp.n, rng)
+        round_mu_sq, round_L_sq, round_eta, round_L_max = diversity_stats_loop(batch.heads)
+        mu_sq, L_sq = min(mu_sq, round_mu_sq), max(L_sq, round_L_sq)
+        eta, L_max = min(eta, round_eta), max(L_max, round_L_max)
+        with np.errstate(over="ignore", invalid="ignore"):
+            outcome = step(params, env, batch, hp)
+        if t % record_every == 0 or t == hp.iters:
+            snapshot = SimpleNamespace(
+                t=[t], rep=[params.rep], head=[params.head], adapted_heads=[outcome.adapted_heads],
+                task_heads=[batch.heads], stats=[(mu_sq, L_sq, eta, L_max)],
+            )
+            record = record_loop(snapshot, env.ground_truth_rep, perp, env.noise_std, hp.alpha)
+            if not record:
+                diverged_at = t
+                break
+            records += record
+        if t == hp.iters:
+            break
+        params = outcome.params_next
+        if _diverged_loop(params.rep, params.head, rep_limit):
+            diverged_at = t + 1
+            break
+    head_stats = records[-1][-4:] if records else None
+    return records, params, diverged_at, head_stats

@@ -51,7 +51,7 @@ from linrep.model import (
     init_model,
 )
 from linrep.rng import standard_normal, substream
-from oracles import central_diff_pair, diversity_stats_loop, record_loop, rel_err
+from oracles import central_diff_pair, diversity_stats_loop, record_loop, rel_err, run_loop
 
 ALL_ALGOS = list(Algorithm)
 ADAPTING_ALGOS = [algo for algo in Algorithm if algo is not Algorithm.AVG_RISK_MIN]
@@ -1001,6 +1001,72 @@ def _bits(records) -> list[tuple]:
     in hex (bitwise, NaN-safe)."""
     rows = records.tolist() if isinstance(records, np.ndarray) else records
     return [tuple(v.hex() if type(v) is float else v for v in row) for row in rows]
+
+
+class TestWholeRunOracle:
+    """``run_trajectory`` against ``oracles.run_loop``, which redraws the
+    run's rounds one at a time and keeps the statistics, records and
+    divergence verdicts itself: bitwise the same trajectory, final
+    parameters, ``diverged_at`` and ``head_stats``."""
+
+    def _compare(self, env, hp: HyperParams, init: ModelParams, seed: int,
+                 record_every: int) -> RunResult:
+        result = run_trajectory(env, hp, init, substream(seed, 0, "tasks"), record_every)
+        records, params, diverged_at, head_stats = run_loop(
+            env, hp, init, substream(seed, 0, "tasks"), record_every, step=step_for(hp),
+            sample_task_batch=sample_task_batch, perp=orth_complement(env.ground_truth_rep),
+        )
+        assert _bits(result.trajectory) == _bits(records)
+        for got, want in ((result.final_params.rep, params.rep),
+                          (result.final_params.head, params.head)):
+            assert got.tobytes() == want.tobytes()
+        assert result.diverged_at == diverged_at and result.diverged is (diverged_at is not None)
+        if head_stats is None:
+            assert result.head_stats is None
+        else:
+            assert _bits([dataclasses.astuple(result.head_stats)]) == _bits([head_stats])
+        return result
+
+    @pytest.mark.parametrize("algo", ALL_ALGOS, ids=lambda a: a.value)
+    def test_run_equals_the_round_by_round_loop(self, algo: Algorithm) -> None:
+        # 301 rounds are blocks of 113, 113 and 75 rounds; 151 records are
+        # three record chunks.
+        env = _env(d=8, k=3, seed=31, head_mean=1.0)
+        hp = _hp(algo, alpha=0.1, beta=0.05, n=3, iters=300)
+        assert _block_size(Mode.POPULATION, env.d, env.k, hp.n) < hp.iters + 1
+        init = init_model(env, hp.alpha, InitScheme.SPEC, substream(31, 0, "init"))
+        result = self._compare(env, hp, init, 31, record_every=2)
+        assert not result.diverged and len(result.trajectory) > 2 * _RECORD_CHUNK
+
+    def test_diverging_run_equals_the_round_by_round_loop(self) -> None:
+        env = _env(d=8, k=3, seed=31, head_mean=1.0)
+        hp = _hp(Algorithm.EXACT_MAML, alpha=0.1, beta=1.5, n=3, iters=1919)
+        init = init_model(env, hp.alpha, InitScheme.SPEC, substream(31, 0, "init"))
+        assert self._compare(env, hp, init, 31, record_every=7).diverged_at == 1555
+
+    @pytest.mark.parametrize(
+        "case, diverged_at",
+        [("head past 1e6", 1), ("spectral past the limit", 1),
+         ("frobenius past the limit, spectral below", None)],
+    )
+    def test_parameters_held_near_the_limits(self, case: str, diverged_at: int | None) -> None:
+        # At beta = 0 the parameters never move, so every step's result is
+        # the initial state: a fast divergence test with a limit looser than
+        # the exact one lets the first two run on.
+        env = _env(d=8, k=3, seed=34)
+        hp = _hp(Algorithm.FO_ANIL, alpha=0.1, beta=0.0, n=3, iters=20)
+        limit = 1e6 / math.sqrt(hp.alpha)
+        frame, _ = np.linalg.qr(standard_normal(substream(34, 0, "init"), (env.d, env.k)))
+        head = np.array([0.5, -1.0, 2.0])
+        scales = np.array([1.0, 1.0, 1.0])
+        if case == "head past 1e6":
+            head = np.array([1.001e6, 0.0, 0.0])
+        elif case == "spectral past the limit":
+            scales = np.array([1.001 * limit, 1.0, 1.0])
+        else:
+            scales = np.array([0.999 * limit, 0.5 * limit, 0.5 * limit])
+        result = self._compare(env, hp, ModelParams(frame * scales, head), 34, record_every=3)
+        assert result.diverged_at == diverged_at
 
 
 def _snapshot_stack(seed: int, count: int, d: int = 8, k: int = 3, n: int = 4):

@@ -145,6 +145,21 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match=field.replace(".", r"\.")):
             load_config(_write(tmp_path, _base_dict(**{field: value})))
 
+    @pytest.mark.parametrize(
+        "value", [True, 3.0, 2.5, "3"], ids=["bool", "integral-float", "fraction", "str"]
+    )
+    @pytest.mark.parametrize(
+        "field",
+        ["env.d", "env.k", "hp.n", "hp.m_in", "hp.m_out", "hp.iters", "run.trials",
+         "run.master_seed", "run.record_every"],
+    )
+    def test_non_integer_count_rejected_naming_field(self, tmp_path: Path, field, value) -> None:
+        cfg = _base_dict(**{"hp.mode": "FINITE", "hp.m_in": 4, "hp.m_out": 5})
+        block, _, name = field.partition(".")
+        cfg[block][name] = value
+        with pytest.raises(ConfigError, match=field.replace(".", r"\.")):
+            load_config(_write(tmp_path, cfg))
+
     def test_auto_alpha_resolves_to_rate_matched_value(self, tmp_path: Path) -> None:
         cfg = _base_dict(**{"hp.alpha": "auto", "env.head_mean": 2.0})
         cfg["hp"]["alpha_auto_constant"] = 0.3
@@ -468,6 +483,13 @@ class TestSweep:
         cfg = ExperimentConfig.model_validate(_base_dict(**{"hp.iters": 20, "run.trials": 2}))
         result = sweep(cfg, SweepAxis.N, [2, 4], out_dir=tmp_path / "sw")
         assert [c.error for c in result.cells] == [None, None]
+
+    def test_integral_float_values_fill_integer_count_fields(self, tmp_path: Path) -> None:
+        # The CLI parses ``--values`` as floats; a sample-size cell still
+        # validates, since the count fields take integers only.
+        result = sweep(self._finite_cfg(**{"hp.iters": 5}), SweepAxis.M_OUT, [10.0, 40.0],
+                       out_dir=tmp_path / "sw")
+        assert [(c.value, c.error) for c in result.cells] == [("10", None), ("40", None)]
 
     def test_error_cells_recorded_without_aborting(self, tmp_path: Path) -> None:
         cfg = ExperimentConfig.model_validate(_base_dict(**{"hp.iters": 20, "run.trials": 2}))

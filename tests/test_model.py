@@ -52,6 +52,20 @@ class TestHyperParams:
         with pytest.raises(ValueError, match=field):
             HyperParams(**values)
 
+    @pytest.mark.parametrize("bad", [True, 2.5, 3.0], ids=["bool", "fraction", "integral-float"])
+    @pytest.mark.parametrize("field", ["n", "iters", "m_in", "m_out"])
+    def test_non_integer_count_rejected_naming_it(self, field: str, bad: object) -> None:
+        values = dict(algo=Algorithm.FO_ANIL, mode=Mode.FINITE, alpha=0.1, beta=0.1,
+                      n=3, iters=10, m_in=4, m_out=5)
+        values[field] = bad
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            HyperParams(**values)
+
+    def test_numpy_integer_counts_accepted(self) -> None:
+        hp = HyperParams(algo=Algorithm.FO_ANIL, mode=Mode.FINITE, alpha=0.1, beta=0.1,
+                         n=np.int64(3), iters=np.int32(10), m_in=np.int64(4), m_out=np.uint8(5))
+        assert (hp.n, hp.iters, hp.m_in, hp.m_out) == (3, 10, 4, 5)
+
 
 class TestInitModel:
     def test_scaled_orthonormal_scheme(self) -> None:
