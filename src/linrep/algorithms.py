@@ -27,15 +27,17 @@ round, ``max(1, _HEAD_BLOCK_FLOATS // (n k))`` for the heads of a population
 round.  A finite-sample run's draw order, and so its bytes, depend on ``R``,
 which depends only on ``(n, d)``, so the stream, and every artifact, is the
 same on any host and worker count.  A population run's bytes do not depend
-on ``R`` at all: its blocks draw only heads, and the heads and statistics of
-a round are bitwise the same whatever block it is drawn in.  When a block is
-drawn it is validated once, the task statistics of all its rounds are
-computed and checked in one stacked pass, with the bits of a round on its
-own, and one loop builds its rounds, each carrying its own statistics
-(``env._block_rounds``).  A round of the run is then one step call, one
-``diversity_stats`` lookup kept in running extremes by comparisons, the
-record check and a two-dot divergence test whose limits are computed once
-per run; a step it does not clear gets ``_is_diverged``'s exact verdict.
+on ``R`` at all: its blocks draw only heads, and the heads, targets and
+statistics of a round are bitwise the same whatever block it is drawn in.
+When a block is drawn it is validated once, the task statistics of all its
+rounds are computed and checked in one stacked pass, a population block
+forms the targets ``B* w*_i`` of all its rounds in one stacked product, each
+with the bits of a round on its own, and one loop builds its rounds, each
+carrying its own statistics and targets (``env._block_rounds``).  A round of
+the run is then one step call, one ``diversity_stats`` lookup kept in
+running extremes by comparisons, the record check and a two-dot divergence
+test whose limits are computed once per run; a step it does not clear gets
+``_is_diverged``'s exact verdict.
 
 Recording is kept out of the step loop.  At a scheduled record the loop
 keeps a snapshot (the iteration, the parameters, the round's adapted heads
@@ -164,9 +166,12 @@ class RunResult:
 # the same bits, without the matmul gufunc's dispatch (3x20 by 20x3: 0.53
 # against 1.10 us, numpy 2.4 with one OpenBLAS thread on a 2-vCPU Xeon).
 # Stacked products keep ``@``, whose N-D semantics ``dot`` does not share
-# (``_matvec``, ``_records``, ``_psi_spectra``); so do the independent
-# oracles (``model.pop_grad_*``/``fs_grad_*``, the finite-difference check),
-# to share no code path with the kernels.
+# (``_matvec``, ``_records``, ``_psi_spectra``, a population block's
+# targets).  Likewise a sum over the task axis is ``np.add.reduce(x, 0)``:
+# the ufunc reduction ``x.sum(axis=0)`` makes, with the same bits, without
+# the Python wrapper around it.  The independent oracles
+# (``model.pop_grad_*``/``fs_grad_*``, the finite-difference check) keep
+# ``@`` and ``sum``, to share no code path with the kernels.
 
 _Moments = tuple[np.ndarray | None, np.ndarray]
 
@@ -175,11 +180,19 @@ def _sets(env: TaskEnvironment, batch: TaskBatch, mode: Mode) -> tuple[_Moments,
     """The round's inner and outer moments.
 
     A population round's inputs are isotropic Gaussian, so both sides hold
-    the exact moments ``(I, B* w*_i)``, the identity passed as None; a
+    the exact moments ``(I, B* w*_i)``, the identity passed as None.  A round
+    of a population block carries its targets ``B* w*_i`` for the ``B*`` it
+    was drawn with (``env._block_rounds``); any other batch, or another
+    ``B*``, gets them from one product here, with the same bits.  A
     finite-sample round reads its stacked data sets.
     """
     if mode is Mode.POPULATION:
-        exact = (None, batch.heads.dot(env.ground_truth_rep.T))
+        rep, cached = env.ground_truth_rep, batch._targets
+        if cached is not None and cached[0] is rep:
+            targets = cached[1]
+        else:  # a batch drawn outside a block, or for another ``B*``
+            targets = batch.heads.dot(rep.T)
+        exact = (None, targets)
         return exact, exact
     if batch.inner_sets is None or batch.outer_sets is None:
         raise ValueError("finite-sample steps require per-task data sets in the batch")
@@ -208,7 +221,7 @@ def _grads_fo_anil(B, w, inner, outer, alpha):
     inner_res = _residual(inner, B.dot(w))
     adapted = w - alpha * inner_res.dot(B)
     outer_res = _residual(outer, adapted.dot(B.T))
-    grad_head = outer_res.dot(B).sum(axis=0) / n
+    grad_head = np.add.reduce(outer_res.dot(B), 0) / n
     grad_rep = outer_res.T.dot(adapted) / n
     return grad_head, grad_rep, adapted, None
 
@@ -222,10 +235,10 @@ def _grads_exact_anil(B, w, inner, outer, alpha):
     UB = U.dot(B)
     # Inner-sample second moment applied to B (B^T u), per task.
     cov_lift = _matvec(inner[0], UB.dot(B.T))
-    grad_head = (UB - alpha * cov_lift.dot(B)).sum(axis=0) / n
+    grad_head = np.add.reduce(UB - alpha * cov_lift.dot(B), 0) / n
     grad_rep = (
         U.T.dot(adapted) / n
-        - alpha * ((cov_lift.sum(axis=0) / n)[:, None] * w)
+        - alpha * ((np.add.reduce(cov_lift, 0) / n)[:, None] * w)
         - alpha * inner_res.T.dot(UB) / n
     )
     return grad_head, grad_rep, adapted, None
@@ -245,7 +258,7 @@ def _grads_fo_maml(B, w, inner, outer, alpha):
     inner_res, adapted, adapted_reps = _full_adaptation(B, w, inner, alpha)
     outer_res = _residual(outer, np.einsum("ndk,nk->nd", adapted_reps, adapted))
     lift_dots = np.einsum("nd,nd->n", inner_res, outer_res)
-    grad_head = (outer_res.dot(B) - alpha * lift_dots[:, None] * w).sum(axis=0) / n
+    grad_head = np.add.reduce(outer_res.dot(B) - alpha * lift_dots[:, None] * w, 0) / n
     grad_rep = outer_res.T.dot(adapted) / n
     return grad_head, grad_rep, adapted, adapted_reps
 
@@ -266,10 +279,10 @@ def _grads_exact_maml(B, w, inner, outer, alpha):
         + np.einsum("nd,nd->n", q, inner_res)[:, None] * adapted
         + overlaps * cov_q.dot(B)
     )
-    grad_head = (u - alpha * hess_head).sum(axis=0) / n
+    grad_head = np.add.reduce(u - alpha * hess_head, 0) / n
     grad_rep = (
         q.T.dot(adapted)
-        - alpha * ((cov_Bu + overlaps * cov_q).sum(axis=0)[:, None] * w)
+        - alpha * (np.add.reduce(cov_Bu + overlaps * cov_q, 0)[:, None] * w)
         - alpha * inner_res.T.dot(u)
     ) / n
     return grad_head, grad_rep, adapted, adapted_reps
@@ -279,8 +292,8 @@ def _grads_avg(B, w, inner, outer, alpha):
     del inner, alpha  # no inner adaptation
     n = outer[1].shape[0]
     res = _residual(outer, B.dot(w))
-    grad_head = res.dot(B).sum(axis=0) / n
-    grad_rep = (res.sum(axis=0) / n)[:, None] * w
+    grad_head = np.add.reduce(res.dot(B), 0) / n
+    grad_rep = (np.add.reduce(res, 0) / n)[:, None] * w
     return grad_head, grad_rep, w[None].repeat(n, axis=0), None
 
 
@@ -335,14 +348,15 @@ def step_for(hp: HyperParams) -> Callable[..., StepOutcome]:
 # --------------------------------------------------------------------------
 
 # Floats a block of rounds may hold: a finite-sample block ``n d^2`` per
-# round and side, up to ``_BLOCK_FLOATS``; a population block, which holds
-# nothing else, its rounds' ``n k`` heads, up to ``_HEAD_BLOCK_FLOATS``.
+# round and side, up to ``_BLOCK_FLOATS``; a population block its rounds'
+# ``n k`` heads, up to ``_HEAD_BLOCK_FLOATS``, sized by the heads alone.
 # Drawing, validating and reducing a block of heads briefly takes several
-# times their size, so the population budget is the smaller: at n = k = 3,
-# blocks of 2^14 head floats raised the peak memory of five 10^4-step runs
-# by about 0.6 MiB over blocks of 13 rounds, blocks of 2^10 kept it within
-# noise.  Not settings: a finite-sample block size must depend only on the
-# run's dimensions for artifacts to stay byte-identical across hosts.
+# times their size, and its targets hold ``d / k`` times as many floats, so
+# the population budget is the smaller: at n = k = 3, blocks of 2^14 head
+# floats raised the peak memory of five 10^4-step runs by about 0.6 MiB over
+# blocks of 13 rounds, blocks of 2^10 kept it within noise.  Not settings: a
+# finite-sample block size must depend only on the run's dimensions for
+# artifacts to stay byte-identical across hosts.
 _BLOCK_FLOATS = 2**14
 _HEAD_BLOCK_FLOATS = 2**10
 
@@ -357,11 +371,12 @@ def _sample_rounds(
     call, then the inner sets of every task of the block in one call, then
     their outer sets in one call — so that every algorithm consumes the
     random stream identically and trajectories are comparable across
-    algorithms.
+    algorithms.  A population block also forms its rounds' targets
+    ``B* w*_i`` (see ``env._block_rounds``).
     """
     heads = _round_heads(env, count, hp.n, rng)
     if hp.mode is Mode.POPULATION:
-        return _block_rounds(heads)
+        return _block_rounds(heads, rep=env.ground_truth_rep)
     tasks = heads.reshape(count * hp.n, env.k)
     inner = sample_dataset(env, tasks, hp.m_in, rng)
     outer = sample_dataset(env, tasks, hp.m_out, rng)
@@ -522,6 +537,8 @@ def run_trajectory(
     iteration and never record a divergent state; a record whose
     representation has collapsed is such an iteration.
     """
+    if isinstance(record_every, bool) or not isinstance(record_every, (int, np.integer)):
+        raise ValueError(f"record_every must be an integer, got {record_every!r}")
     if record_every < 1:
         raise ValueError(f"record_every must be at least 1, got {record_every}")
     step = step_for(hp)

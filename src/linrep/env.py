@@ -184,7 +184,10 @@ class TaskBatch:
     for the outer update respectively; population-mode batches carry heads
     only.  A round of a sampled block also carries its task statistics, which
     ``_block_rounds`` computed and checked with the block's (``_stats``, see
-    ``diversity_stats``); they take no part in equality or ``repr``, and
+    ``diversity_stats``), and a round of a population block its targets
+    ``B* w*_i``, rows of the block's one stacked product, with the ``B*``
+    they were formed from (``_targets``, a ``(B*, n x d)`` pair, read by the
+    population steps); these take no part in equality or ``repr``, and
     ``dataclasses.replace`` drops them.
     """
 
@@ -193,6 +196,8 @@ class TaskBatch:
     outer_sets: DataSet | None = None
     _stats: DiversityStats | None = field(default=None, init=False, repr=False,
                                           compare=False)
+    _targets: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False,
+                                                           repr=False, compare=False)
 
     def __post_init__(self) -> None:
         heads = np.asarray(self.heads, dtype=float)
@@ -213,7 +218,10 @@ class TaskBatch:
 
 
 def _block_rounds(
-    heads: np.ndarray, inner_sets: DataSet | None = None, outer_sets: DataSet | None = None
+    heads: np.ndarray,
+    inner_sets: DataSet | None = None,
+    outer_sets: DataSet | None = None,
+    rep: np.ndarray | None = None,
 ) -> list[TaskBatch]:
     """The rounds of a sampled block, each carrying its task statistics.
 
@@ -223,7 +231,11 @@ def _block_rounds(
     validates the block once, as one batch of ``R n`` tasks, and computes and
     checks the statistics of all its rounds in one stacked pass, so a broken
     block raises here; one loop over those rows builds the rounds, which skip
-    ``TaskBatch.__post_init__``.
+    ``TaskBatch.__post_init__``.  Given the ``B*`` of a population block as
+    ``rep``, each round also carries its targets, round ``r`` of one stacked
+    ``heads @ rep.T``: matmul multiplies a stack matrix by matrix, so they
+    have the bits of the round's own ``heads[r].dot(rep.T)``, which one
+    ``(R n) x k`` product does not always give.
     """
     count, n, k = heads.shape
     whole = TaskBatch(heads.reshape(count * n, k), inner_sets, outer_sets)
@@ -233,10 +245,13 @@ def _block_rounds(
     # Each side's rows per round; None in every round of a population block.
     sides = [[None] * count if sets is None else [sets[r * n:(r + 1) * n] for r in range(count)]
              for sets in (inner_sets, outer_sets)]
+    targets = [None] * count if rep is None else [(rep, rows) for rows in heads @ rep.T]
     return [
         _trusted(TaskBatch, heads=heads_r, inner_sets=inner, outer_sets=outer,
-                 _stats=_trusted(DiversityStats, mu_sq=mu_sq, L_sq=L_sq, eta=eta, L_max=L_max))
-        for heads_r, inner, outer, (mu_sq, L_sq, eta, L_max) in zip(heads, *sides, stats.tolist())
+                 _stats=_trusted(DiversityStats, mu_sq=mu_sq, L_sq=L_sq, eta=eta, L_max=L_max),
+                 _targets=target)
+        for heads_r, inner, outer, target, (mu_sq, L_sq, eta, L_max)
+        in zip(heads, *sides, targets, stats.tolist())
     ]
 
 

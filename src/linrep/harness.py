@@ -71,6 +71,13 @@ MEAN_HEADER = "t,dist_mean,dist_std"
 HYPOTHESES_HEADER = "t,a1,a2,a3,a4_lower,a4_upper,a5,a6"
 SWEEP_HEADER = "axis,value,final_dist_mean,plateau_dist,diverged,error"
 
+# ``%`` templates of the rows of the all-number files above, sweep.csv aside:
+# ``%d`` for an int and ``%.17g`` for a float write the text ``_csv_cell``
+# writes for that cell, in one formatting call per row.
+_TRAJECTORY_ROW = "%d,%d" + ",%.17g" * 7
+_MEAN_ROW = "%d,%.17g,%.17g"
+_HYPOTHESES_ROW = "%d" + ",%.17g" * 7
+
 _SUMMARY_KEYS = (
     "final_dist_mean",
     "final_dist_std",
@@ -340,10 +347,15 @@ def _csv_cell(value) -> str:
     return _fmt(value)
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    """Write ``header`` and one comma-joined line of cells per row."""
-    lines = [header, *(",".join(_csv_cell(value) for value in row) for row in rows)]
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header: str, rows, template: str | None = None) -> None:
+    """Write ``header`` and one line per row: ``template % row`` for rows of
+    numbers laid out as ``template`` says, else the row's cells through
+    ``_csv_cell``, joined by commas."""
+    if template is None:
+        lines = (",".join(_csv_cell(value) for value in row) for row in rows)
+    else:
+        lines = (template % row for row in rows)
+    path.write_text("\n".join([header, *lines]) + "\n")
 
 
 def _survivors(results: tuple[RunResult, ...]) -> list[RunResult]:
@@ -441,8 +453,8 @@ def run_experiment(
         for trial, result in enumerate(results)
         for t, *diagnostics in result.trajectory[columns].tolist()
     )
-    _write_csv(trajectory_csv, TRAJECTORY_HEADER, rows)
-    _write_csv(mean_csv, MEAN_HEADER, zip(*_mean_series(results)))
+    _write_csv(trajectory_csv, TRAJECTORY_HEADER, rows, _TRAJECTORY_ROW)
+    _write_csv(mean_csv, MEAN_HEADER, zip(*_mean_series(results)), _MEAN_ROW)
     summary = _summarize(config, hp, results)
     summary_json.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
@@ -597,7 +609,7 @@ def hypcheck(config: ExperimentConfig, *, out_dir: str | Path | None = None) -> 
     csv_path = out / "hypotheses.csv"
     rows = zip(report.iters, report.a1, report.a2, report.a3,
                report.a4_lower, report.a4_upper, report.a5, report.a6)
-    _write_csv(csv_path, HYPOTHESES_HEADER, rows)
+    _write_csv(csv_path, HYPOTHESES_HEADER, rows, _HYPOTHESES_ROW)
     return HypCheckResult(csv_path=csv_path, report=report, run=result)
 
 

@@ -514,6 +514,44 @@ class TestRoundBlocks:
             assert batch.inner_sets is None and batch.outer_sets is None
         assert np.array_equal(rng.random(4), reference.random(4))
 
+    # The stacked product multiplies matrix by matrix; one (R n) x k product
+    # of the block's heads rounds apart at n = 1 for every k and at
+    # (d, k) = (100, 32) for every n, and would tie a run's bytes to R.
+    @pytest.mark.parametrize(
+        "d, k",
+        [(6, 2), (20, 3), (8, 1), (10, 5), (30, 8), (50, 16), (40, 20), (100, 32), (200, 64)],
+    )
+    def test_population_block_targets_are_per_round_products(self, d: int, k: int) -> None:
+        env = _env(d=d, k=k, seed=28, head_mean=1.0)
+        for n, count in itertools.product((1, 2, 3, 10, 50), (1, 2, 13, 113)):
+            hp = _hp(Algorithm.FO_ANIL, n=n)
+            for batch in _sample_rounds(env, hp, substream(28, n, count), count):
+                rep, targets = batch._targets
+                assert rep is env.ground_truth_rep
+                want = batch.heads.dot(env.ground_truth_rep.T)
+                assert targets.shape == want.shape, (n, count)
+                assert np.array_equal(targets.view(np.uint64), want.view(np.uint64)), (n, count)
+
+    def test_round_targets_serve_only_their_own_representation(self) -> None:
+        # A population step reads a round's targets for the B* they were
+        # formed from; any other B*, a batch drawn outside a block and a
+        # replaced batch get the product of their own heads, with the same
+        # bits as the round's own targets for their B*.
+        env, other = _env(d=8, k=3, seed=29), _env(d=8, k=3, seed=30)
+        hp = _hp(Algorithm.EXACT_MAML, n=4)
+        batch = _sample_rounds(env, hp, substream(29, 0, "tasks"), 3)[1]
+        fresh = TaskBatch(batch.heads.copy())
+        replaced = dataclasses.replace(batch)
+        assert fresh._targets is None and replaced._targets is None and batch._targets is not None
+        params = _random_params(substream(29, 0, "params"), 8, 3)
+        for environment in (env, other):
+            want = meta_gradients(params, environment, fresh, hp)
+            for got in (meta_gradients(params, environment, b, hp) for b in (batch, replaced)):
+                for g, w in zip(got, want):
+                    assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+        assert not np.array_equal(meta_gradients(params, other, batch, hp)[1],
+                                  meta_gradients(params, env, batch, hp)[1])
+
     def test_round_stacks_inner_then_outer_sets(self) -> None:
         env = _env(d=6, k=2, seed=21, noise_std=0.1)
         hp = _hp(Algorithm.FO_ANIL, Mode.FINITE, n=4, m_in=12, m_out=30)
@@ -687,25 +725,27 @@ class TestRoundBlocks:
         assert result.head_stats == reference.head_stats
 
 
+    @pytest.mark.parametrize("n", [3, 1])
     @pytest.mark.parametrize(
         "algo, beta",
         [*((algo, 0.05) for algo in ALL_ALGOS), (Algorithm.EXACT_MAML, 1.5)],
         ids=[*(algo.value for algo in ALL_ALGOS), "EXACT_MAML-diverges"],
     )
     def test_population_run_does_not_depend_on_block_size(
-        self, algo: Algorithm, beta: float, monkeypatch
+        self, algo: Algorithm, beta: float, n: int, monkeypatch
     ) -> None:
         # A population block draws only heads, bitwise the per-round draws,
-        # and a round's statistics have the same bits in any block, so a
-        # population run has the same bytes whatever its block size: the
-        # rule's R = 113 at n = k = 3, R = 1820 (2^14 head floats), the
-        # R = 13 that the finite-sample rule gives at d = 20, and R = 1.  The
-        # 1920 rounds end in a trimmed block at every size but R = 1; the
-        # diverging run stops at t = 1555, inside a block at every size but
-        # R = 1.  This does not hold for a finite-sample run, whose block
-        # draws the heads of all its rounds before any data set, so that its
-        # bytes depend on R (see the next test).
-        d, k, n, iters = 8, 3, 3, 1919
+        # and a round's statistics and targets have the same bits in any
+        # block, so a population run has the same bytes whatever its block
+        # size: the rule's R (113 at n = k = 3, 341 at n = 1), the R of 2^14
+        # head floats (1820 at n = 3; at n = 1 the whole run, 1920 rounds),
+        # the R = 13 that the finite-sample rule gives at d = 20, and R = 1.
+        # At n = 3 the 1920 rounds end in a trimmed block at every size but
+        # R = 1, and the diverging run stops at t = 1555, inside a block at
+        # every size but R = 1.  This does not hold for a finite-sample run,
+        # whose block draws the heads of all its rounds before any data set,
+        # so that its bytes depend on R (see the next test).
+        d, k, iters = 8, 3, 1919
         env = _env(d=d, k=k, seed=31, head_mean=1.0)
         hp = _hp(algo, alpha=0.1, beta=beta, n=n, iters=iters)
         init = init_model(env, hp.alpha, InitScheme.SPEC, substream(31, 0, "init"))
@@ -718,16 +758,17 @@ class TestRoundBlocks:
             return draw_heads(env, rounds, n, rng)
 
         monkeypatch.setattr(linrep.algorithms, "_round_heads", counting_heads)
+        sizes = {3: (113, 1820, 13, 1), 1: (341, iters + 1, 13, 1)}[n]
         runs = {}
-        for floats, size in ((_HEAD_BLOCK_FLOATS, 113), (2**14, 1820), (13 * n * k, 13), (1, 1)):
+        for floats, size in zip((_HEAD_BLOCK_FLOATS, 2**14, 13 * n * k, 1), sizes):
             monkeypatch.setattr(linrep.algorithms, "_HEAD_BLOCK_FLOATS", floats)
             first_block.clear()
             runs[size] = run_trajectory(env, hp, init, substream(31, 0, "tasks"), record_every=7)
             assert first_block == [size]
-        result = runs[113]
-        if beta > 1.0:
+        result = runs[sizes[0]]
+        if beta > 1.0 and n == 3:
             assert result.diverged_at == 1555
-        for other in (runs[1820], runs[13], runs[1]):
+        for other in (runs[size] for size in sizes[1:]):
             assert other.trajectory.tobytes() == result.trajectory.tobytes()
             assert other.head_stats == result.head_stats
             assert other.diverged_at == result.diverged_at
@@ -773,6 +814,26 @@ class TestRunTrajectory:
         assert result.diverged_at == 0
         assert len(result.trajectory) == 0
         assert result.head_stats is None
+
+    @pytest.mark.parametrize(
+        "record_every, message",
+        [(2.5, "an integer"), (3.0, "an integer"), (True, "an integer"), ("3", "an integer"),
+         (0, "at least 1"), (np.int64(-1), "at least 1")],
+        ids=repr,
+    )
+    def test_record_every_must_be_a_positive_integer(self, record_every, message: str) -> None:
+        env = _env(d=6, k=2, seed=15)
+        hp = _hp(Algorithm.FO_ANIL, iters=5)
+        init = init_model(env, hp.alpha, InitScheme.SPEC, substream(15, 0, "init"))
+        with pytest.raises(ValueError, match=f"record_every must be {message}"):
+            run_trajectory(env, hp, init, substream(15, 0, "tasks"), record_every=record_every)
+
+    def test_numpy_integer_record_every_accepted(self) -> None:
+        env = _env(d=6, k=2, seed=15)
+        hp = _hp(Algorithm.FO_ANIL, iters=25)
+        init = init_model(env, hp.alpha, InitScheme.SPEC, substream(15, 0, "init"))
+        result = run_trajectory(env, hp, init, substream(15, 0, "tasks"), np.int64(10))
+        assert [r.t for r in result.trajectory] == [0, 10, 20, 25]
 
     def test_recording_schedule_includes_final_iteration(self) -> None:
         env = _env(d=6, k=2, seed=15)

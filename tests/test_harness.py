@@ -181,6 +181,41 @@ class TestConfigLoading:
             load_config(path)
 
 
+class TestCsvRows:
+    # Floats whose text is easy to get wrong: non-finite values, a signed
+    # zero, the smallest subnormal, a repeating fraction and a value past
+    # 2^53; ints of either sign.
+    FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1 / 3, 1e16, -2.5e-7, 0.1]
+    INTS = [0, 7, -3, 10**6]
+
+    @pytest.mark.parametrize(
+        "template, header",
+        [
+            (harness_module._TRAJECTORY_ROW, harness_module.TRAJECTORY_HEADER),
+            (harness_module._MEAN_ROW, harness_module.MEAN_HEADER),
+            (harness_module._HYPOTHESES_ROW, harness_module.HYPOTHESES_HEADER),
+        ],
+        ids=["trajectory", "mean", "hypotheses"],
+    )
+    def test_row_template_writes_the_text_of_the_cell_path(
+        self, tmp_path: Path, template: str, header: str
+    ) -> None:
+        ints = template.count("%d")
+        floats = template.count("%.17g")
+        assert ints + floats == len(header.split(","))
+        # Every float in every float column, next to every int.
+        rows = [
+            (*(self.INTS * 2)[i % 4 : i % 4 + ints], *(self.FLOATS * 2)[i : i + floats])
+            for i in range(len(self.FLOATS))
+        ]
+        by_row, by_cell = tmp_path / "row.csv", tmp_path / "cell.csv"
+        harness_module._write_csv(by_row, header, rows, template)
+        harness_module._write_csv(by_cell, header, rows)
+        text = by_row.read_text()
+        assert text == by_cell.read_text()
+        assert text.splitlines()[1 + self.FLOATS.index(-0.0)].split(",")[ints] == "-0"
+
+
 class TestRunExperiment:
     def test_zero_iteration_run_writes_single_row(self, tmp_path: Path) -> None:
         cfg = ExperimentConfig.model_validate(
