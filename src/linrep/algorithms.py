@@ -30,14 +30,15 @@ same on any host and worker count.  A population run's bytes do not depend
 on ``R`` at all: its blocks draw only heads, and the heads, targets and
 statistics of a round are bitwise the same whatever block it is drawn in.
 When a block is drawn it is validated once, the task statistics of all its
-rounds are computed and checked in one stacked pass, a population block
-forms the targets ``B* w*_i`` of all its rounds in one stacked product, each
-with the bits of a round on its own, and one loop builds its rounds, each
-carrying its own statistics and targets (``env._block_rounds``).  A round of
-the run is then one step call, one ``diversity_stats`` lookup kept in
-running extremes by comparisons, the record check and a two-dot divergence
-test whose limits are computed once per run; a step it does not clear gets
-``_is_diverged``'s exact verdict.
+rounds are computed and checked in one stacked pass (a finite-sample
+block's before its data sets are drawn; checking draws nothing), a
+population block forms the targets ``B* w*_i`` of all its rounds in one
+stacked product, each with the bits of a round on its own, and one loop
+builds its rounds, each carrying its own statistics and targets
+(``env._block_rounds``).  A round of the run is then one step call, one
+``diversity_stats`` lookup kept in running extremes by comparisons, the
+record check and a two-dot divergence test whose limits are computed once
+per run; a step it does not clear gets ``_is_diverged``'s exact verdict.
 
 Recording is kept out of the step loop.  At a scheduled record the loop
 keeps a snapshot (the iteration, the parameters, the round's adapted heads
@@ -68,6 +69,7 @@ from .env import (
     TaskBatch,
     TaskEnvironment,
     _block_rounds,
+    _block_statistics,
     _round_heads,
     _trusted,
     diversity_stats,
@@ -372,15 +374,18 @@ def _sample_rounds(
     their outer sets in one call — so that every algorithm consumes the
     random stream identically and trajectories are comparable across
     algorithms.  A population block also forms its rounds' targets
-    ``B* w*_i`` (see ``env._block_rounds``).
+    ``B* w*_i`` (see ``env._block_rounds``); a finite-sample block checks its
+    heads' statistics before it draws data sets, so heads too large for the
+    statistics raise the same error in both modes.
     """
     heads = _round_heads(env, count, hp.n, rng)
     if hp.mode is Mode.POPULATION:
         return _block_rounds(heads, rep=env.ground_truth_rep)
+    stats = _block_statistics(heads)
     tasks = heads.reshape(count * hp.n, env.k)
     inner = sample_dataset(env, tasks, hp.m_in, rng)
     outer = sample_dataset(env, tasks, hp.m_out, rng)
-    return _block_rounds(heads, inner, outer)
+    return _block_rounds(heads, inner, outer, stats=stats)
 
 
 def _rounds(env: TaskEnvironment, hp: HyperParams, rng) -> Iterator[TaskBatch]:

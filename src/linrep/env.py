@@ -15,6 +15,7 @@ Ann. Statist. 31(5)); raw inputs are never formed.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -222,6 +223,7 @@ def _block_rounds(
     inner_sets: DataSet | None = None,
     outer_sets: DataSet | None = None,
     rep: np.ndarray | None = None,
+    stats: np.ndarray | None = None,
 ) -> list[TaskBatch]:
     """The rounds of a sampled block, each carrying its task statistics.
 
@@ -235,13 +237,14 @@ def _block_rounds(
     ``rep``, each round also carries its targets, round ``r`` of one stacked
     ``heads @ rep.T``: matmul multiplies a stack matrix by matrix, so they
     have the bits of the round's own ``heads[r].dot(rep.T)``, which one
-    ``(R n) x k`` product does not always give.
+    ``(R n) x k`` product does not always give.  ``stats`` passes in the
+    block's checked statistics when the caller has already computed them.
     """
     count, n, k = heads.shape
     whole = TaskBatch(heads.reshape(count * n, k), inner_sets, outer_sets)
     heads = whole.heads.reshape(count, n, k)
-    stats = _head_statistics(heads)
-    _check_statistics(stats)
+    if stats is None:
+        stats = _block_statistics(heads)
     # Each side's rows per round; None in every round of a population block.
     sides = [[None] * count if sets is None else [sets[r * n:(r + 1) * n] for r in range(count)]
              for sets in (inner_sets, outer_sets)]
@@ -253,6 +256,14 @@ def _block_rounds(
         for heads_r, inner, outer, target, (mu_sq, L_sq, eta, L_max)
         in zip(heads, *sides, targets, stats.tolist())
     ]
+
+
+def _block_statistics(heads: np.ndarray) -> np.ndarray:
+    """The ``R x 4`` statistics of a block's ``(R, n, k)`` heads, checked:
+    heads whose statistics break raise here.  Draws nothing."""
+    stats = _head_statistics(heads)
+    _check_statistics(stats)
+    return stats
 
 
 @dataclass(frozen=True)
@@ -367,23 +378,32 @@ def sample_dataset(
     zero-dof one is exactly 0 and draws nothing), then ``n x (d(d-1)/2 + d)``
     normals (per task the below-diagonal entries in row-major order, then
     ``g``), drawn whatever ``m`` and ``noise_std`` are; only the chi-square
-    sampler's rejection retries depend on ``m``.
+    sampler's rejection retries depend on ``m``.  The chi-squares' dof grid
+    is one C-contiguous ``n x (d + 1)`` array, and the factor is filled as
+    flat ``n x d^2`` rows through the cached flat indices of the strict lower
+    triangle and of the diagonal (``_factor_indices``).  Non-finite heads
+    raise ``ValueError`` naming the heads before anything is drawn.
     """
     if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
         raise ValueError(f"m must be a positive integer sample count, got m={m!r}")
     heads = np.asarray(heads, dtype=float)
     if heads.ndim != 2 or heads.shape[1] != env.k:
         raise ValueError(f"heads must have shape (n, {env.k}), got {heads.shape}")
+    if not np.isfinite(heads).all():
+        raise ValueError("heads must be finite")
     n, d, sigma = heads.shape[0], env.d, env.noise_std
     betas = heads @ env.ground_truth_rep.T  # row i is B* w*_i
-    chi2 = chi_square(rng, np.broadcast_to(np.maximum(m - np.arange(d + 1), 0), (n, d + 1)))
+    dof = np.empty((n, d + 1))
+    dof[:] = np.maximum(m - np.arange(d + 1), 0)
+    chi2 = chi_square(rng, dof)
     below = d * (d - 1) // 2
     normals = standard_normal(rng, (n, below + d))
-    factor = np.zeros((n, d, d))
-    factor[:, np.tri(d, k=-1, dtype=bool)] = normals[:, :below]  # row-major
+    lower, diagonal = _factor_indices(d)
+    flat = np.zeros((n, d * d))
+    flat[:, lower] = normals[:, :below]
+    factor = flat.reshape(n, d, d)
     factor[:, :, m:] = 0.0  # rank m when m < d
-    diagonal = np.arange(d)
-    factor[:, diagonal, diagonal] = np.sqrt(chi2[:, :d])
+    flat[:, diagonal] = np.sqrt(chi2[:, :d])
     g = normals[:, below:]
     z_sq = np.einsum("nd,nd->n", g[:, :m], g[:, :m]) + chi2[:, d]
 
@@ -400,6 +420,14 @@ def sample_dataset(
         ) / m,
         m=m,
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _factor_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices into a C-ordered ``d x d`` matrix of its strict lower
+    triangle, row after row, and of its diagonal."""
+    rows, cols = np.tril_indices(d, -1)
+    return rows * d + cols, np.arange(d) * (d + 1)
 
 
 def diversity_stats(batch: TaskBatch) -> DiversityStats:
@@ -430,8 +458,14 @@ def _head_statistics(heads: np.ndarray) -> np.ndarray:
         mean = heads.sum(axis=-2) / n
         eta_sq = (mean[:, None, :] @ mean[:, :, None])[:, 0, 0]
         row_sq = np.einsum("rnk,rnk->rn", heads, heads).max(axis=-1)
-    if not all(np.isfinite(part).all() for part in (second, eta_sq, row_sq)):
+    if not (np.isfinite(second).all() and np.isfinite(eta_sq).all()
+            and np.isfinite(row_sq).all()):
         raise ValueError("task heads too large: their second moment overflows float64")
     eigenvalues = np.linalg.eigvalsh(second)
-    low, high = eigenvalues[:, 0], eigenvalues[:, -1]
-    return np.stack([np.where(low < 0.0, 0.0, low), high, np.sqrt(eta_sq), np.sqrt(row_sq)], axis=1)
+    low = eigenvalues[:, 0]
+    stats = np.empty((heads.shape[0], 4))
+    stats[:, 0] = np.where(low < 0.0, 0.0, low)
+    stats[:, 1] = eigenvalues[:, -1]
+    np.sqrt(eta_sq, out=stats[:, 2])
+    np.sqrt(row_sq, out=stats[:, 3])
+    return stats

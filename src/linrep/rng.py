@@ -9,7 +9,8 @@ draws other streams consume.
 
 Gaussian variates are produced by an explicit Box-Muller transform over
 uniform draws rather than the generator's built-in ziggurat sampler, which
-keeps the mapping from uniforms to normals simple and stable.  Chi-square
+keeps the mapping from uniforms to normals simple and stable; the variates
+are written over the uniforms they came from.  Chi-square
 variates are built on the same footing: ``chi_square`` draws
 ``2 * Gamma(dof / 2)`` by Marsaglia-Tsang rejection over ``standard_normal``
 and the generator's uniforms, with the ``U^(1/a)`` boost for shapes below
@@ -57,20 +58,23 @@ def standard_normal(
     Uses ``1 - U`` for the radial uniform so the logarithm never sees an
     exact zero. Consumes ``2 * ceil(count / 2)`` uniforms from ``rng`` in
     one draw, the radial ones first and then the angular ones; the cosine
-    branch gives the first half of the variates and the sine branch the rest.
+    branch gives the first half of the variates and the sine branch the rest,
+    each written over the uniforms it came from, so the uniforms' buffer is
+    the result.
 
-    ``rows`` (a divisor of ``count``) splits the draw into that many
-    successive transforms of ``count // rows`` variates each, filled into the
-    result in C order: the variates, and the stream position after them, are
-    bitwise those of ``rows`` calls of that size made in turn.  The uniforms
-    of every row still come from one ``rng.random`` call.
+    ``rows`` (a positive integer dividing ``count``) splits the draw into
+    that many successive transforms of ``count // rows`` variates each,
+    filled into the result in C order: the variates, and the stream position
+    after them, are bitwise those of ``rows`` calls of that size made in
+    turn.  The uniforms of every row still come from one ``rng.random`` call.
     """
     shape = (shape,) if isinstance(shape, int) else tuple(shape)
     count = 1
     for dim in shape:
         count *= int(dim)
-    if rows < 1 or count % rows:
-        raise ValueError(f"rows must be a positive divisor of the {count} variates, got {rows}")
+    if (isinstance(rows, bool) or not isinstance(rows, (int, np.integer))
+            or rows < 1 or count % rows):
+        raise ValueError(f"rows must be a positive divisor of the {count} variates, got {rows!r}")
     if count == 0:
         return np.zeros(shape)
     per_row = count // rows
@@ -78,10 +82,9 @@ def standard_normal(
     uniforms = rng.random((rows, 2 * half))
     radius = np.sqrt(-2.0 * np.log(1.0 - uniforms[:, :half]))  # 1 - U in (0, 1]
     angle = 2.0 * np.pi * uniforms[:, half:]
-    draws = np.empty((rows, 2 * half))
-    np.multiply(radius, np.cos(angle), out=draws[:, :half])
-    np.multiply(radius, np.sin(angle), out=draws[:, half:])
-    return draws[:, :per_row].reshape(shape)
+    np.multiply(radius, np.cos(angle), out=uniforms[:, :half])
+    np.multiply(radius, np.sin(angle), out=uniforms[:, half:])
+    return uniforms[:, :per_row].reshape(shape)
 
 
 def chi_square(rng: np.random.Generator, dof: float | np.ndarray) -> np.ndarray:
@@ -95,31 +98,40 @@ def chi_square(rng: np.random.Generator, dof: float | np.ndarray) -> np.ndarray:
     still-pending entry, in flat (C) order, then one uniform per entry; the
     boost uniforms follow the last pass.  Deterministic given the stream,
     but the number of uniforms consumed depends on how many candidates are
-    rejected: about 5% at shape 1, fewer at larger shapes.
+    rejected: about 5% at shape 1, fewer at larger shapes.  The first pass,
+    which takes every entry, works on the whole arrays; only later passes
+    gather their pending entries.
     """
     dof = np.asarray(dof, dtype=float)
     if not np.isfinite(dof).all() or (dof < 0.0).any():
         raise ValueError("dof must be finite and nonnegative")
     half = dof.ravel() / 2.0
-    positive = np.flatnonzero(half > 0.0)
-    boosted = half[positive] < 1.0
-    a = half[positive] + boosted
-    d = a - 1.0 / 3.0
+    positive = half > 0.0
+    every = positive.all()
+    if not every:
+        half = half[positive]
+    boosted = half < 1.0
+    d = half + boosted - 1.0 / 3.0
     c = 1.0 / np.sqrt(9.0 * d)
-    gamma = np.zeros(positive.size)
-    pending = np.arange(positive.size)
+    gamma = np.empty(d.size)
+    pending = np.arange(d.size)
+    c_pending, d_pending = c, d  # the first pass takes every entry: no gathers
     while pending.size:
         x = standard_normal(rng, pending.size)
         u = 1.0 - rng.random(pending.size)  # in (0, 1]
-        v = (1.0 + c[pending] * x) ** 3
+        v = (1.0 + c_pending * x) ** 3
         with np.errstate(invalid="ignore", divide="ignore"):
             accept = (v > 0.0) & (
-                np.log(u) < 0.5 * x * x + d[pending] * (1.0 - v + np.log(v))
+                np.log(u) < 0.5 * x * x + d_pending * (1.0 - v + np.log(v))
             )
-        gamma[pending[accept]] = d[pending[accept]] * v[accept]
+        # A rejected entry's value is overwritten by the pass that accepts it.
+        gamma[pending] = d_pending * v
         pending = pending[~accept]
+        c_pending, d_pending = c[pending], d[pending]
     if boosted.any():
-        gamma[boosted] *= (1.0 - rng.random(int(boosted.sum()))) ** (1.0 / half[positive][boosted])
-    out = np.zeros(half.size)
+        gamma[boosted] *= (1.0 - rng.random(int(boosted.sum()))) ** (1.0 / half[boosted])
+    if every:
+        return (2.0 * gamma).reshape(dof.shape)
+    out = np.zeros(dof.size)
     out[positive] = 2.0 * gamma
     return out.reshape(dof.shape)

@@ -132,6 +132,65 @@ def box_muller_two_calls(rng: np.random.Generator, count: int) -> np.ndarray:
     return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:count]
 
 
+def chi_square_gathers(rng: np.random.Generator, dof) -> np.ndarray:
+    """Marsaglia-Tsang chi-square variates (the reference sampler): a zero
+    dof gives exactly 0; every rejection pass gathers its pending entries'
+    constants and draws ``box_muller_two_calls`` normals, then uniforms;
+    shapes below 1 are boosted by ``U^(1/a)`` after the last pass."""
+    dof = np.asarray(dof, dtype=float)
+    half = dof.ravel() / 2.0
+    positive = np.flatnonzero(half > 0.0)
+    boosted = half[positive] < 1.0
+    d = half[positive] + boosted - 1.0 / 3.0
+    c = 1.0 / np.sqrt(9.0 * d)
+    gamma = np.zeros(positive.size)
+    pending = np.arange(positive.size)
+    while pending.size:
+        x = box_muller_two_calls(rng, pending.size)
+        u = 1.0 - rng.random(pending.size)
+        v = (1.0 + c[pending] * x) ** 3
+        with np.errstate(invalid="ignore", divide="ignore"):
+            accept = (v > 0.0) & (
+                np.log(u) < 0.5 * x * x + d[pending] * (1.0 - v + np.log(v))
+            )
+        gamma[pending[accept]] = d[pending[accept]] * v[accept]
+        pending = pending[~accept]
+    if boosted.any():
+        gamma[boosted] *= (1.0 - rng.random(int(boosted.sum()))) ** (1.0 / half[positive][boosted])
+    out = np.zeros(half.size)
+    out[positive] = 2.0 * gamma
+    return out.reshape(dof.shape)
+
+
+def bartlett_statistics(rep, noise_std, heads, m, rng):
+    """``(cov, xty, yty)`` of ``m`` samples per task drawn through the
+    Bartlett factor (the reference sampler): chi-squares over a broadcast
+    dof grid ``max(m - j, 0)``, ``j = 0..d``, then ``box_muller_two_calls``
+    normals, per task the strict lower triangle through a boolean mask in
+    row-major order and then ``g``; columns ``m..d-1`` zeroed."""
+    n, d = heads.shape[0], rep.shape[0]
+    betas = heads @ rep.T
+    dof = np.broadcast_to(np.maximum(m - np.arange(d + 1), 0), (n, d + 1))
+    chi2 = chi_square_gathers(rng, dof)
+    below = d * (d - 1) // 2
+    normals = box_muller_two_calls(rng, n * (below + d)).reshape(n, below + d)
+    factor = np.zeros((n, d, d))
+    factor[:, np.tri(d, k=-1, dtype=bool)] = normals[:, :below]
+    factor[:, :, m:] = 0.0
+    factor[:, np.arange(d), np.arange(d)] = np.sqrt(chi2[:, :d])
+    g = normals[:, below:]
+    z_sq = np.einsum("nd,nd->n", g[:, :m], g[:, :m]) + chi2[:, d]
+    wishart = factor @ np.swapaxes(factor, 1, 2)
+    w_beta = np.einsum("nij,nj->ni", wishart, betas)
+    l_g = np.einsum("nij,nj->ni", factor, g)
+    yty = (
+        np.einsum("nd,nd->n", betas, w_beta)
+        + 2.0 * noise_std * np.einsum("nd,nd->n", betas, l_g)
+        + noise_std**2 * z_sq
+    )
+    return wishart / m, (w_beta + noise_std * l_g) / m, yty / m
+
+
 _RANK_TOL = 1e-12
 
 

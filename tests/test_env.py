@@ -24,7 +24,7 @@ from linrep.env import (
     sample_task_batch,
 )
 from linrep.rng import standard_normal, substream
-from oracles import diversity_stats_loop, rayleigh_min_bruteforce
+from oracles import bartlett_statistics, diversity_stats_loop, rayleigh_min_bruteforce
 
 
 def _env(d: int = 6, k: int = 2, **kw: object) -> TaskEnvironment:
@@ -226,6 +226,32 @@ class TestSampleDataset:
         env = _env(d=6, k=2)
         sets = sample_dataset(env, np.zeros((3, 2)), m=np.int64(4), rng=substream(6, 3, "data"))
         assert sets.m == 4 and type(sets.m) is int
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_heads_rejected_naming_heads_before_drawing(self, bad: float) -> None:
+        env = _env(d=6, k=2, noise_std=0.1)
+        rng = substream(6, 4, "data")
+        with pytest.raises(ValueError, match="heads must be finite"):
+            sample_dataset(env, np.array([[1.0, 0.0], [bad, 2.0]]), m=10, rng=rng)
+        np.testing.assert_array_equal(rng.random(4), substream(6, 4, "data").random(4))
+
+    @pytest.mark.parametrize("m_kind", ["1", "2", "d-1", "d", "d+1", "100", "1e6"])
+    @pytest.mark.parametrize("d", [2, 6, 20])
+    def test_statistics_are_the_reference_sampler_bitwise(self, d: int, m_kind: str) -> None:
+        # The chi-squares over a broadcast dof grid with gathers on every
+        # rejection pass, then two-draw Box-Muller normals put into the
+        # factor through a boolean mask: the same bits and stream position.
+        m = {"1": 1, "2": 2, "d-1": d - 1, "d": d, "d+1": d + 1, "100": 100, "1e6": 10**6}[m_kind]
+        for noise_std in (0.0, 0.1):
+            env = _env(d=d, k=1, noise_std=noise_std)
+            for n in (1, 3, 40):
+                heads = standard_normal(substream(13, d, m, n, "heads"), (n, 1)) + 1.0
+                rng, reference = substream(13, d, m, n, "data"), substream(13, d, m, n, "data")
+                sets = sample_dataset(env, heads, m, rng)
+                want = bartlett_statistics(env.ground_truth_rep, noise_std, heads, m, reference)
+                for got, expected in zip((sets.cov, sets.xty, sets.yty), want):
+                    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+                assert np.array_equal(rng.random(4), reference.random(4))
 
     def test_task_batch_requires_one_stacked_set_per_task(self) -> None:
         env = _env(d=5, k=2)

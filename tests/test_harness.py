@@ -366,6 +366,18 @@ class TestRunExperiment:
             assert mean_rows == []
             assert summary["final_dist_mean"] is None
 
+    @pytest.mark.parametrize("mode", ["POPULATION", "FINITE"])
+    def test_overflowing_heads_named_in_either_mode(self, tmp_path: Path, mode: str) -> None:
+        # Finite heads whose squares overflow: a FINITE block checks its
+        # heads' statistics before drawing data sets, so both modes blame
+        # the heads rather than the data statistics they would give.
+        cfg = ExperimentConfig.model_validate(
+            _base_dict(**{"env.head_mean": 1e200, "env.noise_std": 0.1, "hp.mode": mode,
+                          "hp.m_in": 10, "hp.m_out": 10, "hp.iters": 5, "run.trials": 1})
+        )
+        with pytest.raises(ValueError, match="task heads too large"):
+            run_experiment(cfg, out_dir=tmp_path / mode)
+
     def test_hypothesis_summary_included_when_enabled(self, tmp_path: Path) -> None:
         cfg = ExperimentConfig.model_validate(_base_dict(checks={"hypcheck": True}))
         artifacts = run_experiment(cfg, out_dir=tmp_path / "hyp")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from linrep.rng import chi_square, standard_normal, substream
-from oracles import box_muller_two_calls
+from oracles import box_muller_two_calls, chi_square_gathers
 
 
 def test_same_substream_identical_draws() -> None:
@@ -66,10 +66,16 @@ def test_rows_fill_any_shape_in_c_order() -> None:
     np.testing.assert_array_equal(draws.reshape(5, 9), flat)
 
 
-@pytest.mark.parametrize("rows", [0, -1, 4])
-def test_rows_must_divide_the_variates(rows: int) -> None:
+@pytest.mark.parametrize("rows", [0, -1, 4, 3.0, np.float64(3.0), True, "3"],
+                         ids=["0", "-1", "4", "float", "np-float", "bool", "str"])
+def test_rows_must_divide_the_variates(rows) -> None:
     with pytest.raises(ValueError, match="rows"):
         standard_normal(substream(9, "rows"), (3, 3), rows=rows)
+
+
+def test_numpy_integer_rows_accepted() -> None:
+    draws = standard_normal(substream(9, "np-rows"), (3, 3), rows=np.int64(3))
+    np.testing.assert_array_equal(draws, standard_normal(substream(9, "np-rows"), (3, 3), rows=3))
 
 
 def test_standard_normal_moments_match_gaussian() -> None:
@@ -129,3 +135,29 @@ def test_chi_square_same_substream_identical_draws() -> None:
 def test_chi_square_rejects_invalid_dof(dof: float) -> None:
     with pytest.raises(ValueError):
         chi_square(substream(8, 0, "chi2"), [3, dof])
+
+
+# Zero dofs, shapes below 1 (boosted), shapes near 1 (the most rejections)
+# and large ones, as flat, stacked and scalar arrays.
+CHI_SQUARE_GRIDS = {
+    "bartlett": np.maximum(7 - np.arange(21), 0)[None].repeat(3, axis=0),
+    "ramp": np.linspace(0.0, 3.0, 301),
+    "mixed": np.where(np.arange(77).reshape(7, 11) % 5 == 0, 0.0,
+                      np.linspace(0.05, 2.5, 77).reshape(7, 11)),
+    "wide": np.array([0.0, 1.0, 2.0, 2.5, 781.0, 1e6]),
+    "scalar-zero": np.array(0.0),
+    "scalar-boosted": np.array(0.5),
+}
+
+
+@pytest.mark.parametrize("grid", CHI_SQUARE_GRIDS)
+def test_chi_square_is_the_gathering_sampler_bitwise(grid: str) -> None:
+    dof = CHI_SQUARE_GRIDS[grid]
+    for seed in range(8):
+        rng, reference = substream(10, grid, seed), substream(10, grid, seed)
+        draws = chi_square(rng, dof)
+        want = chi_square_gathers(reference, dof)
+        assert draws.shape == want.shape == dof.shape
+        assert np.array_equal(draws.view(np.uint64), want.view(np.uint64))
+        # Both leave the stream at the same place.
+        assert np.array_equal(rng.random(4), reference.random(4))
