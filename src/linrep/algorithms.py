@@ -15,30 +15,12 @@ exact moments of isotropic Gaussian inputs, ``(I, B* w*_i)`` on both sides,
 so the expected risk needs no code of its own.  The average-risk baseline
 skips inner adaptation entirely and descends the mean unadapted risk.
 
-A run draws its rounds in blocks of ``R`` rounds, the last block trimmed so
-that a run draws ``iters + 1`` rounds.  A block draws the ``(R, n, k)`` heads
-of its rounds in one ``standard_normal`` call of ``R`` rows, bitwise the
-heads of ``R`` per-round draws; a finite-sample block then draws the inner
-sets of all its ``R n`` tasks in one call over the stacked heads, then the
-outer sets likewise, and round ``r`` of the block takes rows
-``r n : (r + 1) n`` of each.  ``R`` is sized by what a round holds:
-``max(1, _BLOCK_FLOATS // (n d^2))`` for the statistics of a finite-sample
-round, ``max(1, _HEAD_BLOCK_FLOATS // (n k))`` for the heads of a population
-round.  A finite-sample run's draw order, and so its bytes, depend on ``R``,
-which depends only on ``(n, d)``, so the stream, and every artifact, is the
-same on any host and worker count.  A population run's bytes do not depend
-on ``R`` at all: its blocks draw only heads, and the heads, targets and
-statistics of a round are bitwise the same whatever block it is drawn in.
-When a block is drawn it is validated once, the task statistics of all its
-rounds are computed and checked in one stacked pass (a finite-sample
-block's before its data sets are drawn; checking draws nothing), a
-population block forms the targets ``B* w*_i`` of all its rounds in one
-stacked product, each with the bits of a round on its own, and one loop
-builds its rounds, each carrying its own statistics and targets
-(``env._block_rounds``).  A round of the run is then one step call, one
-``diversity_stats`` lookup kept in running extremes by comparisons, the
-record check and a two-dot divergence test whose limits are computed once
-per run; a step it does not clear gets ``_is_diverged``'s exact verdict.
+A run draws its rounds a block at a time, each round carrying its checked
+task statistics and its data sets or targets (``env._rounds``).  A round of
+the run is then one step call, one ``diversity_stats`` lookup kept in
+running extremes by comparisons, the record check and a two-dot divergence
+test whose limits are computed once per run; a step it does not clear gets
+``_is_diverged``'s exact verdict.
 
 Recording is kept out of the step loop.  At a scheduled record the loop
 keeps a snapshot (the iteration, the parameters, the round's adapted heads
@@ -64,17 +46,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .env import (
-    DiversityStats,
-    TaskBatch,
-    TaskEnvironment,
-    _block_rounds,
-    _block_statistics,
-    _round_heads,
-    _trusted,
-    diversity_stats,
-    sample_dataset,
-)
+from .env import DiversityStats, TaskBatch, TaskEnvironment, _rounds, _trusted, diversity_stats
 from .metrics import (
     delta_norm,
     orth_complement,
@@ -349,54 +321,11 @@ def step_for(hp: HyperParams) -> Callable[..., StepOutcome]:
 # Trajectory driver
 # --------------------------------------------------------------------------
 
-# Floats a block of rounds may hold: a finite-sample block ``n d^2`` per
-# round and side, up to ``_BLOCK_FLOATS``; a population block its rounds'
-# ``n k`` heads, up to ``_HEAD_BLOCK_FLOATS``, sized by the heads alone.
-# Drawing, validating and reducing a block of heads briefly takes several
-# times their size, and its targets hold ``d / k`` times as many floats, so
-# the population budget is the smaller: at n = k = 3, blocks of 2^14 head
-# floats raised the peak memory of five 10^4-step runs by about 0.6 MiB over
-# blocks of 13 rounds, blocks of 2^10 kept it within noise.  Not settings: a
-# finite-sample block size must depend only on the run's dimensions for
-# artifacts to stay byte-identical across hosts.
-_BLOCK_FLOATS = 2**14
-_HEAD_BLOCK_FLOATS = 2**10
-
-
-def _sample_rounds(
-    env: TaskEnvironment, hp: HyperParams, rng, count: int
-) -> list[TaskBatch]:
-    """Sample ``count`` consecutive rounds' tasks (and data sets in
-    finite-sample mode).
-
-    The draw order is fixed — the heads of every round of the block in one
-    call, then the inner sets of every task of the block in one call, then
-    their outer sets in one call — so that every algorithm consumes the
-    random stream identically and trajectories are comparable across
-    algorithms.  A population block also forms its rounds' targets
-    ``B* w*_i`` (see ``env._block_rounds``); a finite-sample block checks its
-    heads' statistics before it draws data sets, so heads too large for the
-    statistics raise the same error in both modes.
-    """
-    heads = _round_heads(env, count, hp.n, rng)
-    if hp.mode is Mode.POPULATION:
-        return _block_rounds(heads, rep=env.ground_truth_rep)
-    stats = _block_statistics(heads)
-    tasks = heads.reshape(count * hp.n, env.k)
-    inner = sample_dataset(env, tasks, hp.m_in, rng)
-    outer = sample_dataset(env, tasks, hp.m_out, rng)
-    return _block_rounds(heads, inner, outer, stats=stats)
-
-
-def _rounds(env: TaskEnvironment, hp: HyperParams, rng) -> Iterator[TaskBatch]:
-    """The ``hp.iters + 1`` rounds of a run, sampled a block at a time."""
-    if hp.mode is Mode.POPULATION:
-        size = max(1, _HEAD_BLOCK_FLOATS // (hp.n * env.k))
-    else:
-        size = max(1, _BLOCK_FLOATS // (hp.n * env.d**2))
-    total = hp.iters + 1
-    for start in range(0, total, size):
-        yield from _sample_rounds(env, hp, rng, min(size, total - start))
+def _rounds_for(env: TaskEnvironment, hp: HyperParams, total: int, rng) -> Iterator[TaskBatch]:
+    """The next ``total`` rounds of ``hp``'s runs, drawn from ``rng`` a
+    block at a time (``env._rounds``), with data sets in finite-sample mode."""
+    samples = None if hp.mode is Mode.POPULATION else (hp.m_in, hp.m_out)
+    return _rounds(env, hp.n, total, rng, samples)
 
 
 def _is_diverged(params: ModelParams, rep_limit: float) -> bool:
@@ -589,7 +518,7 @@ def run_trajectory(
     # A diverging run overflows in its steps, its divergence checks and its
     # records; it is declared divergent (or records NaN) rather than warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, batch in enumerate(_rounds(env, hp, rng)):
+        for t, batch in enumerate(_rounds_for(env, hp, hp.iters + 1, rng)):
             stats = diversity_stats(batch)
             mu_sq = stats.mu_sq if stats.mu_sq < mu_sq else mu_sq
             L_sq = stats.L_sq if stats.L_sq > L_sq else L_sq

@@ -16,6 +16,8 @@ Ann. Statist. 31(5)); raw inputs are never formed.
 from __future__ import annotations
 
 import functools
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,13 +185,11 @@ class TaskBatch:
     ``inner_sets``/``outer_sets`` are stacked data sets, one task per entry
     of the leading axis, used by finite-sample algorithms for adaptation and
     for the outer update respectively; population-mode batches carry heads
-    only.  A round of a sampled block also carries its task statistics, which
-    ``_block_rounds`` computed and checked with the block's (``_stats``, see
-    ``diversity_stats``), and a round of a population block its targets
-    ``B* w*_i``, rows of the block's one stacked product, with the ``B*``
-    they were formed from (``_targets``, a ``(B*, n x d)`` pair, read by the
-    population steps); these take no part in equality or ``repr``, and
-    ``dataclasses.replace`` drops them.
+    only.  A round of a sampled block also carries its checked task
+    statistics (``_stats``, see ``diversity_stats``) and, in a population
+    block, its targets ``B* w*_i`` with the ``B*`` they were formed from
+    (``_targets``, see ``_block_rounds``); these take no part in equality or
+    ``repr``, and ``dataclasses.replace`` drops them.
     """
 
     heads: np.ndarray
@@ -218,52 +218,76 @@ class TaskBatch:
         return self.heads.shape[0]
 
 
-def _block_rounds(
-    heads: np.ndarray,
-    inner_sets: DataSet | None = None,
-    outer_sets: DataSet | None = None,
-    rep: np.ndarray | None = None,
-    stats: np.ndarray | None = None,
-) -> list[TaskBatch]:
-    """The rounds of a sampled block, each carrying its task statistics.
+# Floats a block of rounds may hold: a finite-sample block ``n d^2`` per
+# round and side, up to ``_BLOCK_FLOATS``; a population block its rounds'
+# ``n k`` heads, up to ``_HEAD_BLOCK_FLOATS``, sized by the heads alone.
+# Drawing, validating and reducing a block of heads briefly takes several
+# times their size, and its targets hold ``d / k`` times as many floats, so
+# the population budget is the smaller: at n = k = 3, blocks of 2^14 head
+# floats raised the peak memory of five 10^4-step runs by about 0.6 MiB over
+# blocks of 13 rounds, blocks of 2^10 kept it within noise.  Not settings: a
+# finite-sample block size must depend only on the run's dimensions for
+# artifacts to stay byte-identical across hosts.
+_BLOCK_FLOATS = 2**14
+_HEAD_BLOCK_FLOATS = 2**10
 
-    ``heads`` is ``(R, n, k)``; the data sets, if any, stack the block's
-    ``R n`` tasks round after round.  Round ``r`` holds ``heads[r]``, rows
-    ``r n : (r + 1) n`` of each set and its task statistics.  This call
-    validates the block once, as one batch of ``R n`` tasks, and computes and
-    checks the statistics of all its rounds in one stacked pass, so a broken
-    block raises here; one loop over those rows builds the rounds, which skip
-    ``TaskBatch.__post_init__``.  Given the ``B*`` of a population block as
-    ``rep``, each round also carries its targets, round ``r`` of one stacked
-    ``heads @ rep.T``: matmul multiplies a stack matrix by matrix, so they
-    have the bits of the round's own ``heads[r].dot(rep.T)``, which one
-    ``(R n) x k`` product does not always give.  ``stats`` passes in the
-    block's checked statistics when the caller has already computed them.
+
+def _rounds(env: TaskEnvironment, n: int, total: int, rng: np.random.Generator,
+            samples: tuple[int, int] | None) -> Iterator[TaskBatch]:
+    """The next ``total`` rounds of ``n`` tasks drawn from ``rng``, with
+    ``(m_in, m_out)`` inner and outer data sets given ``samples``, heads only
+    given None.
+
+    The rounds are drawn in blocks of ``R`` (see ``_BLOCK_FLOATS``), the last
+    one trimmed: a block draws its heads in one call (``_round_heads``) and
+    ``_block_rounds`` builds its rounds.  Every algorithm consumes the stream
+    alike.  A finite-sample block draws all its heads before any data set, so
+    its run's bytes depend on ``R``, which depends only on ``(n, d)``.  A
+    population run's bytes do not depend on ``R``: a round's heads, targets
+    and statistics have the same bits whatever block it is drawn in.
+    """
+    if samples is None:
+        size = max(1, _HEAD_BLOCK_FLOATS // (n * env.k))
+    else:
+        size = max(1, _BLOCK_FLOATS // (n * env.d**2))
+    for start in range(0, total, size):
+        heads = _round_heads(env, min(size, total - start), n, rng)
+        yield from _block_rounds(env, heads, rng, samples)
+
+
+def _block_rounds(env: TaskEnvironment, heads: np.ndarray, rng: np.random.Generator | None,
+                  samples: tuple[int, int] | None) -> list[TaskBatch]:
+    """The rounds of a block of ``(R, n, k)`` heads, each with its task
+    statistics and its data sets (``samples``, see ``_rounds``) or targets.
+
+    The block is validated once, as one batch; the statistics of all its
+    rounds are computed and checked in one stacked pass before anything else
+    is drawn; a finite-sample block then draws the inner sets of all its
+    tasks in one call, then the outer sets, round ``r`` taking rows
+    ``r n : (r + 1) n`` of each.  A population round carries its targets with
+    the ``B*`` they were formed from, round ``r`` of one stacked
+    ``heads @ B*.T``: bitwise the round's own ``heads[r].dot(B*.T)``, which
+    one ``(R n) x k`` product does not always give.
     """
     count, n, k = heads.shape
-    whole = TaskBatch(heads.reshape(count * n, k), inner_sets, outer_sets)
-    heads = whole.heads.reshape(count, n, k)
-    if stats is None:
-        stats = _block_statistics(heads)
-    # Each side's rows per round; None in every round of a population block.
-    sides = [[None] * count if sets is None else [sets[r * n:(r + 1) * n] for r in range(count)]
-             for sets in (inner_sets, outer_sets)]
-    targets = [None] * count if rep is None else [(rep, rows) for rows in heads @ rep.T]
-    return [
-        _trusted(TaskBatch, heads=heads_r, inner_sets=inner, outer_sets=outer,
-                 _stats=_trusted(DiversityStats, mu_sq=mu_sq, L_sq=L_sq, eta=eta, L_max=L_max),
-                 _targets=target)
-        for heads_r, inner, outer, target, (mu_sq, L_sq, eta, L_max)
-        in zip(heads, *sides, targets, stats.tolist())
-    ]
-
-
-def _block_statistics(heads: np.ndarray) -> np.ndarray:
-    """The ``R x 4`` statistics of a block's ``(R, n, k)`` heads, checked:
-    heads whose statistics break raise here.  Draws nothing."""
+    tasks = TaskBatch(heads.reshape(count * n, k)).heads
+    heads = tasks.reshape(count, n, k)
     stats = _head_statistics(heads)
     _check_statistics(stats)
-    return stats
+    if samples is None:
+        sides = [[None] * count] * 2
+        targets = [(env.ground_truth_rep, rows) for rows in heads @ env.ground_truth_rep.T]
+    else:
+        inner, outer = (sample_dataset(env, tasks, m, rng) for m in samples)
+        sides = [[sets[r * n:(r + 1) * n] for r in range(count)] for sets in (inner, outer)]
+        targets = [None] * count
+    return [
+        _trusted(TaskBatch, heads=heads_r, inner_sets=inner_r, outer_sets=outer_r,
+                 _stats=_trusted(DiversityStats, mu_sq=mu_sq, L_sq=L_sq, eta=eta, L_max=L_max),
+                 _targets=target)
+        for heads_r, inner_r, outer_r, target, (mu_sq, L_sq, eta, L_max)
+        in zip(heads, *sides, targets, stats.tolist())
+    ]
 
 
 @dataclass(frozen=True)
@@ -284,27 +308,37 @@ class DiversityStats:
 
 
 def _check_statistics(stats: np.ndarray) -> None:
-    """Check the invariant chain of ``DiversityStats`` on every row of
-    ``stats`` (``R x 4``, rows of ``[mu_sq, L_sq, eta, L_max]``) at once:
-    ``0 <= mu_sq <= L_sq``, ``L_sq <= L_max^2`` and ``eta^2 <= L_sq``, each to
-    within ``1e-9 max(1, L_max^2)``.  Raises ``ValueError`` naming the first
-    invariant that the first breaking row breaks.
+    """Check the invariants of ``DiversityStats`` on every row of ``stats``
+    (``R x 4``, rows of ``[mu_sq, L_sq, eta, L_max]``) at once: the chain
+    ``0 <= mu_sq <= L_sq``, ``L_sq <= L_max^2``, ``eta^2 <= L_sq``, each to
+    within ``1e-9 max(1, L_max^2)``, every field finite and ``eta, L_max >=
+    0``.  Only when the verdict on all rows fails is the first breaking row
+    named, by a ``ValueError`` naming the first of these it breaks.
     """
     mu_sq, L_sq, eta, L_max = stats.T
-    L_max_sq, eta_sq = L_max**2, eta**2
-    slop = 1e-9 * np.fmax(1.0, L_max_sq)  # a NaN L_max leaves the slop at 1e-9
-    chain = (
-        ("0 <= mu_sq <= L_sq", (0.0 <= mu_sq) & (mu_sq <= L_sq + slop), mu_sq, L_sq),
-        ("L_sq <= L_max^2", ~(L_sq > L_max_sq + slop), L_sq, L_max_sq),
-        ("eta^2 <= L_sq", ~(eta_sq > L_sq + slop), eta_sq, L_sq),
-    )
-    holds = chain[0][1] & chain[1][1] & chain[2][1]
-    if holds.all():
+    L_max_sq = L_max * L_max
+    slop = 1e-9 * np.fmax(1.0, L_max_sq)
+    top = L_sq + slop
+    holds = np.fmax(mu_sq, eta * eta) <= top
+    holds &= L_sq <= L_max_sq + slop
+    holds &= np.fmin(mu_sq, np.fmin(eta, L_max)) >= 0.0
+    if holds.all() and np.isfinite(stats).all():
         return
-    row = int(np.argmin(holds))
-    for name, link, left, right in chain:
-        if not link[row]:
-            raise ValueError(f"require {name}, got {float(left[row])}, {float(right[row])}")
+    mu_sq, L_sq, eta, L_max = row = stats[np.argmin(holds & np.isfinite(stats).all(1))].tolist()
+    L_max_sq, eta_sq = L_max * L_max, eta * eta
+    slop = 1e-9 * max(1.0, L_max_sq)  # a NaN L_max leaves the slop at 1e-9
+    # A NaN passes the last two links of the chain, to be named as a field.
+    broken = (
+        ("0 <= mu_sq <= L_sq", 0.0 <= mu_sq <= L_sq + slop, (mu_sq, L_sq)),
+        ("L_sq <= L_max^2", not L_sq > L_max_sq + slop, (L_sq, L_max_sq)),
+        ("eta^2 <= L_sq", not eta_sq > L_sq + slop, (eta_sq, L_sq)),
+        *((f"{name} finite", math.isfinite(value), (value,))
+          for name, value in zip(("mu_sq", "L_sq", "eta", "L_max"), row)),
+        ("eta >= 0", eta >= 0.0, (eta,)),
+        ("L_max >= 0", L_max >= 0.0, (L_max,)),
+    )
+    name, _, values = next(link for link in broken if not link[1])
+    raise ValueError(f"require {name}, got {', '.join(map(str, values))}")
 
 
 def sample_environment(
@@ -361,7 +395,7 @@ def sample_dataset(
     Task ``i`` has inputs ``X ~ N(0, I_d)`` (``m x d``) and labels
     ``y = X beta_i + sigma z`` with ``beta_i = B* heads[i]`` and
     ``z ~ N(0, I_m)``; the result stacks the ``n = len(heads)`` sets.  The
-    heads may span several rounds: ``run_trajectory`` passes a block of
+    heads may span several rounds: ``_block_rounds`` passes a block of
     rounds' heads stacked round after round and gives round ``r`` the rows
     ``r n : (r + 1) n``, so one call draws one side of the whole block.
 

@@ -22,7 +22,7 @@ from typing import Literal
 import numpy as np
 from pydantic import BaseModel, ConfigDict, Field, ValidationError, model_validator
 
-from .algorithms import RunResult, _sample_rounds, meta_gradients, run_trajectory
+from .algorithms import RunResult, _rounds_for, meta_gradients, run_trajectory
 from .env import TaskEnvironment, sample_environment
 from .metrics import HypothesisReport, check_hypotheses, fit_log_linear_rate
 from .model import (
@@ -569,7 +569,7 @@ def gradcheck(config: ExperimentConfig) -> GradCheckReport:
         params = ModelParams(
             rep=standard_normal(rng, (e.d, e.k)), head=standard_normal(rng, (e.k,))
         )
-        (batch,) = _sample_rounds(env, hp, rng, 1)
+        (batch,) = _rounds_for(env, hp, 1, rng)
         grad_head, grad_rep = meta_gradients(params, env, batch, hp)
         fd_head, fd_rep = _fd_meta_gradient(params, env, batch, hp)
         # np.maximum keeps a NaN error (builtin max drops it); NaN then

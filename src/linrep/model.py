@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,8 +92,9 @@ class HyperParams:
 
     ``m_in``/``m_out`` are per-task sample counts for adaptation and for
     the outer update; they are required (positive) only in FINITE mode.
-    ``n``, ``iters``, ``m_in`` and ``m_out`` are integers (numpy's included),
-    never a bool or a float.
+    ``algo`` and ``mode`` are members of their enums, never their names;
+    ``alpha`` and ``beta`` are real numbers and ``n``, ``iters``, ``m_in`` and
+    ``m_out`` integers (numpy's included), none of them a bool.
     """
 
     algo: Algorithm
@@ -105,6 +107,14 @@ class HyperParams:
     m_out: int = 0
 
     def __post_init__(self) -> None:
+        for name, kind in (("algo", Algorithm), ("mode", Mode)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ValueError(f"{name} must be a {kind.__name__} member, got {value!r}")
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         for name in ("n", "iters", "m_in", "m_out"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):

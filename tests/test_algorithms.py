@@ -19,13 +19,11 @@ import pytest
 import linrep.algorithms
 import linrep.env
 from linrep.algorithms import (
-    _BLOCK_FLOATS,
-    _HEAD_BLOCK_FLOATS,
     _RECORD_CHUNK,
     RunResult,
     StepOutcome,
     _records,
-    _sample_rounds,
+    _rounds_for,
     _is_diverged,
     _Snapshots,
     meta_gradients,
@@ -33,6 +31,8 @@ from linrep.algorithms import (
     step_for,
 )
 from linrep.env import (
+    _BLOCK_FLOATS,
+    _HEAD_BLOCK_FLOATS,
     DataSet,
     DiversityStats,
     TaskBatch,
@@ -506,7 +506,7 @@ class TestRoundBlocks:
         env = _env(d=6, k=k, seed=24)
         hp = _hp(Algorithm.FO_ANIL, n=n)
         rng, reference = substream(24, 0, "tasks"), substream(24, 0, "tasks")
-        block = list(_sample_rounds(env, hp, rng, count))
+        block = list(_rounds_for(env, hp, count, rng))
         assert len(block) == count
         for batch in block:
             want = sample_task_batch(env, n, reference).heads
@@ -525,7 +525,7 @@ class TestRoundBlocks:
         env = _env(d=d, k=k, seed=28, head_mean=1.0)
         for n, count in itertools.product((1, 2, 3, 10, 50), (1, 2, 13, 113)):
             hp = _hp(Algorithm.FO_ANIL, n=n)
-            for batch in _sample_rounds(env, hp, substream(28, n, count), count):
+            for batch in _rounds_for(env, hp, count, substream(28, n, count)):
                 rep, targets = batch._targets
                 assert rep is env.ground_truth_rep
                 want = batch.heads.dot(env.ground_truth_rep.T)
@@ -539,7 +539,7 @@ class TestRoundBlocks:
         # bits as the round's own targets for their B*.
         env, other = _env(d=8, k=3, seed=29), _env(d=8, k=3, seed=30)
         hp = _hp(Algorithm.EXACT_MAML, n=4)
-        batch = _sample_rounds(env, hp, substream(29, 0, "tasks"), 3)[1]
+        batch = list(_rounds_for(env, hp, 3, substream(29, 0, "tasks")))[1]
         fresh = TaskBatch(batch.heads.copy())
         replaced = dataclasses.replace(batch)
         assert fresh._targets is None and replaced._targets is None and batch._targets is not None
@@ -555,7 +555,7 @@ class TestRoundBlocks:
     def test_round_stacks_inner_then_outer_sets(self) -> None:
         env = _env(d=6, k=2, seed=21, noise_std=0.1)
         hp = _hp(Algorithm.FO_ANIL, Mode.FINITE, n=4, m_in=12, m_out=30)
-        (batch,) = _sample_rounds(env, hp, substream(21, 0, "tasks"), 1)
+        (batch,) = _rounds_for(env, hp, 1, substream(21, 0, "tasks"))
         assert batch.inner_sets.cov.shape == (4, 6, 6) and batch.inner_sets.m == 12
         assert batch.outer_sets.xty.shape == (4, 6) and batch.outer_sets.m == 30
         rng = substream(21, 0, "tasks")
@@ -569,7 +569,7 @@ class TestRoundBlocks:
         env = _env(d=6, k=2, seed=25, noise_std=0.1)
         count, n = 3, 4
         hp = _hp(Algorithm.FO_ANIL, Mode.FINITE, n=n, m_in=m_in, m_out=30)
-        block = list(_sample_rounds(env, hp, substream(25, 0, "tasks"), count))
+        block = list(_rounds_for(env, hp, count, substream(25, 0, "tasks")))
         rng = substream(25, 0, "tasks")
         heads = [sample_task_batch(env, n, rng).heads for _ in range(count)]
         inner = sample_dataset(env, np.concatenate(heads), m_in, rng)
@@ -608,7 +608,7 @@ class TestRoundBlocks:
         for m_in, m_out in ((1, d - 1), (d, d), (4 * d, 1000), (100_000, 4 * d)):
             counts.update(normal=0, chi2=0)
             hp = _hp(Algorithm.FO_ANIL, Mode.FINITE, n=n, m_in=m_in, m_out=m_out)
-            _sample_rounds(env, hp, substream(22, m_in, m_out), count)
+            list(_rounds_for(env, hp, count, substream(22, m_in, m_out)))
             seen.add((counts["normal"], counts["chi2"]))
         per_round = (n * k + 2 * n * (d * (d - 1) // 2 + d), 2 * n * (d + 1))
         assert seen == {(count * per_round[0], count * per_round[1])}
@@ -630,9 +630,9 @@ class TestRoundBlocks:
         monkeypatch.setattr(TaskBatch, "__post_init__", counting_validate_batch)
         env = _env(d=6, k=2, seed=27, noise_std=0.1)
         hp = _hp(Algorithm.FO_ANIL, Mode.FINITE, n=4, m_in=3, m_out=30)
-        block = list(_sample_rounds(env, hp, substream(27, 0, "tasks"), 5))
+        block = list(_rounds_for(env, hp, 5, substream(27, 0, "tasks")))
         assert len(block) == 5 and block[-1].outer_sets.m == 30
-        assert calls == [3, 30, ("batch", 20)]
+        assert calls == [("batch", 20), 3, 30]
 
     @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
     def test_run_draws_exactly_its_rounds_in_trimmed_blocks(self, mode: Mode, monkeypatch) -> None:
@@ -642,7 +642,7 @@ class TestRoundBlocks:
         iters = 2 * size + 1
         head_rows: list[int] = []
         set_rows: list[int] = []
-        draw_heads, draw_sets = linrep.algorithms._round_heads, linrep.algorithms.sample_dataset
+        draw_heads, draw_sets = linrep.env._round_heads, linrep.env.sample_dataset
 
         def counting_heads(env, rounds, n, rng):
             head_rows.append(rounds * n)
@@ -652,8 +652,8 @@ class TestRoundBlocks:
             set_rows.append(len(heads))
             return draw_sets(env, heads, m, rng)
 
-        monkeypatch.setattr(linrep.algorithms, "_round_heads", counting_heads)
-        monkeypatch.setattr(linrep.algorithms, "sample_dataset", counting_sets)
+        monkeypatch.setattr(linrep.env, "_round_heads", counting_heads)
+        monkeypatch.setattr(linrep.env, "sample_dataset", counting_sets)
         env = _env(d=d, k=k, seed=26, noise_std=0.1)
         hp = _hp(Algorithm.FO_ANIL, mode, n=n, iters=iters, m_in=30, m_out=30)
         init = init_model(env, hp.alpha, InitScheme.SPEC, substream(26, 0, "init"))
@@ -750,18 +750,18 @@ class TestRoundBlocks:
         hp = _hp(algo, alpha=0.1, beta=beta, n=n, iters=iters)
         init = init_model(env, hp.alpha, InitScheme.SPEC, substream(31, 0, "init"))
         first_block: list[int] = []
-        draw_heads = linrep.algorithms._round_heads
+        draw_heads = linrep.env._round_heads
 
         def counting_heads(env, rounds, n, rng):
             if not first_block:
                 first_block.append(rounds)
             return draw_heads(env, rounds, n, rng)
 
-        monkeypatch.setattr(linrep.algorithms, "_round_heads", counting_heads)
+        monkeypatch.setattr(linrep.env, "_round_heads", counting_heads)
         sizes = {3: (113, 1820, 13, 1), 1: (341, iters + 1, 13, 1)}[n]
         runs = {}
         for floats, size in zip((_HEAD_BLOCK_FLOATS, 2**14, 13 * n * k, 1), sizes):
-            monkeypatch.setattr(linrep.algorithms, "_HEAD_BLOCK_FLOATS", floats)
+            monkeypatch.setattr(linrep.env, "_HEAD_BLOCK_FLOATS", floats)
             first_block.clear()
             runs[size] = run_trajectory(env, hp, init, substream(31, 0, "tasks"), record_every=7)
             assert first_block == [size]
@@ -783,7 +783,7 @@ class TestRoundBlocks:
         init = init_model(env, hp.alpha, InitScheme.SPEC, substream(32, 0, "init"))
         runs = []
         for floats in (_BLOCK_FLOATS, 1):
-            monkeypatch.setattr(linrep.algorithms, "_BLOCK_FLOATS", floats)
+            monkeypatch.setattr(linrep.env, "_BLOCK_FLOATS", floats)
             runs.append(run_trajectory(env, hp, init, substream(32, 0, "tasks"), record_every=1))
         assert runs[0].trajectory.tobytes() != runs[1].trajectory.tobytes()
 

@@ -114,7 +114,7 @@ class TestSampleTaskBatch:
             with pytest.raises(ValueError, match="heads must be finite"):
                 TaskBatch(heads=[[bad, 0.0], [1.0, 2.0]])
             with pytest.raises(ValueError, match="heads must be finite"):
-                _block_rounds(np.array([[[1.0, 0.0]], [[0.0, bad]]]))
+                _block_rounds(_env(), np.array([[[1.0, 0.0]], [[0.0, bad]]]), None, None)
 
 
 class TestSampleDataset:
@@ -379,7 +379,7 @@ class TestDiversityStats:
         else:
             mean = 1e3 if kind == "mean 1e3" else 0.0
             heads = mean + np.random.default_rng(seed).normal(size=(rounds, n, k))
-        block = _block_rounds(heads)
+        block = _block_rounds(_env(d=6, k=k), heads, None, None)
         for r, batch in enumerate(block):
             got = [value.hex() for value in dataclasses.astuple(diversity_stats(batch))]
             alone = diversity_stats(TaskBatch(heads=heads[r].copy()))
@@ -393,14 +393,14 @@ class TestDiversityStats:
     def test_block_round_is_a_plain_batch_of_its_heads(self) -> None:
         env = _env(d=5, k=2)
         heads = standard_normal(substream(9, 0, "heads"), (3, 4, 2))
-        sets = sample_dataset(env, heads.reshape(12, 2), m=10, rng=substream(9, 1, "data"))
-        for batch in [*_block_rounds(heads), *_block_rounds(heads, sets, sets)]:
+        drawn = _block_rounds(env, heads, substream(9, 1, "data"), (10, 10))
+        for batch in [*_block_rounds(env, heads, None, None), *drawn]:
             plain = TaskBatch(batch.heads, batch.inner_sets, batch.outer_sets)
             assert batch == plain and repr(batch) == repr(plain)
             assert diversity_stats(batch) == diversity_stats(plain)
         # A replaced batch drops the statistics of its old heads.
         other = np.array([[3.0, 0.0], [0.0, -1.0], [1.0, 1.0], [2.0, 2.0]])
-        for batch in _block_rounds(heads):
+        for batch in _block_rounds(env, heads, None, None):
             replaced = dataclasses.replace(batch, heads=other)
             assert diversity_stats(replaced) == diversity_stats(TaskBatch(heads=other))
             assert diversity_stats(replaced) != diversity_stats(batch)
@@ -416,8 +416,15 @@ class TestDiversityStats:
             ([math.nan, 1.0, 0.5, 1.5], "0 <= mu_sq <= L_sq"),
             ([0.5, 4.0, 0.5, 1.5], "L_sq <= L_max^2"),
             ([0.5, 1.0, 1.2, 1.5], "eta^2 <= L_sq"),
+            ([0.5, 1.0, 0.5, math.nan], "L_max finite"),
+            ([0.5, 1.0, math.nan, 1.5], "eta finite"),
+            ([2.0, 1.0, 0.5, math.inf], "L_max finite"),
+            ([0.5, math.inf, 0.5, math.inf], "L_sq finite"),
+            ([0.5, 1.0, -0.3, 1.5], "eta >= 0"),
+            ([0.5, 1.0, 0.5, -2.0], "L_max >= 0"),
         ],
-        ids=["mu_sq>L_sq", "nan-mu_sq", "L_sq>L_max^2", "eta^2>L_sq"],
+        ids=["mu_sq>L_sq", "nan-mu_sq", "L_sq>L_max^2", "eta^2>L_sq", "nan-L_max", "nan-eta",
+             "inf-L_max", "inf-L_sq", "negative-eta", "negative-L_max"],
     )
     def test_block_with_a_broken_row_fails_loudly(
         self, row: list[float], invariant: str, monkeypatch
@@ -438,7 +445,7 @@ class TestDiversityStats:
         with pytest.raises(ValueError, match=message):
             DiversityStats(*row)
         with pytest.raises(ValueError, match=message):
-            _block_rounds(heads)
+            _block_rounds(_env(d=6, k=3), heads, None, None)
         with pytest.raises(ValueError, match=message):
             diversity_stats(TaskBatch(heads=heads[0]))
 
@@ -456,4 +463,4 @@ class TestDiversityStats:
             with pytest.raises(ValueError, match=message):
                 diversity_stats(TaskBatch(heads=heads))
             with pytest.raises(ValueError, match=message):
-                _block_rounds(np.array([[[1.0, 0.0]] * len(heads), heads]))
+                _block_rounds(_env(), np.array([[[1.0, 0.0]] * len(heads), heads]), None, None)

@@ -61,6 +61,24 @@ class TestHyperParams:
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             HyperParams(**values)
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("algo", "FO_ANIL"), ("mode", "POPULATION"), ("mode", "FINITE"), ("mode", None),
+         ("algo", Mode.FINITE), ("alpha", True), ("beta", True), ("alpha", "0.1")],
+        ids=["algo-name", "mode-name", "finite-name", "mode-none", "algo-mode", "bool-alpha",
+             "bool-beta", "str-alpha"],
+    )
+    def test_non_member_selection_or_non_real_step_rejected_naming_it(
+        self, field: str, bad: object
+    ) -> None:
+        # Names pass neither the enum checks of a run (a "POPULATION" string
+        # would run as FINITE) nor the FINITE check of m_in, here 0.
+        values = dict(algo=Algorithm.FO_ANIL, mode=Mode.FINITE, alpha=0.1, beta=0.1,
+                      n=3, iters=10)
+        values[field] = bad
+        with pytest.raises(ValueError, match=f"^{field} must be a"):
+            HyperParams(**values)
+
     def test_numpy_integer_counts_accepted(self) -> None:
         hp = HyperParams(algo=Algorithm.FO_ANIL, mode=Mode.FINITE, alpha=0.1, beta=0.1,
                          n=np.int64(3), iters=np.int32(10), m_in=np.int64(4), m_out=np.uint8(5))

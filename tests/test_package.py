@@ -1,6 +1,10 @@
 """Tests for the package's public surface: ``linrep.__all__`` is the union
-of the modules' own ``__all__`` lists."""
+of the modules' own ``__all__`` lists, and private names cross modules only
+where listed."""
 from __future__ import annotations
+
+import ast
+from pathlib import Path
 
 import linrep
 from linrep import algorithms, env, harness, metrics, model, rng
@@ -20,3 +24,23 @@ def test_every_public_name_resolves_to_its_module_object():
         for name in module.__all__:
             assert getattr(linrep, name) is getattr(module, name)
     assert isinstance(getattr(linrep, "__version__"), str)
+
+
+# Private names that one module of the package imports from another, as
+# (importing module, source module, name).  A round's draw, check and data
+# stay behind ``env._rounds``; ``harness`` draws through ``algorithms``.
+CROSSINGS = {
+    ("algorithms", "env", "_rounds"),
+    ("algorithms", "env", "_trusted"),
+    ("harness", "algorithms", "_rounds_for"),
+}
+
+
+def test_private_names_cross_modules_only_as_listed():
+    found = set()
+    for path in Path(linrep.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                found.update((path.stem, node.module, alias.name) for alias in node.names
+                             if alias.name.startswith("_"))
+    assert found == CROSSINGS
