@@ -304,27 +304,36 @@ class DiversityStats:
     L_max: float
 
     def __post_init__(self) -> None:
-        _check_statistics(np.array([[self.mu_sq, self.L_sq, self.eta, self.L_max]]))
+        # Statistics given directly may overflow the chain's products, which
+        # the check refuses without a warning; a block's cannot.
+        with np.errstate(over="ignore", invalid="ignore"):
+            _check_statistics(np.array([[self.mu_sq, self.L_sq, self.eta, self.L_max]]))
 
 
 def _check_statistics(stats: np.ndarray) -> None:
     """Check the invariants of ``DiversityStats`` on every row of ``stats``
     (``R x 4``, rows of ``[mu_sq, L_sq, eta, L_max]``) at once: the chain
     ``0 <= mu_sq <= L_sq``, ``L_sq <= L_max^2``, ``eta^2 <= L_sq``, each to
-    within ``1e-9 max(1, L_max^2)``, every field finite and ``eta, L_max >=
-    0``.  Only when the verdict on all rows fails is the first breaking row
-    named, by a ``ValueError`` naming the first of these it breaks.
+    within ``1e-9 max(1, L_max^2)``, every field finite, ``eta, L_max >= 0``
+    and ``L_max^2`` finite with that slop added (a larger ``L_max`` would
+    make the slop infinite and the chain vacuous).  Only when the verdict on
+    all rows fails is the first breaking row named, by a ``ValueError``
+    naming the first of these it breaks.
     """
     mu_sq, L_sq, eta, L_max = stats.T
     L_max_sq = L_max * L_max
     slop = 1e-9 * np.fmax(1.0, L_max_sq)
     top = L_sq + slop
-    holds = np.fmax(mu_sq, eta * eta) <= top
-    holds &= L_sq <= L_max_sq + slop
-    holds &= np.fmin(mu_sq, np.fmin(eta, L_max)) >= 0.0
-    if holds.all() and np.isfinite(stats).all():
+    bound = L_max_sq + slop
+    # ``maximum``/``minimum`` carry a NaN into the verdict, and a row whose
+    # verdict holds with a finite ``bound`` has every field finite: an
+    # infinite field other than ``L_max`` breaks a link of the chain.
+    holds = np.maximum(mu_sq, eta * eta) <= top
+    holds &= L_sq <= bound
+    holds &= np.minimum(mu_sq, np.minimum(eta, L_max)) >= 0.0
+    if holds.all() and np.isfinite(bound).all():
         return
-    mu_sq, L_sq, eta, L_max = row = stats[np.argmin(holds & np.isfinite(stats).all(1))].tolist()
+    mu_sq, L_sq, eta, L_max = row = stats[np.argmin(holds & np.isfinite(bound))].tolist()
     L_max_sq, eta_sq = L_max * L_max, eta * eta
     slop = 1e-9 * max(1.0, L_max_sq)  # a NaN L_max leaves the slop at 1e-9
     # A NaN passes the last two links of the chain, to be named as a field.
@@ -336,6 +345,7 @@ def _check_statistics(stats: np.ndarray) -> None:
           for name, value in zip(("mu_sq", "L_sq", "eta", "L_max"), row)),
         ("eta >= 0", eta >= 0.0, (eta,)),
         ("L_max >= 0", L_max >= 0.0, (L_max,)),
+        ("L_max^2 finite", math.isfinite(L_max_sq + slop), (L_max,)),
     )
     name, _, values = next(link for link in broken if not link[1])
     raise ValueError(f"require {name}, got {', '.join(map(str, values))}")

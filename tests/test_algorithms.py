@@ -19,12 +19,14 @@ import pytest
 import linrep.algorithms
 import linrep.env
 from linrep.algorithms import (
+    _GRADS,
     _RECORD_CHUNK,
     RunResult,
     StepOutcome,
     _records,
     _rounds_for,
     _is_diverged,
+    _operands,
     _Snapshots,
     meta_gradients,
     run_trajectory,
@@ -33,6 +35,7 @@ from linrep.algorithms import (
 from linrep.env import (
     _BLOCK_FLOATS,
     _HEAD_BLOCK_FLOATS,
+    _trusted,
     DataSet,
     DiversityStats,
     TaskBatch,
@@ -408,6 +411,136 @@ class TestStepStructure:
         perp = orth_complement(env.ground_truth_rep)
         outcome = step_for(hp)(params, env, batch, hp)
         assert np.abs(perp.T @ outcome.params_next.rep).max() <= 1e-10
+
+
+def _float32_round(mode: Mode, n: int = 3, d: int = 6, k: int = 2):
+    """Float32 parameters and a float32 round: stacked moments, or a
+    population round carrying float32 targets for ``env``'s ``B*``."""
+    env = _env(d=d, k=k, seed=31)
+    rng = substream(31, n, "float32")
+    params = _trusted(ModelParams, rep=standard_normal(rng, (d, k)).astype(np.float32),
+                      head=standard_normal(rng, (k,)).astype(np.float32))
+    heads = standard_normal(rng, (n, k))
+    targets = (heads @ env.ground_truth_rep.T).astype(np.float32)
+    if mode is Mode.POPULATION:
+        batch = _trusted(TaskBatch, heads=heads, inner_sets=None, outer_sets=None, _stats=None,
+                         _targets=(env.ground_truth_rep, targets))
+        return env, params, batch, (None, targets), (None, targets)
+    sides = []
+    for _ in range(2):
+        X = standard_normal(rng, (n, 20, d))
+        sides.append(_trusted(DataSet, cov=(np.swapaxes(X, 1, 2) @ X / 20).astype(np.float32),
+                              xty=targets, yty=np.ones(n, np.float32), m=20))
+    batch = _trusted(TaskBatch, heads=heads, inner_sets=sides[0], outer_sets=sides[1],
+                     _stats=None, _targets=None)
+    return env, params, batch, *((s.cov, s.xty) for s in sides)
+
+
+class TestStepOperands:
+    @pytest.mark.parametrize("algo", ALL_ALGOS, ids=lambda a: a.value)
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_kernels_and_update_keep_the_parameters_dtype(self, algo: Algorithm,
+                                                          mode: Mode) -> None:
+        # Python scalars are weak and 0-d operands of the parameters' dtype
+        # are float32 too: either way a float32 step stays float32, with the
+        # same bits.
+        env, params, batch, inner, outer = _float32_round(mode)
+        hp = _hp(algo, mode, alpha=0.1, beta=0.05)
+        kernel = _GRADS[algo]
+        alpha, beta, n = _operands(hp.alpha, hp.beta, 3, np.float32)
+        weak = kernel(params.rep, params.head, inner, outer, hp.alpha, 3)
+        for got, want in zip(kernel(params.rep, params.head, inner, outer, alpha, n), weak):
+            if want is None:
+                assert got is None and algo not in FULL_ADAPTATION
+                continue
+            assert got.dtype == want.dtype == np.float32
+            np.testing.assert_array_equal(got, want)
+        outcome = step_for(hp)(params, env, batch, hp)
+        grad_head, grad_rep, heads, reps = weak
+        assert outcome.params_next.rep.dtype == outcome.params_next.head.dtype == np.float32
+        np.testing.assert_array_equal(outcome.params_next.rep, params.rep - hp.beta * grad_rep)
+        np.testing.assert_array_equal(outcome.params_next.head,
+                                      params.head - hp.beta * grad_head)
+        np.testing.assert_array_equal(outcome.adapted_heads, heads)
+        assert outcome.adapted_heads.dtype == np.float32
+        # The float32 step approximates the float64 one.
+        params64 = ModelParams(rep=params.rep, head=params.head)
+        inner64, outer64 = ((None if cov is None else cov.astype(float), xty.astype(float))
+                            for cov, xty in (inner, outer))
+        want64 = kernel(params64.rep, params64.head, inner64, outer64, hp.alpha, 3)
+        np.testing.assert_allclose(grad_rep, want64[1], rtol=1e-4, atol=1e-4)
+
+    @pytest.mark.parametrize("algo", ALL_ALGOS, ids=lambda a: a.value)
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_one_step_serves_every_configuration(self, algo: Algorithm, mode: Mode) -> None:
+        # One step called in turn with three configurations (other step
+        # sizes, then the first ones on rounds of another task count) equals
+        # a step of its own for each, bit for bit.
+        env = _env(d=6, k=2, seed=33)
+        hp1, hp2 = _hp(algo, mode, alpha=0.1, beta=0.05), _hp(algo, mode, alpha=0.07, beta=0.2)
+        configs = [(hp1, 3), (hp2, 3), (hp1, 4)]  # the last: ``hp1`` on rounds of four tasks
+        rounds = [
+            [(_population_batch(env, n, seed=40 + t) if mode is Mode.POPULATION
+              else _finite_batch(env, n, hp.m_in, hp.m_out, seed=40 + t)[0])
+             for t in range(4)]
+            for hp, n in configs
+        ]
+        start = _random_params(substream(33, 0, "params"), 6, 2)
+        shared = step_for(hp1)
+        together = [start] * 3
+        outcomes = {i: [] for i in range(3)}
+        for t in range(4):
+            for i, (hp, _) in enumerate(configs):
+                outcome = shared(together[i], env, rounds[i][t], hp)
+                outcomes[i].append(outcome)
+                together[i] = outcome.params_next
+        for i, (hp, _) in enumerate(configs):
+            own, params = step_for(hp), start
+            for t in range(4):
+                outcome = own(params, env, rounds[i][t], hp)
+                got = outcomes[i][t]
+                for name in ("rep", "head"):
+                    np.testing.assert_array_equal(getattr(got.params_next, name),
+                                                  getattr(outcome.params_next, name))
+                np.testing.assert_array_equal(got.adapted_heads, outcome.adapted_heads)
+                if outcome.adapted_reps is None:
+                    assert got.adapted_reps is None
+                else:
+                    np.testing.assert_array_equal(got.adapted_reps, outcome.adapted_reps)
+                params = outcome.params_next
+
+    def test_operands_built_once_per_configuration_and_read_only(self, monkeypatch) -> None:
+        env = _env(d=6, k=2, seed=34)
+        hp1 = _hp(Algorithm.EXACT_ANIL, alpha=0.1, beta=0.05)
+        hp2 = _hp(Algorithm.EXACT_ANIL, alpha=0.07, beta=0.2)
+        built = []
+
+        def recording_operands(alpha, beta, n, dtype):
+            operands = _operands(alpha, beta, n, dtype)
+            built.append(((alpha, beta, n, dtype), operands))
+            return operands
+
+        monkeypatch.setattr(linrep.algorithms, "_operands", recording_operands)
+        step = step_for(hp1)
+        params = _random_params(substream(34, 0, "params"), 6, 2)
+        batch = _population_batch(env, hp1.n, seed=34)
+        single = _trusted(ModelParams, rep=params.rep.astype(np.float32),
+                          head=params.head.astype(np.float32))
+        for hp, at in ((hp1, params), (hp1, params), (hp2, params), (hp2, params), (hp1, params),
+                       (hp1, single), (hp1, single)):
+            step(at, env, batch, hp)
+        assert [key for key, _ in built] == [
+            (0.1, 0.05, 3, np.float64), (0.07, 0.2, 3, np.float64), (0.1, 0.05, 3, np.float64),
+            (0.1, 0.05, 3, np.float32),
+        ]
+        for (alpha, beta, n, dtype), operands in built:
+            for operand, value in zip(operands, (alpha, beta, n)):
+                assert operand.shape == () and operand.dtype == dtype
+                with pytest.raises(ValueError, match="read-only"):
+                    operand[...] = 1.0
+                with pytest.raises(ValueError, match="read-only"):
+                    np.multiply(operand, 2.0, out=operand)
+                assert operand == np.array(value, dtype)
 
 
 class TestScalarRecursionOracle:

@@ -18,6 +18,7 @@ from linrep.env import (
     TaskBatch,
     TaskEnvironment,
     _block_rounds,
+    _check_statistics,
     diversity_stats,
     sample_dataset,
     sample_environment,
@@ -448,6 +449,20 @@ class TestDiversityStats:
             _block_rounds(_env(d=6, k=3), heads, None, None)
         with pytest.raises(ValueError, match=message):
             diversity_stats(TaskBatch(heads=heads[0]))
+
+    @pytest.mark.parametrize("row", [[2.0, 1.0, 0.5, 1e200], [5.0, 1e300, 0.5, 2e154]],
+                             ids=["mu_sq>L_sq", "L_sq>L_max^2"])
+    def test_finite_L_max_whose_square_overflows_rejected_naming_it(self, row: list) -> None:
+        # Such an L_max would make the slop infinite and every link of the
+        # chain hold; it is named, without a warning.
+        message = re.escape(f"require L_max^2 finite, got {row[3]}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                DiversityStats(*row)
+            assert DiversityStats(0.0, 1e300, 0.0, 1e151).L_max == 1e151
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=message):
+            _check_statistics(np.array([[0.5, 1.0, 0.5, 1.5], row]))
 
     @pytest.mark.parametrize(
         "heads",
