@@ -16,11 +16,12 @@ so the expected risk needs no code of its own.  The average-risk baseline
 skips inner adaptation entirely and descends the mean unadapted risk.
 
 A run draws its rounds a block at a time, each round carrying its checked
-task statistics and its data sets or targets (``env._rounds``).  A round of
-the run is then one step call, one ``diversity_stats`` lookup kept in
-running extremes by comparisons, the record check and a two-dot divergence
-test whose limits are computed once per run; a step it does not clear gets
-``_is_diverged``'s exact verdict.
+task statistics and, in finite-sample mode, its data sets (``env._rounds``);
+a population step forms its round's targets itself.  A round of the run is
+then one step call, one ``diversity_stats`` lookup kept in running extremes
+by comparisons, the record check and a two-dot divergence test whose limits
+are computed once per run; a step it does not clear gets ``_is_diverged``'s
+exact verdict.
 
 Recording is kept out of the step loop.  At a scheduled record the loop
 keeps a snapshot (the iteration, the parameters, the round's adapted heads
@@ -141,10 +142,10 @@ class RunResult:
 # the same bits, without the matmul gufunc's dispatch (3x20 by 20x3: 0.53
 # against 1.10 us, numpy 2.4 with one OpenBLAS thread on a 2-vCPU Xeon).
 # Stacked products keep ``@``, whose N-D semantics ``dot`` does not share
-# (``_matvec``, ``_records``, ``_psi_spectra``, a population block's
-# targets).  Likewise a sum over the task axis is ``np.add.reduce(x, 0)``:
-# the ufunc reduction ``x.sum(axis=0)`` makes, with the same bits, without
-# the Python wrapper around it.  The independent oracles
+# (``_matvec``, ``_records``, ``_psi_spectra``).  Likewise a sum over the
+# task axis is ``np.add.reduce(x, 0)``: the ufunc reduction
+# ``x.sum(axis=0)`` makes, with the same bits, without the Python wrapper
+# around it.  The independent oracles
 # (``model.pop_grad_*``/``fs_grad_*``, the finite-difference check) keep
 # ``@`` and ``sum``, to share no code path with the kernels.
 #
@@ -168,19 +169,12 @@ def _sets(env: TaskEnvironment, batch: TaskBatch, mode: Mode) -> tuple[_Moments,
     """The round's inner and outer moments.
 
     A population round's inputs are isotropic Gaussian, so both sides hold
-    the exact moments ``(I, B* w*_i)``, the identity passed as None.  A round
-    of a population block carries its targets ``B* w*_i`` for the ``B*`` it
-    was drawn with (``env._block_rounds``); any other batch, or another
-    ``B*``, gets them from one product here, with the same bits.  A
-    finite-sample round reads its stacked data sets.
+    the exact moments ``(I, B* w*_i)``, the identity passed as None, the
+    targets formed from the round's heads by one product.  A finite-sample
+    round reads its stacked data sets.
     """
     if mode is Mode.POPULATION:
-        rep, cached = env.ground_truth_rep, batch._targets
-        if cached is not None and cached[0] is rep:
-            targets = cached[1]
-        else:  # a batch drawn outside a block, or for another ``B*``
-            targets = batch.heads.dot(rep.T)
-        exact = (None, targets)
+        exact = (None, batch.heads.dot(env.ground_truth_rep.T))
         return exact, exact
     if batch.inner_sets is None or batch.outer_sets is None:
         raise ValueError("finite-sample steps require per-task data sets in the batch")
@@ -421,17 +415,13 @@ class _Snapshots(NamedTuple):
 
 def _psi_spectra(adapted: np.ndarray) -> np.ndarray:
     """Extreme eigenvalues ``(low, high)`` of each adapted-head second moment
-    ``(1/n) sum_i w_i w_i^T`` of a stack, clipped at 0; NaN where the
-    spectrum is not finite or cannot be computed (non-finite heads)."""
+    ``(1/n) sum_i w_i w_i^T`` of a stack, clipped at 0; NaN where the second
+    moment (from non-finite heads) or its spectrum is not finite.  One
+    stacked call factors the moments, the non-finite ones replaced by 0."""
     psi = np.swapaxes(adapted, -1, -2) @ adapted / adapted.shape[-2]
-    try:
-        eigenvalues = np.linalg.eigvalsh(psi)
-    except LinAlgError:  # some second moment is not finite
-        if len(psi) == 1:
-            return np.full((1, 2), math.nan)
-        return np.concatenate([_psi_spectra(heads[None]) for heads in adapted])
-    extremes = eigenvalues[:, [0, -1]]
-    finite = np.isfinite(extremes).all(axis=1, keepdims=True)
+    finite = np.isfinite(psi).all(axis=(-2, -1))
+    extremes = np.linalg.eigvalsh(np.where(finite[:, None, None], psi, 0.0))[:, [0, -1]]
+    finite = finite[:, None] & np.isfinite(extremes).all(axis=1, keepdims=True)
     return np.where(finite, np.where(extremes < 0.0, 0.0, extremes), math.nan)
 
 

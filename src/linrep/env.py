@@ -186,10 +186,8 @@ class TaskBatch:
     of the leading axis, used by finite-sample algorithms for adaptation and
     for the outer update respectively; population-mode batches carry heads
     only.  A round of a sampled block also carries its checked task
-    statistics (``_stats``, see ``diversity_stats``) and, in a population
-    block, its targets ``B* w*_i`` with the ``B*`` they were formed from
-    (``_targets``, see ``_block_rounds``); these take no part in equality or
-    ``repr``, and ``dataclasses.replace`` drops them.
+    statistics (``_stats``, see ``diversity_stats``), which take no part in
+    equality or ``repr``; ``dataclasses.replace`` drops them.
     """
 
     heads: np.ndarray
@@ -197,8 +195,6 @@ class TaskBatch:
     outer_sets: DataSet | None = None
     _stats: DiversityStats | None = field(default=None, init=False, repr=False,
                                           compare=False)
-    _targets: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False,
-                                                           repr=False, compare=False)
 
     def __post_init__(self) -> None:
         heads = np.asarray(self.heads, dtype=float)
@@ -222,12 +218,11 @@ class TaskBatch:
 # round and side, up to ``_BLOCK_FLOATS``; a population block its rounds'
 # ``n k`` heads, up to ``_HEAD_BLOCK_FLOATS``, sized by the heads alone.
 # Drawing, validating and reducing a block of heads briefly takes several
-# times their size, and its targets hold ``d / k`` times as many floats, so
-# the population budget is the smaller: at n = k = 3, blocks of 2^14 head
-# floats raised the peak memory of five 10^4-step runs by about 0.6 MiB over
-# blocks of 13 rounds, blocks of 2^10 kept it within noise.  Not settings: a
-# finite-sample block size must depend only on the run's dimensions for
-# artifacts to stay byte-identical across hosts.
+# times their size, so the population budget is the smaller: at n = k = 3,
+# blocks of 2^10 head floats keep the peak memory of five 10^4-step runs
+# within noise of blocks of 13 rounds.  Not settings: a finite-sample block
+# size must depend only on the run's dimensions for artifacts to stay
+# byte-identical across hosts.
 _BLOCK_FLOATS = 2**14
 _HEAD_BLOCK_FLOATS = 2**10
 
@@ -243,8 +238,9 @@ def _rounds(env: TaskEnvironment, n: int, total: int, rng: np.random.Generator,
     ``_block_rounds`` builds its rounds.  Every algorithm consumes the stream
     alike.  A finite-sample block draws all its heads before any data set, so
     its run's bytes depend on ``R``, which depends only on ``(n, d)``.  A
-    population run's bytes do not depend on ``R``: a round's heads, targets
-    and statistics have the same bits whatever block it is drawn in.
+    population run's bytes do not depend on ``R``: a population round is its
+    heads and their statistics, which have the same bits whatever block they
+    are drawn in.
     """
     if samples is None:
         size = max(1, _HEAD_BLOCK_FLOATS // (n * env.k))
@@ -258,16 +254,13 @@ def _rounds(env: TaskEnvironment, n: int, total: int, rng: np.random.Generator,
 def _block_rounds(env: TaskEnvironment, heads: np.ndarray, rng: np.random.Generator | None,
                   samples: tuple[int, int] | None) -> list[TaskBatch]:
     """The rounds of a block of ``(R, n, k)`` heads, each with its task
-    statistics and its data sets (``samples``, see ``_rounds``) or targets.
+    statistics and, given ``samples`` (see ``_rounds``), its data sets.
 
     The block is validated once, as one batch; the statistics of all its
     rounds are computed and checked in one stacked pass before anything else
     is drawn; a finite-sample block then draws the inner sets of all its
     tasks in one call, then the outer sets, round ``r`` taking rows
-    ``r n : (r + 1) n`` of each.  A population round carries its targets with
-    the ``B*`` they were formed from, round ``r`` of one stacked
-    ``heads @ B*.T``: bitwise the round's own ``heads[r].dot(B*.T)``, which
-    one ``(R n) x k`` product does not always give.
+    ``r n : (r + 1) n`` of each.
     """
     count, n, k = heads.shape
     tasks = TaskBatch(heads.reshape(count * n, k)).heads
@@ -276,17 +269,14 @@ def _block_rounds(env: TaskEnvironment, heads: np.ndarray, rng: np.random.Genera
     _check_statistics(stats)
     if samples is None:
         sides = [[None] * count] * 2
-        targets = [(env.ground_truth_rep, rows) for rows in heads @ env.ground_truth_rep.T]
     else:
         inner, outer = (sample_dataset(env, tasks, m, rng) for m in samples)
         sides = [[sets[r * n:(r + 1) * n] for r in range(count)] for sets in (inner, outer)]
-        targets = [None] * count
     return [
         _trusted(TaskBatch, heads=heads_r, inner_sets=inner_r, outer_sets=outer_r,
-                 _stats=_trusted(DiversityStats, mu_sq=mu_sq, L_sq=L_sq, eta=eta, L_max=L_max),
-                 _targets=target)
-        for heads_r, inner_r, outer_r, target, (mu_sq, L_sq, eta, L_max)
-        in zip(heads, *sides, targets, stats.tolist())
+                 _stats=_trusted(DiversityStats, mu_sq=mu_sq, L_sq=L_sq, eta=eta, L_max=L_max))
+        for heads_r, inner_r, outer_r, (mu_sq, L_sq, eta, L_max)
+        in zip(heads, *sides, stats.tolist())
     ]
 
 

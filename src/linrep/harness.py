@@ -394,7 +394,9 @@ def _summarize(config: ExperimentConfig, hp: HyperParams, results: tuple[RunResu
             summary["log_slope"] = float(slope)
             summary["r_squared"] = float(r_squared)
     if config.checks.hypcheck and results:
-        report = _hypothesis_report(config, hp, results[0])
+        # A2 and A5 bound one step, so records record_every steps apart
+        # cannot give their margins.
+        report = _hypothesis_report(config, hp, _run_trial(config, 0, record_every=1))
         summary["hyp_first_violation"] = dict(report.first_violation)
     assert tuple(summary) == _SUMMARY_KEYS
     return summary
@@ -431,7 +433,9 @@ def run_experiment(
     counts); files are written by this single writer in trial order, so
     output bytes do not depend on scheduling.  Divergent trials are
     reported in the summary and excluded from mean.csv, but their truncated
-    trajectories still appear in trajectory.csv.
+    trajectories still appear in trajectory.csv.  With ``checks.hypcheck``
+    the summary's first violations come from trial 0 run once more with a
+    record at every step, as ``hypcheck`` runs it.
     """
     _check_jobs(jobs)
     hp = resolve_hyper(config)  # surfaces alpha='auto' problems before any work

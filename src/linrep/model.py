@@ -93,8 +93,10 @@ class HyperParams:
     ``m_in``/``m_out`` are per-task sample counts for adaptation and for
     the outer update; they are required (positive) only in FINITE mode.
     ``algo`` and ``mode`` are members of their enums, never their names;
-    ``alpha`` and ``beta`` are real numbers and ``n``, ``iters``, ``m_in`` and
-    ``m_out`` integers (numpy's included), none of them a bool.
+    ``alpha`` and ``beta`` are real numbers, stored as ``float`` (a
+    ``Fraction`` or an integer would reach numpy as an object or integer
+    operand), and ``n``, ``iters``, ``m_in`` and ``m_out`` integers (numpy's
+    included), none of them a bool.
     """
 
     algo: Algorithm
@@ -115,6 +117,10 @@ class HyperParams:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
+            try:
+                object.__setattr__(self, name, float(value))
+            except OverflowError:
+                raise ValueError(f"{name} must be finite, got {value!r}") from None
         for name in ("n", "iters", "m_in", "m_out"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):

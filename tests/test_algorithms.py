@@ -12,6 +12,8 @@ import itertools
 import json
 import math
 import warnings
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,11 +41,13 @@ from linrep.env import (
     DataSet,
     DiversityStats,
     TaskBatch,
+    TaskEnvironment,
     diversity_stats,
     sample_dataset,
     sample_environment,
     sample_task_batch,
 )
+from linrep.harness import ExperimentConfig, _build_env, resolve_hyper
 from linrep.metrics import orth_complement, principal_angle_dist, spectral_norm
 from linrep.model import (
     Algorithm,
@@ -59,6 +63,7 @@ from oracles import central_diff_pair, diversity_stats_loop, record_loop, rel_er
 ALL_ALGOS = list(Algorithm)
 ADAPTING_ALGOS = [algo for algo in Algorithm if algo is not Algorithm.AVG_RISK_MIN]
 FULL_ADAPTATION = (Algorithm.FO_MAML, Algorithm.EXACT_MAML)
+_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _env(d: int = 6, k: int = 2, seed: int = 0, noise_std: float = 0.0, head_mean: float = 0.0):
@@ -415,7 +420,8 @@ class TestStepStructure:
 
 def _float32_round(mode: Mode, n: int = 3, d: int = 6, k: int = 2):
     """Float32 parameters and a float32 round: stacked moments, or a
-    population round carrying float32 targets for ``env``'s ``B*``."""
+    population round of float32 heads in a float32 copy of the environment,
+    whose targets a step forms in float32."""
     env = _env(d=d, k=k, seed=31)
     rng = substream(31, n, "float32")
     params = _trusted(ModelParams, rep=standard_normal(rng, (d, k)).astype(np.float32),
@@ -423,8 +429,11 @@ def _float32_round(mode: Mode, n: int = 3, d: int = 6, k: int = 2):
     heads = standard_normal(rng, (n, k))
     targets = (heads @ env.ground_truth_rep.T).astype(np.float32)
     if mode is Mode.POPULATION:
-        batch = _trusted(TaskBatch, heads=heads, inner_sets=None, outer_sets=None, _stats=None,
-                         _targets=(env.ground_truth_rep, targets))
+        env = _trusted(TaskEnvironment, **{**vars(env), "ground_truth_rep":
+                                           env.ground_truth_rep.astype(np.float32)})
+        heads = heads.astype(np.float32)
+        targets = heads.dot(env.ground_truth_rep.T)
+        batch = _trusted(TaskBatch, heads=heads, inner_sets=None, outer_sets=None, _stats=None)
         return env, params, batch, (None, targets), (None, targets)
     sides = []
     for _ in range(2):
@@ -432,7 +441,7 @@ def _float32_round(mode: Mode, n: int = 3, d: int = 6, k: int = 2):
         sides.append(_trusted(DataSet, cov=(np.swapaxes(X, 1, 2) @ X / 20).astype(np.float32),
                               xty=targets, yty=np.ones(n, np.float32), m=20))
     batch = _trusted(TaskBatch, heads=heads, inner_sets=sides[0], outer_sets=sides[1],
-                     _stats=None, _targets=None)
+                     _stats=None)
     return env, params, batch, *((s.cov, s.xty) for s in sides)
 
 
@@ -543,6 +552,41 @@ class TestStepOperands:
                 assert operand == np.array(value, dtype)
 
 
+class TestRealStepSizes:
+    """A step size given as any real number runs as the float it stores."""
+
+    @pytest.mark.parametrize("algo", ALL_ALGOS, ids=lambda a: a.value)
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_fraction_step_sizes_give_the_float_gradients(self, algo: Algorithm,
+                                                          mode: Mode) -> None:
+        env = _env(d=6, k=2, seed=17, noise_std=0.1)
+        batch = (_population_batch(env, 3, seed=17) if mode is Mode.POPULATION
+                 else _finite_batch(env, 3, 12, 10, seed=17)[0])
+        params = _random_params(substream(17, 0, "params"), 6, 2)
+        hp = _hp(algo, mode, alpha=Fraction(1, 10), beta=Fraction(1, 20))
+        got = meta_gradients(params, env, batch, hp)
+        want = meta_gradients(params, env, batch, _hp(algo, mode, alpha=0.1, beta=0.05))
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == np.float64
+            assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+        assert type(hp.alpha) is float and type(hp.beta) is float
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_fraction_step_sizes_run_as_their_floats(self, mode: Mode) -> None:
+        env = _env(d=6, k=2, seed=18, noise_std=0.1)
+        runs = []
+        for alpha, beta in ((Fraction(1, 10), Fraction(1, 20)), (0.1, 0.05)):
+            hp = _hp(Algorithm.EXACT_MAML, mode, alpha=alpha, beta=beta, iters=25)
+            init = init_model(env, hp.alpha, InitScheme.SPEC, substream(18, 0, "init"))
+            runs.append(run_trajectory(env, hp, init, substream(18, 0, "tasks"), record_every=5))
+            assert type(hp.alpha) is float and type(hp.beta) is float
+        got, want = runs
+        assert _bits(got.trajectory) == _bits(want.trajectory)
+        for name in ("rep", "head"):
+            assert np.array_equal(getattr(got.final_params, name).view(np.uint64),
+                                  getattr(want.final_params, name).view(np.uint64))
+
+
 class TestScalarRecursionOracle:
     def test_two_dimensional_rank_one_recursion_matches_plain_floats(self) -> None:
         # Independent reimplementation of the head-only first-order update
@@ -647,35 +691,15 @@ class TestRoundBlocks:
             assert batch.inner_sets is None and batch.outer_sets is None
         assert np.array_equal(rng.random(4), reference.random(4))
 
-    # The stacked product multiplies matrix by matrix; one (R n) x k product
-    # of the block's heads rounds apart at n = 1 for every k and at
-    # (d, k) = (100, 32) for every n, and would tie a run's bytes to R.
-    @pytest.mark.parametrize(
-        "d, k",
-        [(6, 2), (20, 3), (8, 1), (10, 5), (30, 8), (50, 16), (40, 20), (100, 32), (200, 64)],
-    )
-    def test_population_block_targets_are_per_round_products(self, d: int, k: int) -> None:
-        env = _env(d=d, k=k, seed=28, head_mean=1.0)
-        for n, count in itertools.product((1, 2, 3, 10, 50), (1, 2, 13, 113)):
-            hp = _hp(Algorithm.FO_ANIL, n=n)
-            for batch in _rounds_for(env, hp, count, substream(28, n, count)):
-                rep, targets = batch._targets
-                assert rep is env.ground_truth_rep
-                want = batch.heads.dot(env.ground_truth_rep.T)
-                assert targets.shape == want.shape, (n, count)
-                assert np.array_equal(targets.view(np.uint64), want.view(np.uint64)), (n, count)
-
-    def test_round_targets_serve_only_their_own_representation(self) -> None:
-        # A population step reads a round's targets for the B* they were
-        # formed from; any other B*, a batch drawn outside a block and a
-        # replaced batch get the product of their own heads, with the same
-        # bits as the round's own targets for their B*.
+    def test_population_step_reads_the_given_representation(self) -> None:
+        # A population step forms a round's targets from the B* it is given:
+        # a round of a block, a batch drawn outside a block and a replaced
+        # batch give the same bits for either B*, and the B* is read.
         env, other = _env(d=8, k=3, seed=29), _env(d=8, k=3, seed=30)
         hp = _hp(Algorithm.EXACT_MAML, n=4)
         batch = list(_rounds_for(env, hp, 3, substream(29, 0, "tasks")))[1]
         fresh = TaskBatch(batch.heads.copy())
         replaced = dataclasses.replace(batch)
-        assert fresh._targets is None and replaced._targets is None and batch._targets is not None
         params = _random_params(substream(29, 0, "params"), 8, 3)
         for environment in (env, other):
             want = meta_gradients(params, environment, fresh, hp)
@@ -1261,6 +1285,63 @@ class TestWholeRunOracle:
             scales = np.array([0.999 * limit, 0.5 * limit, 0.5 * limit])
         result = self._compare(env, hp, ModelParams(frame * scales, head), 34, record_every=3)
         assert result.diverged_at == diverged_at
+
+
+class TestPopulationSymmetries:
+    """Whole-run symmetries of the population dynamics, on trial 0 of
+    ``configs/population_zero_mean.json`` cut to 2,000 iterations.
+
+    Population inputs are isotropic and every update term is built from
+    ``B``, ``B*`` and the heads, so ``B_t`` stays in ``span(B_0, B*)``, and
+    the run is equivariant under an orthogonal ``G`` acting on ``(B*, B_0)``,
+    which leaves the principal-angle distance as it is; the analysis of
+    Collins et al. 2022 (arXiv 2202.03483) tracks such rotation-free
+    quantities.  The bounds are fixed multiples of ``eps``."""
+
+    BOUND = 64 * np.finfo(float).eps
+
+    @pytest.fixture(scope="class")
+    def trial(self):
+        config = json.loads((_CONFIGS / "population_zero_mean.json").read_text())
+        config["hp"]["iters"] = 2000
+        config = ExperimentConfig.model_validate(config)
+        seed = config.run.master_seed
+        env = _build_env(config, 0)
+        init = init_model(env, resolve_hyper(config).alpha, config.init.scheme,
+                          substream(seed, 0, "init"))
+        rotation, _ = np.linalg.qr(standard_normal(substream(seed, 0, "rotation"),
+                                                   (env.d, env.d)))
+        rotated_env = TaskEnvironment(env.d, env.k, rotation @ env.ground_truth_rep,
+                                      env.head_mean, env.head_scale, env.noise_std)
+        rotated_init = ModelParams(rotation @ init.rep, init.head)
+        return config, env, init, rotated_env, rotated_init
+
+    def _run(self, trial, algo: Algorithm, rotated: bool) -> RunResult:
+        config, env, init, rotated_env, rotated_init = trial
+        hp = dataclasses.replace(resolve_hyper(config), algo=algo)
+        if rotated:
+            env, init = rotated_env, rotated_init
+        return run_trajectory(env, hp, init, substream(config.run.master_seed, 0, "tasks"),
+                              config.run.record_every)
+
+    @pytest.mark.parametrize("algo", ALL_ALGOS, ids=lambda a: a.value)
+    def test_representation_stays_in_the_initial_and_true_span(self, trial,
+                                                                algo: Algorithm) -> None:
+        _, env, init, _, _ = trial
+        result = self._run(trial, algo, rotated=False)
+        assert not result.diverged
+        span, _ = np.linalg.qr(np.hstack([init.rep, env.ground_truth_rep]))
+        final = result.final_params.rep
+        outside = final - span @ (span.T @ final)
+        assert np.linalg.norm(outside, 2) <= self.BOUND * np.linalg.norm(final, 2)
+
+    @pytest.mark.parametrize("algo", ALL_ALGOS, ids=lambda a: a.value)
+    def test_rotating_truth_and_start_keeps_the_distances(self, trial, algo: Algorithm) -> None:
+        result = self._run(trial, algo, rotated=False)
+        rotated = self._run(trial, algo, rotated=True)
+        assert not result.diverged and not rotated.diverged
+        assert np.array_equal(result.trajectory.t, rotated.trajectory.t)
+        assert np.abs(result.trajectory.dist - rotated.trajectory.dist).max() <= self.BOUND
 
 
 def _snapshot_stack(seed: int, count: int, d: int = 8, k: int = 3, n: int = 4):

@@ -484,6 +484,22 @@ class TestHypCheck:
         result = hypcheck(cfg, out_dir=tmp_path / "avg")
         assert result.report.first_violation["A4"] == 1
 
+    @pytest.mark.parametrize(
+        "name", ["population_zero_mean", "population_mean10_near_truth",
+                 "population_mean10_random_init"],
+    )
+    def test_summary_first_violations_equal_hypchecks(self, tmp_path: Path, name: str) -> None:
+        # A2 and A5 bound one step: the summary takes every margin from the
+        # every-step run of trial 0 that hypcheck makes, not from the run's
+        # records, which are record_every steps apart.
+        cfg = json.loads((SHIPPED_CONFIGS[0].parent / f"{name}.json").read_text())
+        cfg["run"]["trials"], cfg["hp"]["iters"], cfg["checks"]["hypcheck"] = 1, 2000, True
+        config = ExperimentConfig.model_validate(cfg)
+        assert config.run.record_every == 10
+        summary = run_experiment(config, out_dir=tmp_path / "run").summary
+        report = hypcheck(config, out_dir=tmp_path / "hyp").report
+        assert summary["hyp_first_violation"] == dict(report.first_violation)
+
 
 class TestSweep:
     def _finite_cfg(self, **overrides) -> ExperimentConfig:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -77,6 +78,23 @@ class TestHyperParams:
                       n=3, iters=10)
         values[field] = bad
         with pytest.raises(ValueError, match=f"^{field} must be a"):
+            HyperParams(**values)
+
+    @pytest.mark.parametrize(
+        "value", [Fraction(1, 10), np.float64(0.1), np.float32(0.1), 1, np.int64(2)], ids=repr
+    )
+    def test_real_step_sizes_stored_as_float(self, value) -> None:
+        hp = HyperParams(algo=Algorithm.FO_ANIL, mode=Mode.POPULATION, alpha=value, beta=value,
+                         n=3, iters=10)
+        assert type(hp.alpha) is float and type(hp.beta) is float
+        assert hp.alpha == hp.beta == float(value)
+
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    def test_step_size_beyond_float_range_rejected_naming_it(self, field: str) -> None:
+        values = dict(algo=Algorithm.FO_ANIL, mode=Mode.POPULATION, alpha=0.1, beta=0.1,
+                      n=3, iters=10)
+        values[field] = 10**400
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
             HyperParams(**values)
 
     def test_numpy_integer_counts_accepted(self) -> None:
