@@ -10,14 +10,15 @@ schedule, and stops early when the iterates diverge.
 
 A kernel reads a task only through the moments ``(S, b)`` of its inner and
 outer sets, the data's ``(X^T X/m, X^T y/m)``.  Finite-sample steps pass the
-round's stacked data sets; population steps are the same kernels at the
-exact moments of isotropic Gaussian inputs, ``(I, B* w*_i)`` on both sides,
-so the expected risk needs no code of its own.  The average-risk baseline
-skips inner adaptation entirely and descends the mean unadapted risk.
+round's stacked data sets, or a run's sketches (``_Sketched``); population
+steps are the same kernels at the exact moments of isotropic Gaussian
+inputs, ``(I, B* w*_i)`` on both sides, so the expected risk needs no code
+of its own.  The average-risk baseline skips inner adaptation entirely and
+descends the mean unadapted risk.
 
 A run draws its rounds a block at a time, each round carrying its checked
-task statistics and, in finite-sample mode, its data sets (``env._rounds``);
-a population step forms its round's targets itself.  A round of the run is
+task statistics and, in finite-sample mode, its sketches (``env._rounds``);
+a step forms its round's targets ``B* w*_i`` itself.  A round of the run is
 then one step call, one ``diversity_stats`` lookup kept in running extremes
 by comparisons, the record check and a two-dot divergence test whose limits
 are computed once per run; a step it does not clear gets ``_is_diverged``'s
@@ -47,7 +48,8 @@ from typing import NamedTuple
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .env import DiversityStats, TaskBatch, TaskEnvironment, _rounds, _trusted, diversity_stats
+from .env import (DataSet, DiversityStats, TaskBatch, TaskEnvironment, _rounds, _trusted,
+                  diversity_stats)
 from .metrics import (
     delta_norm,
     orth_complement,
@@ -131,7 +133,7 @@ class RunResult:
 # One kernel per algorithm, ``grads(B, w, inner, outer, alpha, n)``.  A
 # kernel reads each task only through the moments of its inner and outer
 # sets, ``(cov, xty)`` pairs stacked over the round's n tasks (``n x d x d``
-# and ``n x d``), and returns
+# and ``n x d``; ``cov`` may be None or a sketched side), and returns
 # (grad_head, grad_rep, adapted_heads, adapted_reps) with adapted_heads of
 # shape (n, k) and adapted_reps of shape (n, d, k) or None when the
 # algorithm adapts heads only.
@@ -165,13 +167,63 @@ class RunResult:
 _Moments = tuple[np.ndarray | None, np.ndarray]
 
 
+class _Sketched:
+    """A side of a finite-sample run's round, its ``_Sketch`` revealed along
+    the directions a step reads.  With ``W = X~^T X~``, ``S beta - b`` is
+    ``(1/m) [W u]_{:d}`` for ``u = (beta - B* w*_i; -sigma)``, ``S v`` for
+    ``u = (v; 0)``.  Call ``t`` projects ``u`` off the basis ``q_0..q_{t-1}``
+    (twice, for nearly dependent directions) into ``q_t`` (a ``u`` in the
+    basis, 0 included, takes the axis farthest from it), forms the column
+    ``l_t = sqrt(chi2) q_t + P(q_0..q_t)^perp g_t`` and returns ``(1/m)
+    sum_{r <= t} l_r (l_r . u)``: the Bartlett factor of ``W`` in a basis
+    that starts with the directions asked for, exact in law even for
+    directions that depend on earlier results, since given its first
+    columns the rest of ``W`` is again Wishart and rotation invariant."""
+
+    __slots__ = ("roots", "normals", "m", "sigma", "basis", "cols", "calls")
+
+    def __init__(self, sketch, sigma: float) -> None:
+        self.roots, self.normals, self.m, self.sigma = sketch.roots, sketch.normals, sketch.m, sigma
+        self.basis, self.cols = np.zeros(sketch.normals.shape), np.zeros(sketch.normals.shape)
+        self.calls = 0
+
+    def __call__(self, vecs: np.ndarray, last: float = 0.0) -> np.ndarray:
+        t, basis = self.calls, self.basis[:, :self.calls]
+        u = np.empty((len(self.roots), self.basis.shape[-1]))
+        u[:, :-1], u[:, -1] = vecs, last
+        rest = u
+        if t:
+            rest = u - _project(basis, u)
+            rest -= _project(basis, rest)
+        length = norms = np.sqrt(np.einsum("nd,nd->n", rest, rest))
+        if not norms.all():
+            zero, known = norms == 0.0, basis[norms == 0.0]
+            fill = np.eye(u.shape[1])[np.einsum("nrd,nrd->nd", known, known).argmin(axis=1)]
+            fill -= _project(known, fill)  # leaves a norm of at least sqrt(1/3)
+            rest, norms = rest.copy(), norms.copy()  # ``rest`` may be ``u``
+            rest[zero], norms[zero] = fill, np.sqrt(np.einsum("nd,nd->n", fill, fill))
+        q = rest / norms[:, None]
+        g, root = self.normals[:, t], self.roots[:, t]
+        self.basis[:, t], self.calls = q, t + 1
+        if not t:  # l_0 = g + q (root - q . g), and l_0 . u = root |u|
+            self.cols[:, 0] = col = g + q * (root - np.einsum("nd,nd->n", q, g))[:, None]
+            return col[:, :-1] * (root * length / self.m)[:, None]
+        self.cols[:, t] = root[:, None] * q + (g - _project(self.basis[:, :t + 1], g))
+        return _project(self.cols[:, :t + 1], u)[:, :-1] / self.m
+
+
+def _project(rows: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Rows ``sum_r a_r (a_r . v_i)`` for ``n`` stacked ``t x D`` row arrays."""
+    return (rows.swapaxes(1, 2) @ (rows @ vecs[:, :, None]))[..., 0]
+
+
 def _sets(env: TaskEnvironment, batch: TaskBatch, mode: Mode) -> tuple[_Moments, _Moments]:
     """The round's inner and outer moments.
 
     A population round's inputs are isotropic Gaussian, so both sides hold
     the exact moments ``(I, B* w*_i)``, the identity passed as None, the
     targets formed from the round's heads by one product.  A finite-sample
-    round reads its stacked data sets.
+    round reads its stacked data sets, or its sketches next to the targets.
     """
     if mode is Mode.POPULATION:
         exact = (None, batch.heads.dot(env.ground_truth_rep.T))
@@ -179,15 +231,20 @@ def _sets(env: TaskEnvironment, batch: TaskBatch, mode: Mode) -> tuple[_Moments,
     if batch.inner_sets is None or batch.outer_sets is None:
         raise ValueError("finite-sample steps require per-task data sets in the batch")
     inner, outer = batch.inner_sets, batch.outer_sets
-    return (inner.cov, inner.xty), (outer.cov, outer.xty)
+    if isinstance(inner, DataSet):
+        return (inner.cov, inner.xty), (outer.cov, outer.xty)
+    targets = batch.heads.dot(env.ground_truth_rep.T)
+    return (_Sketched(inner, env.noise_std), targets), (_Sketched(outer, env.noise_std), targets)
 
 
-def _matvec(mats: np.ndarray | None, vecs: np.ndarray) -> np.ndarray:
+def _matvec(mats: np.ndarray | _Sketched | None, vecs: np.ndarray) -> np.ndarray:
     """Rows ``M_i v_i`` for ``vecs`` (``n x d``, or one ``d`` vector shared
-    by every task) and ``mats``, a stack of ``n`` ``d x d`` matrices or None
-    for the identity."""
+    by every task) and ``mats``, a stack of ``n`` ``d x d`` matrices, a
+    sketched side or None for the identity."""
     if mats is None:
         return vecs
+    if mats.__class__ is _Sketched:
+        return mats(vecs)
     return (mats @ vecs[..., None])[..., 0]
 
 
@@ -195,6 +252,8 @@ def _residual(moments: _Moments, beta: np.ndarray) -> np.ndarray:
     """Rows ``S_i beta_i - b_i``, the gradient of task i's loss in the
     predictor."""
     cov, xty = moments
+    if cov.__class__ is _Sketched:
+        return cov(beta - xty, -cov.sigma)
     return _matvec(cov, beta) - xty
 
 
@@ -342,11 +401,12 @@ def step_for(hp: HyperParams) -> Callable[..., StepOutcome]:
 # Trajectory driver
 # --------------------------------------------------------------------------
 
-def _rounds_for(env: TaskEnvironment, hp: HyperParams, total: int, rng) -> Iterator[TaskBatch]:
-    """The next ``total`` rounds of ``hp``'s runs, drawn from ``rng`` a
-    block at a time (``env._rounds``), with data sets in finite-sample mode."""
+def _rounds_for(env: TaskEnvironment, hp: HyperParams, total: int, rng,
+                data_rng=None) -> Iterator[TaskBatch]:
+    """The next ``total`` rounds of ``hp``'s runs, drawn a block at a time
+    (``env._rounds``), with sketches in finite-sample mode."""
     samples = None if hp.mode is Mode.POPULATION else (hp.m_in, hp.m_out)
-    return _rounds(env, hp.n, total, rng, samples)
+    return _rounds(env, hp.n, total, rng, samples, data_rng)
 
 
 def _is_diverged(params: ModelParams, rep_limit: float) -> bool:
@@ -476,8 +536,12 @@ def run_trajectory(
     init: ModelParams,
     rng,
     record_every: int = 1,
+    *,
+    data_rng=None,
 ) -> RunResult:
     """Run ``hp.iters`` outer steps from ``init`` and record diagnostics.
+
+    A finite-sample run draws its data from ``data_rng`` (default ``rng``).
 
     Records are taken at iteration 0, at every multiple of
     ``record_every``, and at the final iteration; each record describes the
@@ -535,7 +599,7 @@ def run_trajectory(
     # A diverging run overflows in its steps, its divergence checks and its
     # records; it is declared divergent (or records NaN) rather than warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, batch in enumerate(_rounds_for(env, hp, hp.iters + 1, rng)):
+        for t, batch in enumerate(_rounds_for(env, hp, hp.iters + 1, rng, data_rng)):
             stats = diversity_stats(batch)
             mu_sq = stats.mu_sq if stats.mu_sq < mu_sq else mu_sq
             L_sq = stats.L_sq if stats.L_sq > L_sq else L_sq

@@ -7,11 +7,13 @@ a Gaussian, and independent Gaussian label noise ``z``.
 
 Finite samples are kept as their sufficient statistics: every empirical
 loss and gradient of the package reads a task's ``(X, y)`` only through
-``X^T X / m``, ``X^T y / m`` and ``y^T y / m``.  The sampler draws these
-directly, in ``O(d^2)`` work whatever ``m`` is, from the Bartlett
+``X^T X / m``, ``X^T y / m`` and ``y^T y / m``.  ``sample_dataset`` draws
+these directly, in ``O(d^2)`` work whatever ``m`` is, from the Bartlett
 decomposition of the Wishart matrix ``X^T X`` (Smith and Hocking 1972,
 algorithm AS 53), in its singular form when ``m < d`` (Srivastava 2003,
-Ann. Statist. 31(5)); raw inputs are never formed.
+Ann. Statist. 31(5)); raw inputs are never formed.  A finite-sample run
+draws only ``O(d)`` variates per task: the first Bartlett columns of
+``X~^T X~`` for ``X~ = [X, z]`` (``_Sketch``), revealed by the step.
 """
 from __future__ import annotations
 
@@ -179,20 +181,37 @@ class DataSet:
 
 
 @dataclass(frozen=True)
+class _Sketch:
+    """A side of a finite-sample run's round: per task, the randomness of the
+    first ``J`` Bartlett columns of ``X~^T X~ ~ Wishart_{d+1}(m, I)``, roots
+    ``sqrt(chi2(max(m - r, 0)))`` (``n x J``) and normals (``n x J x (d + 1)``,
+    zero for ``r >= m``), revealed by a step (``algorithms._Sketched``)."""
+
+    roots: np.ndarray
+    normals: np.ndarray
+    m: int
+
+    @property
+    def n(self) -> int:
+        return len(self.roots)
+
+
+@dataclass(frozen=True)
 class TaskBatch:
     """The tasks of one outer round: heads plus optional finite samples.
 
-    ``inner_sets``/``outer_sets`` are stacked data sets, one task per entry
-    of the leading axis, used by finite-sample algorithms for adaptation and
-    for the outer update respectively; population-mode batches carry heads
-    only.  A round of a sampled block also carries its checked task
-    statistics (``_stats``, see ``diversity_stats``), which take no part in
-    equality or ``repr``; ``dataclasses.replace`` drops them.
+    ``inner_sets``/``outer_sets`` are stacked data sets (a run's ``_Sketch``
+    each), one task per entry of the leading axis, used by finite-sample
+    algorithms for adaptation and for the outer update respectively;
+    population-mode batches carry heads only.  A round of a block also
+    carries its checked task statistics (``_stats``, see ``diversity_stats``),
+    which take no part in equality or ``repr``; ``dataclasses.replace`` drops
+    them.
     """
 
     heads: np.ndarray
-    inner_sets: DataSet | None = None
-    outer_sets: DataSet | None = None
+    inner_sets: DataSet | _Sketch | None = None
+    outer_sets: DataSet | _Sketch | None = None
     _stats: DiversityStats | None = field(default=None, init=False, repr=False,
                                           compare=False)
 
@@ -214,53 +233,56 @@ class TaskBatch:
         return self.heads.shape[0]
 
 
-# Floats a block of rounds may hold: a finite-sample block ``n d^2`` per
-# round and side, up to ``_BLOCK_FLOATS``; a population block its rounds'
-# ``n k`` heads, up to ``_HEAD_BLOCK_FLOATS``, sized by the heads alone.
-# Drawing, validating and reducing a block of heads briefly takes several
-# times their size, so the population budget is the smaller: at n = k = 3,
-# blocks of 2^10 head floats keep the peak memory of five 10^4-step runs
-# within noise of blocks of 13 rounds.  Not settings: a finite-sample block
-# size must depend only on the run's dimensions for artifacts to stay
-# byte-identical across hosts.
+# Floats a block of rounds may hold: a finite-sample block the ``n J (d + 2)``
+# sketch floats of each round and side (``_SKETCH_COLUMNS``), up to
+# ``_BLOCK_FLOATS``; a population block its rounds' ``n k`` heads, up to
+# ``_HEAD_BLOCK_FLOATS``, sized by the heads alone.  Drawing, validating and
+# reducing a block of heads briefly takes several times their size, so the
+# population budget is the smaller: at n = k = 3, blocks of 2^10 head floats
+# keep the peak memory of five 10^4-step runs within noise of blocks of 13
+# rounds.  Not settings: a finite-sample block size must depend only on the
+# run's dimensions for artifacts to stay byte-identical across hosts.
 _BLOCK_FLOATS = 2**14
 _HEAD_BLOCK_FLOATS = 2**10
+# Bartlett columns a finite-sample round draws per task, inner and outer:
+# EXACT_MAML's directions, drawn for every algorithm alike.
+_SKETCH_COLUMNS = (3, 1)
 
 
 def _rounds(env: TaskEnvironment, n: int, total: int, rng: np.random.Generator,
-            samples: tuple[int, int] | None) -> Iterator[TaskBatch]:
-    """The next ``total`` rounds of ``n`` tasks drawn from ``rng``, with
-    ``(m_in, m_out)`` inner and outer data sets given ``samples``, heads only
-    given None.
+            samples: tuple[int, int] | None,
+            data_rng: np.random.Generator | None = None) -> Iterator[TaskBatch]:
+    """The next ``total`` rounds of ``n`` tasks, heads drawn from ``rng``,
+    with ``(m_in, m_out)`` inner and outer sketches drawn from ``data_rng``
+    (by default ``rng``) given ``samples``, heads only given None.
 
     The rounds are drawn in blocks of ``R`` (see ``_BLOCK_FLOATS``), the last
     one trimmed: a block draws its heads in one call (``_round_heads``) and
-    ``_block_rounds`` builds its rounds.  Every algorithm consumes the stream
-    alike.  A finite-sample block draws all its heads before any data set, so
-    its run's bytes depend on ``R``, which depends only on ``(n, d)``.  A
-    population run's bytes do not depend on ``R``: a population round is its
-    heads and their statistics, which have the same bits whatever block they
-    are drawn in.
+    ``_block_rounds`` builds its rounds.  Every algorithm consumes the
+    streams alike.  Heads have the same bits in any block, so a population
+    run's bytes do not depend on ``R``, and a finite-sample run with a data
+    stream of its own steps on the population run's heads; its data depend
+    on ``R``, which depends only on ``(n, d)``.
     """
     if samples is None:
         size = max(1, _HEAD_BLOCK_FLOATS // (n * env.k))
     else:
-        size = max(1, _BLOCK_FLOATS // (n * env.d**2))
+        size = max(1, _BLOCK_FLOATS // (n * sum(_SKETCH_COLUMNS) * (env.d + 2)))
     for start in range(0, total, size):
         heads = _round_heads(env, min(size, total - start), n, rng)
-        yield from _block_rounds(env, heads, rng, samples)
+        yield from _block_rounds(env, heads, data_rng or rng, samples)
 
 
 def _block_rounds(env: TaskEnvironment, heads: np.ndarray, rng: np.random.Generator | None,
                   samples: tuple[int, int] | None) -> list[TaskBatch]:
     """The rounds of a block of ``(R, n, k)`` heads, each with its task
-    statistics and, given ``samples`` (see ``_rounds``), its data sets.
+    statistics and, given ``samples`` (see ``_rounds``), its sketches.
 
     The block is validated once, as one batch; the statistics of all its
     rounds are computed and checked in one stacked pass before anything else
-    is drawn; a finite-sample block then draws the inner sets of all its
-    tasks in one call, then the outer sets, round ``r`` taking rows
-    ``r n : (r + 1) n`` of each.
+    is drawn; a finite-sample block then draws from ``rng`` the roots of its
+    ``R n`` tasks' sketch columns (three inner, then one outer) in one call,
+    then their normals in one, round ``r`` taking rows ``r n : (r + 1) n``.
     """
     count, n, k = heads.shape
     tasks = TaskBatch(heads.reshape(count * n, k)).heads
@@ -270,8 +292,16 @@ def _block_rounds(env: TaskEnvironment, heads: np.ndarray, rng: np.random.Genera
     if samples is None:
         sides = [[None] * count] * 2
     else:
-        inner, outer = (sample_dataset(env, tasks, m, rng) for m in samples)
-        sides = [[sets[r * n:(r + 1) * n] for r in range(count)] for sets in (inner, outer)]
+        j = _SKETCH_COLUMNS[0]
+        rank = np.concatenate([np.arange(columns) for columns in _SKETCH_COLUMNS])
+        sizes = np.repeat(samples, _SKETCH_COLUMNS)
+        roots = np.sqrt(chi_square(rng, np.broadcast_to(np.maximum(sizes - rank, 0),
+                                                        (count * n, len(rank)))))
+        normals = standard_normal(rng, (count * n, len(rank), env.d + 1))
+        normals[:, rank >= sizes] = 0.0  # the factor has rank m
+        sides = [[_trusted(_Sketch, roots=roots[r * n:(r + 1) * n, cols],
+                           normals=normals[r * n:(r + 1) * n, cols], m=m) for r in range(count)]
+                 for cols, m in ((slice(0, j), samples[0]), (slice(j, None), samples[1]))]
     return [
         _trusted(TaskBatch, heads=heads_r, inner_sets=inner_r, outer_sets=outer_r,
                  _stats=_trusted(DiversityStats, mu_sq=mu_sq, L_sq=L_sq, eta=eta, L_max=L_max))
@@ -394,10 +424,7 @@ def sample_dataset(
 
     Task ``i`` has inputs ``X ~ N(0, I_d)`` (``m x d``) and labels
     ``y = X beta_i + sigma z`` with ``beta_i = B* heads[i]`` and
-    ``z ~ N(0, I_m)``; the result stacks the ``n = len(heads)`` sets.  The
-    heads may span several rounds: ``_block_rounds`` passes a block of
-    rounds' heads stacked round after round and gives round ``r`` the rows
-    ``r n : (r + 1) n``, so one call draws one side of the whole block.
+    ``z ~ N(0, I_m)``; the result stacks the ``n = len(heads)`` sets.
 
     The statistics are drawn exactly without forming ``X``.  With
     ``X^T = L Q^T`` (``Q`` an ``m x min(m, d)`` Haar frame, independent of

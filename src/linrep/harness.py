@@ -22,8 +22,9 @@ from typing import Literal
 import numpy as np
 from pydantic import BaseModel, ConfigDict, Field, ValidationError, model_validator
 
-from .algorithms import RunResult, _rounds_for, meta_gradients, run_trajectory
-from .env import TaskEnvironment, sample_environment
+from .algorithms import RunResult, meta_gradients, run_trajectory
+from .env import (TaskBatch, TaskEnvironment, diversity_stats, sample_dataset,
+                  sample_environment, sample_task_batch)
 from .metrics import HypothesisReport, check_hypotheses, fit_log_linear_rate
 from .model import (
     Algorithm,
@@ -311,12 +312,15 @@ def _run_trial(config: ExperimentConfig, trial: int, record_every: int | None = 
         substream(config.run.master_seed, trial, "init"),
         target_band=config.init.target_band,
     )
+    # A finite-sample trial's data stream leaves it the population trial's heads.
+    data = None if hp.mode is Mode.POPULATION else substream(config.run.master_seed, trial, "data")
     return run_trajectory(
         env,
         hp,
         init,
         substream(config.run.master_seed, trial, "tasks"),
         record_every=config.run.record_every if record_every is None else record_every,
+        data_rng=data,
     )
 
 
@@ -559,7 +563,8 @@ def gradcheck(config: ExperimentConfig) -> GradCheckReport:
 
     Enforces d <= 10 and k <= 4 (the check costs O(dk) loss evaluations per
     point).  FAIL when any block's relative error exceeds 1e-5 or is not
-    finite.
+    finite.  A point's round follows it on one stream: its heads, then in
+    finite-sample mode its inner and outer data sets in full.
     """
     e = config.env
     if e.d > 10 or e.k > 4:
@@ -573,7 +578,11 @@ def gradcheck(config: ExperimentConfig) -> GradCheckReport:
         params = ModelParams(
             rep=standard_normal(rng, (e.d, e.k)), head=standard_normal(rng, (e.k,))
         )
-        (batch,) = _rounds_for(env, hp, 1, rng)
+        batch = sample_task_batch(env, hp.n, rng)
+        diversity_stats(batch)  # refuses the heads a run refuses, before any data
+        if hp.mode is Mode.FINITE:
+            batch = TaskBatch(batch.heads, *(sample_dataset(env, batch.heads, m, rng)
+                                             for m in (hp.m_in, hp.m_out)))
         grad_head, grad_rep = meta_gradients(params, env, batch, hp)
         fd_head, fd_rep = _fd_meta_gradient(params, env, batch, hp)
         # np.maximum keeps a NaN error (builtin max drops it); NaN then

@@ -57,7 +57,7 @@ from linrep.model import (
     ModelParams,
     init_model,
 )
-from linrep.rng import standard_normal, substream
+from linrep.rng import chi_square, standard_normal, substream
 from oracles import central_diff_pair, diversity_stats_loop, record_loop, rel_err, run_loop
 
 ALL_ALGOS = list(Algorithm)
@@ -115,10 +115,11 @@ def _random_params(rng, d: int, k: int) -> ModelParams:
 
 
 def _block_size(mode: Mode, d: int, k: int, n: int) -> int:
-    """Rounds per sampled block: a finite-sample round holds ``n d^2``
-    statistics per side, a population round its ``n k`` heads."""
+    """Rounds per sampled block: a finite-sample round holds ``4 (d + 2)``
+    sketch floats per task (three inner columns and one outer, each a root
+    and ``d + 1`` normals), a population round its ``n k`` heads."""
     if mode is Mode.FINITE:
-        return max(1, _BLOCK_FLOATS // (n * d * d))
+        return max(1, _BLOCK_FLOATS // (n * 4 * (d + 2)))
     return max(1, _HEAD_BLOCK_FLOATS // (n * k))
 
 
@@ -709,37 +710,38 @@ class TestRoundBlocks:
         assert not np.array_equal(meta_gradients(params, other, batch, hp)[1],
                                   meta_gradients(params, env, batch, hp)[1])
 
-    def test_round_stacks_inner_then_outer_sets(self) -> None:
-        env = _env(d=6, k=2, seed=21, noise_std=0.1)
-        hp = _hp(Algorithm.FO_ANIL, Mode.FINITE, n=4, m_in=12, m_out=30)
-        (batch,) = _rounds_for(env, hp, 1, substream(21, 0, "tasks"))
-        assert batch.inner_sets.cov.shape == (4, 6, 6) and batch.inner_sets.m == 12
-        assert batch.outer_sets.xty.shape == (4, 6) and batch.outer_sets.m == 30
-        rng = substream(21, 0, "tasks")
-        heads = sample_task_batch(env, 4, rng).heads
-        np.testing.assert_array_equal(batch.heads, heads)
-        np.testing.assert_array_equal(batch.inner_sets.cov, sample_dataset(env, heads, 12, rng).cov)
-        np.testing.assert_array_equal(batch.outer_sets.yty, sample_dataset(env, heads, 30, rng).yty)
-
-    @pytest.mark.parametrize("m_in", [4, 12], ids=["m<d", "m>=d"])
-    def test_block_rounds_read_rows_of_one_draw_per_side(self, m_in: int) -> None:
+    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize("m_in", [2, 12], ids=["m<J", "m>=d"])
+    def test_block_draws_its_heads_then_one_sketch_grid(self, m_in: int, count: int) -> None:
+        # Heads from the tasks stream, bitwise the per-round draws; then from
+        # the data stream one chi-square grid of the block's R n tasks by
+        # four columns (dof m_in, m_in - 1, m_in - 2, m_out, at least 0),
+        # then their normals, zero past the rank; round r reads rows
+        # r n : (r + 1) n.
         env = _env(d=6, k=2, seed=25, noise_std=0.1)
-        count, n = 3, 4
-        hp = _hp(Algorithm.FO_ANIL, Mode.FINITE, n=n, m_in=m_in, m_out=30)
-        block = list(_rounds_for(env, hp, count, substream(25, 0, "tasks")))
-        rng = substream(25, 0, "tasks")
-        heads = [sample_task_batch(env, n, rng).heads for _ in range(count)]
-        inner = sample_dataset(env, np.concatenate(heads), m_in, rng)
-        outer = sample_dataset(env, np.concatenate(heads), 30, rng)
+        n, m_out = 4, 30
+        hp = _hp(Algorithm.FO_ANIL, Mode.FINITE, n=n, m_in=m_in, m_out=m_out)
+        tasks, data = substream(25, m_in, "tasks"), substream(25, m_in, "data")
+        block = list(_rounds_for(env, hp, count, tasks, data))
+        ref_tasks, ref_data = substream(25, m_in, "tasks"), substream(25, m_in, "data")
+        heads = [sample_task_batch(env, n, ref_tasks).heads for _ in range(count)]
+        dof = np.empty((count * n, 4))
+        dof[:] = np.maximum(np.array([m_in, m_in, m_in, m_out]) - [0, 1, 2, 0], 0)
+        roots = np.sqrt(chi_square(ref_data, dof))
+        normals = standard_normal(ref_data, (count * n, 4, env.d + 1))
+        normals[:, :3][:, m_in:] = 0.0
         assert len(block) == count
         for r, batch in enumerate(block):
-            np.testing.assert_array_equal(batch.heads, heads[r])
-            for got, want in ((batch.inner_sets, inner), (batch.outer_sets, outer)):
-                assert got.n == n and got.m == want.m
-                rows = slice(r * n, (r + 1) * n)
-                np.testing.assert_array_equal(got.cov, want.cov[rows])
-                np.testing.assert_array_equal(got.xty, want.xty[rows])
-                np.testing.assert_array_equal(got.yty, want.yty[rows])
+            assert np.array_equal(batch.heads.view(np.uint64), heads[r].view(np.uint64))
+            rows = slice(r * n, (r + 1) * n)
+            for side, cols, m in ((batch.inner_sets, slice(0, 3), m_in),
+                                  (batch.outer_sets, slice(3, 4), m_out)):
+                assert side.n == n and side.m == m
+                assert np.array_equal(side.roots, roots[rows, cols])
+                assert np.array_equal(side.normals, normals[rows, cols])
+        assert (block[0].inner_sets.normals[:, m_in:] == 0.0).all()
+        assert np.array_equal(tasks.random(4), ref_tasks.random(4))
+        assert np.array_equal(data.random(4), ref_data.random(4))
 
     def test_variates_per_block_do_not_depend_on_m(self, monkeypatch) -> None:
         # Gaussian and chi-square variates requested by the block's samplers
@@ -767,11 +769,12 @@ class TestRoundBlocks:
             hp = _hp(Algorithm.FO_ANIL, Mode.FINITE, n=n, m_in=m_in, m_out=m_out)
             list(_rounds_for(env, hp, count, substream(22, m_in, m_out)))
             seen.add((counts["normal"], counts["chi2"]))
-        per_round = (n * k + 2 * n * (d * (d - 1) // 2 + d), 2 * n * (d + 1))
+        per_round = (n * k + n * 4 * (d + 1), n * 4)  # heads, then 4 sketch columns
         assert seen == {(count * per_round[0], count * per_round[1])}
 
-    def test_block_validates_each_side_once(self, monkeypatch) -> None:
-        # A round's heads and sets are rows of its block's validated draws.
+    def test_block_validates_its_heads_once_and_builds_no_data_set(self, monkeypatch) -> None:
+        # A round's heads are rows of its block's validated draw, and its
+        # sketches rows of the block's draws, built unchecked.
         calls = []
         validate, validate_batch = DataSet.__post_init__, TaskBatch.__post_init__
 
@@ -789,7 +792,7 @@ class TestRoundBlocks:
         hp = _hp(Algorithm.FO_ANIL, Mode.FINITE, n=4, m_in=3, m_out=30)
         block = list(_rounds_for(env, hp, 5, substream(27, 0, "tasks")))
         assert len(block) == 5 and block[-1].outer_sets.m == 30
-        assert calls == [("batch", 20), 3, 30]
+        assert calls == [("batch", 20)]
 
     @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
     def test_run_draws_exactly_its_rounds_in_trimmed_blocks(self, mode: Mode, monkeypatch) -> None:
@@ -797,30 +800,37 @@ class TestRoundBlocks:
         d, k, n = 20, 3, 10
         size = _block_size(mode, d, k, n)
         iters = 2 * size + 1
+        # A finite-sample block draws its sketches in one chi-square call on
+        # its R n tasks; a run calls no full data-set sampler.
         head_rows: list[int] = []
-        set_rows: list[int] = []
-        draw_heads, draw_sets = linrep.env._round_heads, linrep.env.sample_dataset
+        sketch_rows: list[int] = []
+        draw_heads, draw_roots = linrep.env._round_heads, linrep.env.chi_square
 
         def counting_heads(env, rounds, n, rng):
             head_rows.append(rounds * n)
             return draw_heads(env, rounds, n, rng)
 
-        def counting_sets(env, heads, m, rng):
-            set_rows.append(len(heads))
-            return draw_sets(env, heads, m, rng)
+        def counting_roots(rng, dof):
+            sketch_rows.append(len(dof))
+            return draw_roots(rng, dof)
+
+        def no_sets(*args):
+            raise AssertionError("a run drew a full data set")
 
         monkeypatch.setattr(linrep.env, "_round_heads", counting_heads)
-        monkeypatch.setattr(linrep.env, "sample_dataset", counting_sets)
+        monkeypatch.setattr(linrep.env, "chi_square", counting_roots)
+        monkeypatch.setattr(linrep.env, "sample_dataset", no_sets)
         env = _env(d=d, k=k, seed=26, noise_std=0.1)
         hp = _hp(Algorithm.FO_ANIL, mode, n=n, iters=iters, m_in=30, m_out=30)
         init = init_model(env, hp.alpha, InitScheme.SPEC, substream(26, 0, "init"))
-        result = run_trajectory(env, hp, init, substream(26, 0, "tasks"), record_every=3)
+        result = run_trajectory(env, hp, init, substream(26, 0, "tasks"), record_every=3,
+                                data_rng=substream(26, 0, "data"))
         assert not result.diverged
         schedule = sorted({*range(0, iters + 1, 3), iters})
         assert [r.t for r in result.trajectory] == schedule
         assert head_rows == [size * n, size * n, 2 * n]
-        expected = [size * n, size * n, size * n, size * n, 2 * n, 2 * n]
-        assert set_rows == (expected if mode is Mode.FINITE else [])
+        expected = [size * n, size * n, 2 * n]
+        assert sketch_rows == (expected if mode is Mode.FINITE else [])
 
 
     @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
@@ -896,12 +906,11 @@ class TestRoundBlocks:
         # block, so a population run has the same bytes whatever its block
         # size: the rule's R (113 at n = k = 3, 341 at n = 1), the R of 2^14
         # head floats (1820 at n = 3; at n = 1 the whole run, 1920 rounds),
-        # the R = 13 that the finite-sample rule gives at d = 20, and R = 1.
-        # At n = 3 the 1920 rounds end in a trimmed block at every size but
-        # R = 1, and the diverging run stops at t = 1555, inside a block at
-        # every size but R = 1.  This does not hold for a finite-sample run,
-        # whose block draws the heads of all its rounds before any data set,
-        # so that its bytes depend on R (see the next test).
+        # R = 13, and R = 1.  At n = 3 the 1920 rounds end in a trimmed block
+        # at every size but R = 1, and the diverging run stops at t = 1555,
+        # inside a block at every size but R = 1.  A finite-sample run's
+        # heads do not depend on R either, but its data do (see the next
+        # test).
         d, k, iters = 8, 3, 1919
         env = _env(d=d, k=k, seed=31, head_mean=1.0)
         hp = _hp(algo, alpha=0.1, beta=beta, n=n, iters=iters)
@@ -931,18 +940,49 @@ class TestRoundBlocks:
             assert other.diverged_at == result.diverged_at
             np.testing.assert_array_equal(other.final_params.rep, result.final_params.rep)
 
-    def test_finite_run_depends_on_block_size(self, monkeypatch) -> None:
-        # A finite-sample block draws its rounds' heads, then their inner
-        # sets, then their outer sets, so R orders the stream; this is why
-        # its size follows the run's dimensions alone.
+    def test_finite_run_sees_the_population_heads_whatever_its_block_size(
+        self, monkeypatch
+    ) -> None:
+        # With its data on a stream of its own, a finite-sample run steps on
+        # the heads of the population run on the same tasks stream, at any
+        # block size: its records' running statistics are bitwise the
+        # population run's.  Its data do depend on R, since a block draws
+        # the chi-squares of all its rounds before their normals; this is
+        # why R follows the run's dimensions alone.  At n = 3, d = 6 the
+        # rule gives R = 170, so 400 rounds span three blocks.
         env = _env(d=6, k=2, seed=32, noise_std=0.1)
-        hp = _hp(Algorithm.FO_ANIL, Mode.FINITE, n=3, iters=5)
-        init = init_model(env, hp.alpha, InitScheme.SPEC, substream(32, 0, "init"))
-        runs = []
-        for floats in (_BLOCK_FLOATS, 1):
+        seen: dict[str, list[np.ndarray]] = {}
+        make_step = linrep.algorithms.step_for
+
+        def recording_step_for(hp):
+            step = make_step(hp)
+
+            def recorded(params, env, batch, hp):
+                heads.append(batch.heads)
+                return step(params, env, batch, hp)
+
+            return recorded
+
+        monkeypatch.setattr(linrep.algorithms, "step_for", recording_step_for)
+        runs = {}
+        for name, mode, floats in (("population", Mode.POPULATION, _BLOCK_FLOATS),
+                                   ("finite", Mode.FINITE, _BLOCK_FLOATS),
+                                   ("finite R=1", Mode.FINITE, 1)):
             monkeypatch.setattr(linrep.env, "_BLOCK_FLOATS", floats)
-            runs.append(run_trajectory(env, hp, init, substream(32, 0, "tasks"), record_every=1))
-        assert runs[0].trajectory.tobytes() != runs[1].trajectory.tobytes()
+            hp = _hp(Algorithm.EXACT_MAML, mode, n=3, iters=399, m_in=20, m_out=20)
+            init = init_model(env, hp.alpha, InitScheme.SPEC, substream(32, 0, "init"))
+            heads = seen[name] = []
+            runs[name] = run_trajectory(env, hp, init, substream(32, 0, "tasks"),
+                                        record_every=7, data_rng=substream(32, 0, "data"))
+        assert len(seen["population"]) == 400
+        for name in ("finite", "finite R=1"):
+            assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64))
+                       for a, b in zip(seen[name], seen["population"], strict=True))
+            for column in ("t", "mu_sq", "L_sq", "eta", "L_max"):
+                assert runs[name].trajectory[column].tobytes() == \
+                    runs["population"].trajectory[column].tobytes()
+        assert runs["finite"].trajectory.dist.tobytes() != \
+            runs["finite R=1"].trajectory.dist.tobytes()
 
 
 class TestRunTrajectory:

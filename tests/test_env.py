@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import linrep.env
+from linrep.algorithms import step_for
 from linrep.env import (
     DataSet,
     DiversityStats,
@@ -24,6 +25,7 @@ from linrep.env import (
     sample_environment,
     sample_task_batch,
 )
+from linrep.model import Algorithm, HyperParams, Mode, ModelParams
 from linrep.rng import standard_normal, substream
 from oracles import bartlett_statistics, diversity_stats_loop, rayleigh_min_bruteforce
 
@@ -394,9 +396,8 @@ class TestDiversityStats:
     def test_block_round_is_a_plain_batch_of_its_heads(self) -> None:
         env = _env(d=5, k=2)
         heads = standard_normal(substream(9, 0, "heads"), (3, 4, 2))
-        drawn = _block_rounds(env, heads, substream(9, 1, "data"), (10, 10))
-        for batch in [*_block_rounds(env, heads, None, None), *drawn]:
-            plain = TaskBatch(batch.heads, batch.inner_sets, batch.outer_sets)
+        for batch in _block_rounds(env, heads, None, None):
+            plain = TaskBatch(batch.heads)
             assert batch == plain and repr(batch) == repr(plain)
             assert diversity_stats(batch) == diversity_stats(plain)
         # A replaced batch drops the statistics of its old heads.
@@ -405,6 +406,33 @@ class TestDiversityStats:
             replaced = dataclasses.replace(batch, heads=other)
             assert diversity_stats(replaced) == diversity_stats(TaskBatch(heads=other))
             assert diversity_stats(replaced) != diversity_stats(batch)
+
+    def test_sketched_round_is_a_plain_batch_of_its_heads_and_sketches(self) -> None:
+        # A finite-sample round carries one sketch per side, rows of its
+        # block's draws: three inner columns and one outer per task, which do
+        # not depend on the heads.  Rebuilt from its fields it is equal and
+        # steps to the same bits.
+        env = _env(d=5, k=2, noise_std=0.2)
+        heads = standard_normal(substream(9, 0, "heads"), (3, 4, 2))
+        hp = HyperParams(algo=Algorithm.EXACT_MAML, mode=Mode.FINITE, alpha=0.1, beta=0.1,
+                         n=4, iters=1, m_in=2, m_out=10)
+        params = ModelParams(rep=standard_normal(substream(9, 2, "params"), (5, 2)),
+                             head=np.array([0.5, -1.0]))
+        step = step_for(hp)
+        for batch in _block_rounds(env, heads, substream(9, 1, "data"), (hp.m_in, hp.m_out)):
+            for side, columns, m in ((batch.inner_sets, 3, 2), (batch.outer_sets, 1, 10)):
+                assert side.n == 4 and side.m == m
+                assert side.roots.shape == (4, columns)
+                assert side.normals.shape == (4, columns, env.d + 1)
+            assert not batch.inner_sets.roots[:, 2].any()  # past the rank of m_in = 2
+            plain = TaskBatch(batch.heads, batch.inner_sets, batch.outer_sets)
+            assert batch == plain and repr(batch) == repr(plain)
+            assert diversity_stats(batch) == diversity_stats(plain)
+            got, want = (step(params, env, b, hp) for b in (batch, plain))
+            for a, b in ((got.params_next.rep, want.params_next.rep),
+                         (got.params_next.head, want.params_next.head),
+                         (got.adapted_heads, want.adapted_heads)):
+                assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
     def test_invalid_stats_rejected(self) -> None:
         with pytest.raises(ValueError):

@@ -27,12 +27,12 @@ def test_every_public_name_resolves_to_its_module_object():
 
 
 # Private names that one module of the package imports from another, as
-# (importing module, source module, name).  A round's draw, check and data
-# stay behind ``env._rounds``; ``harness`` draws through ``algorithms``.
+# (importing module, source module, name).  A run's rounds, their check and
+# their sketches stay behind ``env._rounds``; ``harness`` draws its
+# gradient-check rounds with the public samplers.
 CROSSINGS = {
     ("algorithms", "env", "_rounds"),
     ("algorithms", "env", "_trusted"),
-    ("harness", "algorithms", "_rounds_for"),
 }
 
 
