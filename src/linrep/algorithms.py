@@ -541,7 +541,8 @@ def run_trajectory(
 ) -> RunResult:
     """Run ``hp.iters`` outer steps from ``init`` and record diagnostics.
 
-    A finite-sample run draws its data from ``data_rng`` (default ``rng``).
+    A finite-sample run draws its heads from ``rng`` and its data from
+    ``data_rng``, which it requires.
 
     Records are taken at iteration 0, at every multiple of
     ``record_every``, and at the final iteration; each record describes the

@@ -254,7 +254,7 @@ def _rounds(env: TaskEnvironment, n: int, total: int, rng: np.random.Generator,
             data_rng: np.random.Generator | None = None) -> Iterator[TaskBatch]:
     """The next ``total`` rounds of ``n`` tasks, heads drawn from ``rng``,
     with ``(m_in, m_out)`` inner and outer sketches drawn from ``data_rng``
-    (by default ``rng``) given ``samples``, heads only given None.
+    (required) given ``samples``, heads only given None.
 
     The rounds are drawn in blocks of ``R`` (see ``_BLOCK_FLOATS``), the last
     one trimmed: a block draws its heads in one call (``_round_heads``) and
@@ -264,13 +264,15 @@ def _rounds(env: TaskEnvironment, n: int, total: int, rng: np.random.Generator,
     stream of its own steps on the population run's heads; its data depend
     on ``R``, which depends only on ``(n, d)``.
     """
+    if samples is not None and data_rng is None:
+        raise ValueError("finite-sample rounds need a data stream of their own")
     if samples is None:
         size = max(1, _HEAD_BLOCK_FLOATS // (n * env.k))
     else:
         size = max(1, _BLOCK_FLOATS // (n * sum(_SKETCH_COLUMNS) * (env.d + 2)))
     for start in range(0, total, size):
         heads = _round_heads(env, min(size, total - start), n, rng)
-        yield from _block_rounds(env, heads, data_rng or rng, samples)
+        yield from _block_rounds(env, heads, data_rng, samples)
 
 
 def _block_rounds(env: TaskEnvironment, heads: np.ndarray, rng: np.random.Generator | None,

@@ -579,7 +579,8 @@ class TestRealStepSizes:
         for alpha, beta in ((Fraction(1, 10), Fraction(1, 20)), (0.1, 0.05)):
             hp = _hp(Algorithm.EXACT_MAML, mode, alpha=alpha, beta=beta, iters=25)
             init = init_model(env, hp.alpha, InitScheme.SPEC, substream(18, 0, "init"))
-            runs.append(run_trajectory(env, hp, init, substream(18, 0, "tasks"), record_every=5))
+            runs.append(run_trajectory(env, hp, init, substream(18, 0, "tasks"), record_every=5,
+                                       data_rng=substream(18, 0, "data")))
             assert type(hp.alpha) is float and type(hp.beta) is float
         got, want = runs
         assert _bits(got.trajectory) == _bits(want.trajectory)
@@ -767,7 +768,8 @@ class TestRoundBlocks:
         for m_in, m_out in ((1, d - 1), (d, d), (4 * d, 1000), (100_000, 4 * d)):
             counts.update(normal=0, chi2=0)
             hp = _hp(Algorithm.FO_ANIL, Mode.FINITE, n=n, m_in=m_in, m_out=m_out)
-            list(_rounds_for(env, hp, count, substream(22, m_in, m_out)))
+            list(_rounds_for(env, hp, count, substream(22, m_in, m_out, "tasks"),
+                             substream(22, m_in, m_out, "data")))
             seen.add((counts["normal"], counts["chi2"]))
         per_round = (n * k + n * 4 * (d + 1), n * 4)  # heads, then 4 sketch columns
         assert seen == {(count * per_round[0], count * per_round[1])}
@@ -790,9 +792,16 @@ class TestRoundBlocks:
         monkeypatch.setattr(TaskBatch, "__post_init__", counting_validate_batch)
         env = _env(d=6, k=2, seed=27, noise_std=0.1)
         hp = _hp(Algorithm.FO_ANIL, Mode.FINITE, n=4, m_in=3, m_out=30)
-        block = list(_rounds_for(env, hp, 5, substream(27, 0, "tasks")))
+        block = list(_rounds_for(env, hp, 5, substream(27, 0, "tasks"), substream(27, 0, "data")))
         assert len(block) == 5 and block[-1].outer_sets.m == 30
         assert calls == [("batch", 20)]
+
+    def test_finite_run_needs_a_data_stream(self) -> None:
+        env = _env(d=6, k=2, seed=27, noise_std=0.1)
+        hp = _hp(Algorithm.FO_ANIL, Mode.FINITE, n=4, m_in=3, m_out=30)
+        init = init_model(env, hp.alpha, InitScheme.SPEC, substream(27, 0, "init"))
+        with pytest.raises(ValueError, match="data stream"):
+            run_trajectory(env, hp, init, substream(27, 0, "tasks"))
 
     @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
     def test_run_draws_exactly_its_rounds_in_trimmed_blocks(self, mode: Mode, monkeypatch) -> None:
@@ -876,7 +885,8 @@ class TestRoundBlocks:
         init = init_model(env, hp.alpha, InitScheme.SPEC, substream(26, 0, "init"))
 
         def run() -> RunResult:
-            return run_trajectory(env, hp, init, substream(26, 0, "tasks"), record_every=3)
+            return run_trajectory(env, hp, init, substream(26, 0, "tasks"), record_every=3,
+                                  data_rng=substream(26, 0, "data"))
 
         result = run()
         assert blocks == [size, size, 2]

@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout::
 
-    python3 tools/parity.py REV [--mode POPULATION|FINITE] [--configs NAME ...]
+    python3 tools/parity.py REV
     python3 tools/parity.py --compare DIR_A DIR_B
 
 The first form extracts ``REV`` (``git archive``, so no worktree is
@@ -19,10 +19,8 @@ that tree's ``src`` on ``PYTHONPATH`` and BLAS pinned to one thread:
 - ``harness.gradcheck``'s errors as float hex for the ten (algorithm,
   mode) pairs, from ``gradcheck_small`` with the pair swapped in.
 
-Each command's standard output is kept as an artifact too.  ``--mode``
-keeps the commands of one mode (``gradcheck_small`` runs FINITE), and
-``--configs`` the named configs.  The second form only compares two
-directories that hold such outputs.
+Each command's standard output is kept as an artifact too.  The second
+form only compares two directories that hold such outputs.
 
 The report (JSON, ``--report``, and a summary on standard output) gives the
 SHA-256 of every file on each side; for a file that differs, the first
@@ -58,7 +56,7 @@ import json, sys
 from linrep.harness import ExperimentConfig, gradcheck
 base = json.load(open(sys.argv[1]))
 for algo in {algos!r}:
-    for mode in {modes!r}:
+    for mode in ("POPULATION", "FINITE"):
         raw = json.loads(json.dumps(base))
         raw["hp"].update(algo=algo, mode=mode)
         if mode == "POPULATION":
@@ -83,16 +81,12 @@ def extract(rev: str) -> Path:
     return tree
 
 
-def _commands(tree: Path, mode: str | None, configs: list[str] | None) -> list[tuple]:
+def _commands(tree: Path) -> list[tuple]:
     """``(name, argv, config)`` of every command: ``config`` is the JSON
     dict to write as ``name.json`` first, or None."""
     commands = []
     for stem in RUN_CONFIGS:
-        if configs and stem not in configs:
-            continue
         raw = json.loads((tree / "configs" / f"{stem}.json").read_text())
-        if mode and raw["hp"]["mode"] != mode:
-            continue
         for algo in ALGOS:
             name = f"{stem}-{algo.lower()}"
             config = json.loads(json.dumps(raw))
@@ -105,18 +99,16 @@ def _commands(tree: Path, mode: str | None, configs: list[str] | None) -> list[t
                                  config))
             commands.append((f"{name}-hypcheck", ["hypcheck", f"{name}.json", "--out",
                                                   f"{name}/hypcheck"], config))
-    if (not configs or SWEEP_CONFIG in configs) and mode in (None, "FINITE"):
-        config = json.loads((tree / "configs" / f"{SWEEP_CONFIG}.json").read_text())
-        for jobs in (1, 2):
-            commands.append((f"{SWEEP_CONFIG}-sweep{jobs}",
-                             ["sweep", f"{SWEEP_CONFIG}.json", "--axis", "M_OUT", "--values",
-                              "50,200,800", "--jobs", str(jobs), "--out",
-                              f"{SWEEP_CONFIG}/sweep{jobs}"], config))
+    config = json.loads((tree / "configs" / f"{SWEEP_CONFIG}.json").read_text())
+    for jobs in (1, 2):
+        commands.append((f"{SWEEP_CONFIG}-sweep{jobs}",
+                         ["sweep", f"{SWEEP_CONFIG}.json", "--axis", "M_OUT", "--values",
+                          "50,200,800", "--jobs", str(jobs), "--out",
+                          f"{SWEEP_CONFIG}/sweep{jobs}"], config))
     return commands
 
 
-def produce(tree: Path, out: Path, mode: str | None = None,
-            configs: list[str] | None = None) -> None:
+def produce(tree: Path, out: Path) -> None:
     """Write the artifacts of ``tree``'s sources under ``out`` (emptied)."""
     shutil.rmtree(out, ignore_errors=True)
     out.mkdir(parents=True)
@@ -129,13 +121,11 @@ def produce(tree: Path, out: Path, mode: str | None = None,
         if done.returncode not in (0, 2):  # 2: a check reported FAIL, itself an artifact
             raise RuntimeError(f"{name} failed in {tree}:\n{done.stderr}")
 
-    for name, argv, config in _commands(tree, mode, configs):
+    for name, argv, config in _commands(tree):
         (out / argv[1]).write_text(json.dumps(config, indent=2, sort_keys=True))
         call(name, ["-m", "linrep.cli", *argv])
-    if not configs or "gradcheck" in configs:
-        modes = ("POPULATION", "FINITE") if mode is None else (mode,)
-        script = GRADCHECK_HEX.format(algos=ALGOS, modes=modes)
-        call("gradcheck-hex", ["-c", script, str(tree / "configs" / "gradcheck_small.json")])
+    call("gradcheck-hex", ["-c", GRADCHECK_HEX.format(algos=ALGOS),
+                           str(tree / "configs" / "gradcheck_small.json")])
 
 
 def _digest(path: Path) -> str:
@@ -229,17 +219,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("rev", nargs="?", help="git revision to compare the checkout with")
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("DIR_A", "DIR_B"),
                         help="compare two output directories instead")
-    parser.add_argument("--mode", choices=("POPULATION", "FINITE"))
-    parser.add_argument("--configs", nargs="+", metavar="NAME",
-                        help=f"subset of {', '.join((*RUN_CONFIGS, SWEEP_CONFIG, 'gradcheck'))}")
     parser.add_argument("--report", type=Path, default=BUILD / "parity" / "report.json")
     args = parser.parse_args(argv)
     if args.compare:
         parent, change = args.compare
     elif args.rev:
         parent, change = BUILD / "parity" / "parent", BUILD / "parity" / "change"
-        produce(extract(args.rev), parent, args.mode, args.configs)
-        produce(ROOT, change, args.mode, args.configs)
+        produce(extract(args.rev), parent)
+        produce(ROOT, change)
     else:
         parser.error("give a revision or --compare")
     report = compare(parent, change)
