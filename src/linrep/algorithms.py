@@ -9,20 +9,22 @@ subspace diagnostics (the adapted-head spectrum included) on a fixed
 schedule, and stops early when the iterates diverge.
 
 A kernel reads a task only through the moments ``(S, b)`` of its inner and
-outer sets, the data's ``(X^T X/m, X^T y/m)``.  Finite-sample steps pass the
-round's stacked data sets, or a run's sketches (``_Sketched``); population
-steps are the same kernels at the exact moments of isotropic Gaussian
-inputs, ``(I, B* w*_i)`` on both sides, so the expected risk needs no code
-of its own.  The average-risk baseline skips inner adaptation entirely and
-descends the mean unadapted risk.
+outer sides, the data's ``(X^T X/m, X^T y/m)``, and reads a side only
+through ``residual`` (``S beta - b``) and ``times`` (``S v``).  Finite-sample
+steps pass the round's stacked data sets, or a run's sketches
+(``env._Sketch``); population steps are the same kernels at the exact
+moments of isotropic Gaussian inputs, ``(I, B* w*_i)`` on both sides
+(``_Exact``), so the expected risk needs no code of its own.  The
+average-risk baseline skips inner adaptation entirely and descends the mean
+unadapted risk.
 
 A run draws its rounds a block at a time, each round carrying its checked
 task statistics and, in finite-sample mode, its sketches (``env._rounds``);
-a step forms its round's targets ``B* w*_i`` itself.  A round of the run is
-then one step call, one ``diversity_stats`` lookup kept in running extremes
-by comparisons, the record check and a two-dot divergence test whose limits
-are computed once per run; a step it does not clear gets ``_is_diverged``'s
-exact verdict.
+a population step forms its round's targets ``B* w*_i`` itself.  A round of
+the run is then one step call, one ``diversity_stats`` lookup kept in
+running extremes by comparisons, the record check and a two-dot divergence
+test whose limits are computed once per run; a step it does not clear gets
+``_is_diverged``'s exact verdict.
 
 Recording is kept out of the step loop.  At a scheduled record the loop
 keeps a snapshot (the iteration, the parameters, the round's adapted heads
@@ -40,7 +42,7 @@ exactly as if it had been checked on the spot, at the price of at most
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -48,8 +50,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .env import (DataSet, DiversityStats, TaskBatch, TaskEnvironment, _rounds, _trusted,
-                  diversity_stats)
+from .env import DiversityStats, TaskBatch, TaskEnvironment, _rounds, _trusted, diversity_stats
 from .metrics import (
     delta_norm,
     orth_complement,
@@ -131,9 +132,10 @@ class RunResult:
 # Outer-loop gradients (vectorized over the task batch)
 # --------------------------------------------------------------------------
 # One kernel per algorithm, ``grads(B, w, inner, outer, alpha, n)``.  A
-# kernel reads each task only through the moments of its inner and outer
-# sets, ``(cov, xty)`` pairs stacked over the round's n tasks (``n x d x d``
-# and ``n x d``; ``cov`` may be None or a sketched side), and returns
+# kernel reads each task only through its inner and outer sides, each stacked
+# over the round's n tasks: ``side.residual(beta)``, rows ``S_i beta_i - b_i``,
+# once and first, then only ``side.times(v)``, rows ``S_i v_i`` (``v`` is
+# ``n x d``, ``beta`` too or one ``d`` vector shared by every task).  It returns
 # (grad_head, grad_rep, adapted_heads, adapted_reps) with adapted_heads of
 # shape (n, k) and adapted_reps of shape (n, d, k) or None when the
 # algorithm adapts heads only.
@@ -144,7 +146,7 @@ class RunResult:
 # the same bits, without the matmul gufunc's dispatch (3x20 by 20x3: 0.53
 # against 1.10 us, numpy 2.4 with one OpenBLAS thread on a 2-vCPU Xeon).
 # Stacked products keep ``@``, whose N-D semantics ``dot`` does not share
-# (``_matvec``, ``_records``, ``_psi_spectra``).  Likewise a sum over the
+# (``DataSet.times``, ``_records``, ``_psi_spectra``).  Likewise a sum over the
 # task axis is ``np.add.reduce(x, 0)``: the ufunc reduction
 # ``x.sum(axis=0)`` makes, with the same bits, without the Python wrapper
 # around it.  The independent oracles
@@ -164,116 +166,55 @@ class RunResult:
 # float64 one, so the operands are made in the parameters' dtype.  A kernel
 # takes Python scalars too, with the same bits.
 
-_Moments = tuple[np.ndarray | None, np.ndarray]
+class _Exact:
+    """A population round's side, the exact moments ``(I, B* w*_i)`` of
+    isotropic Gaussian inputs."""
+
+    __slots__ = ("targets",)
+
+    def __init__(self, targets: np.ndarray) -> None:
+        self.targets = targets
+
+    def residual(self, beta: np.ndarray) -> np.ndarray:
+        return beta - self.targets
+
+    def times(self, vecs: np.ndarray) -> np.ndarray:
+        return vecs
 
 
-class _Sketched:
-    """A side of a finite-sample run's round, its ``_Sketch`` revealed along
-    the directions a step reads.  With ``W = X~^T X~``, ``S beta - b`` is
-    ``(1/m) [W u]_{:d}`` for ``u = (beta - B* w*_i; -sigma)``, ``S v`` for
-    ``u = (v; 0)``.  Call ``t`` projects ``u`` off the basis ``q_0..q_{t-1}``
-    (twice, for nearly dependent directions) into ``q_t`` (a ``u`` in the
-    basis, 0 included, takes the axis farthest from it), forms the column
-    ``l_t = sqrt(chi2) q_t + P(q_0..q_t)^perp g_t`` and returns ``(1/m)
-    sum_{r <= t} l_r (l_r . u)``: the Bartlett factor of ``W`` in a basis
-    that starts with the directions asked for, exact in law even for
-    directions that depend on earlier results, since given its first
-    columns the rest of ``W`` is again Wishart and rotation invariant."""
+def _sides(env: TaskEnvironment, batch: TaskBatch, mode: Mode) -> tuple:
+    """The round's inner and outer sides.
 
-    __slots__ = ("roots", "normals", "m", "sigma", "basis", "cols", "calls")
-
-    def __init__(self, sketch, sigma: float) -> None:
-        self.roots, self.normals, self.m, self.sigma = sketch.roots, sketch.normals, sketch.m, sigma
-        self.basis, self.cols = np.zeros(sketch.normals.shape), np.zeros(sketch.normals.shape)
-        self.calls = 0
-
-    def __call__(self, vecs: np.ndarray, last: float = 0.0) -> np.ndarray:
-        t, basis = self.calls, self.basis[:, :self.calls]
-        u = np.empty((len(self.roots), self.basis.shape[-1]))
-        u[:, :-1], u[:, -1] = vecs, last
-        rest = u
-        if t:
-            rest = u - _project(basis, u)
-            rest -= _project(basis, rest)
-        length = norms = np.sqrt(np.einsum("nd,nd->n", rest, rest))
-        if not norms.all():
-            zero, known = norms == 0.0, basis[norms == 0.0]
-            fill = np.eye(u.shape[1])[np.einsum("nrd,nrd->nd", known, known).argmin(axis=1)]
-            fill -= _project(known, fill)  # leaves a norm of at least sqrt(1/3)
-            rest, norms = rest.copy(), norms.copy()  # ``rest`` may be ``u``
-            rest[zero], norms[zero] = fill, np.sqrt(np.einsum("nd,nd->n", fill, fill))
-        q = rest / norms[:, None]
-        g, root = self.normals[:, t], self.roots[:, t]
-        self.basis[:, t], self.calls = q, t + 1
-        if not t:  # l_0 = g + q (root - q . g), and l_0 . u = root |u|
-            self.cols[:, 0] = col = g + q * (root - np.einsum("nd,nd->n", q, g))[:, None]
-            return col[:, :-1] * (root * length / self.m)[:, None]
-        self.cols[:, t] = root[:, None] * q + (g - _project(self.basis[:, :t + 1], g))
-        return _project(self.cols[:, :t + 1], u)[:, :-1] / self.m
-
-
-def _project(rows: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Rows ``sum_r a_r (a_r . v_i)`` for ``n`` stacked ``t x D`` row arrays."""
-    return (rows.swapaxes(1, 2) @ (rows @ vecs[:, :, None]))[..., 0]
-
-
-def _sets(env: TaskEnvironment, batch: TaskBatch, mode: Mode) -> tuple[_Moments, _Moments]:
-    """The round's inner and outer moments.
-
-    A population round's inputs are isotropic Gaussian, so both sides hold
-    the exact moments ``(I, B* w*_i)``, the identity passed as None, the
-    targets formed from the round's heads by one product.  A finite-sample
-    round reads its stacked data sets, or its sketches next to the targets.
+    A population round's inputs are isotropic Gaussian, so both sides are
+    the exact moments, the targets formed from the round's heads by one
+    product.  A finite-sample round reads its stacked data sets, or its
+    sketches.
     """
     if mode is Mode.POPULATION:
-        exact = (None, batch.heads.dot(env.ground_truth_rep.T))
+        exact = _Exact(batch.heads.dot(env.ground_truth_rep.T))
         return exact, exact
     if batch.inner_sets is None or batch.outer_sets is None:
         raise ValueError("finite-sample steps require per-task data sets in the batch")
-    inner, outer = batch.inner_sets, batch.outer_sets
-    if isinstance(inner, DataSet):
-        return (inner.cov, inner.xty), (outer.cov, outer.xty)
-    targets = batch.heads.dot(env.ground_truth_rep.T)
-    return (_Sketched(inner, env.noise_std), targets), (_Sketched(outer, env.noise_std), targets)
-
-
-def _matvec(mats: np.ndarray | _Sketched | None, vecs: np.ndarray) -> np.ndarray:
-    """Rows ``M_i v_i`` for ``vecs`` (``n x d``, or one ``d`` vector shared
-    by every task) and ``mats``, a stack of ``n`` ``d x d`` matrices, a
-    sketched side or None for the identity."""
-    if mats is None:
-        return vecs
-    if mats.__class__ is _Sketched:
-        return mats(vecs)
-    return (mats @ vecs[..., None])[..., 0]
-
-
-def _residual(moments: _Moments, beta: np.ndarray) -> np.ndarray:
-    """Rows ``S_i beta_i - b_i``, the gradient of task i's loss in the
-    predictor."""
-    cov, xty = moments
-    if cov.__class__ is _Sketched:
-        return cov(beta - xty, -cov.sigma)
-    return _matvec(cov, beta) - xty
+    return batch.inner_sets, batch.outer_sets
 
 
 def _grads_fo_anil(B, w, inner, outer, alpha, n):
-    inner_res = _residual(inner, B.dot(w))
+    inner_res = inner.residual(B.dot(w))
     adapted = w - alpha * inner_res.dot(B)
-    outer_res = _residual(outer, adapted.dot(B.T))
+    outer_res = outer.residual(adapted.dot(B.T))
     grad_head = np.add.reduce(outer_res.dot(B), 0) / n
     grad_rep = outer_res.T.dot(adapted) / n
     return grad_head, grad_rep, adapted, None
 
 
 def _grads_exact_anil(B, w, inner, outer, alpha, n):
-    inner_res = _residual(inner, B.dot(w))  # row i: grad of head pre-projection
+    inner_res = inner.residual(B.dot(w))  # row i: grad of head pre-projection
     adapted = w - alpha * inner_res.dot(B)
 
-    U = _residual(outer, adapted.dot(B.T))
+    U = outer.residual(adapted.dot(B.T))
     UB = U.dot(B)
     # Inner-sample second moment applied to B (B^T u), per task.
-    cov_lift = _matvec(inner[0], UB.dot(B.T))
+    cov_lift = inner.times(UB.dot(B.T))
     grad_head = np.add.reduce(UB - alpha * cov_lift.dot(B), 0) / n
     grad_rep = (
         U.T.dot(adapted) / n
@@ -286,7 +227,7 @@ def _grads_exact_anil(B, w, inner, outer, alpha, n):
 def _full_adaptation(B, w, inner, alpha):
     """Adapted heads and representations of the full-adaptation variants,
     with the inner residual directions ``p_i`` (rows) that move ``B``."""
-    inner_res = _residual(inner, B.dot(w))
+    inner_res = inner.residual(B.dot(w))
     adapted = w - alpha * inner_res.dot(B)
     adapted_reps = B - alpha * inner_res[:, :, None] * w
     return inner_res, adapted, adapted_reps
@@ -294,7 +235,7 @@ def _full_adaptation(B, w, inner, alpha):
 
 def _grads_fo_maml(B, w, inner, outer, alpha, n):
     inner_res, adapted, adapted_reps = _full_adaptation(B, w, inner, alpha)
-    outer_res = _residual(outer, np.einsum("ndk,nk->nd", adapted_reps, adapted))
+    outer_res = outer.residual(np.einsum("ndk,nk->nd", adapted_reps, adapted))
     lift_dots = np.einsum("nd,nd->n", inner_res, outer_res)
     grad_head = np.add.reduce(outer_res.dot(B) - alpha * lift_dots[:, None] * w, 0) / n
     grad_rep = outer_res.T.dot(adapted) / n
@@ -304,13 +245,13 @@ def _grads_fo_maml(B, w, inner, outer, alpha, n):
 def _grads_exact_maml(B, w, inner, outer, alpha, n):
     inner_res, adapted, adapted_reps = _full_adaptation(B, w, inner, alpha)
     # Adapted-point gradient of task i's outer loss: (u_i, q_i w_i^T).
-    q = _residual(outer, np.einsum("ndk,nk->nd", adapted_reps, adapted))
+    q = outer.residual(np.einsum("ndk,nk->nd", adapted_reps, adapted))
     u = np.einsum("ndk,nd->nk", adapted_reps, q)
     # Hessian-vector product of the inner loss at the unadapted parameters,
     # applied to (u_i, q_i w_i^T); ``inner_res`` is its gradient direction.
     overlaps = adapted.dot(w)[:, None]
-    cov_Bu = _matvec(inner[0], u.dot(B.T))
-    cov_q = _matvec(inner[0], q)
+    cov_Bu = inner.times(u.dot(B.T))
+    cov_q = inner.times(q)
     hess_head = (
         cov_Bu.dot(B)
         + np.einsum("nd,nd->n", q, inner_res)[:, None] * adapted
@@ -327,7 +268,7 @@ def _grads_exact_maml(B, w, inner, outer, alpha, n):
 
 def _grads_avg(B, w, inner, outer, alpha, n):
     del inner, alpha  # no inner adaptation
-    res = _residual(outer, B.dot(w))
+    res = outer.residual(B.dot(w))
     grad_head = np.add.reduce(res.dot(B), 0) / n
     grad_rep = (np.add.reduce(res, 0) / n)[:, None] * w
     return grad_head, grad_rep, w[None].repeat(len(res), axis=0), None
@@ -357,9 +298,9 @@ def meta_gradients(
 
     The outer step moves the parameters by ``-beta`` times this pair.
     """
-    inner, outer = _sets(env, batch, hp.mode)
-    n = len(outer[1])
-    grad_head, grad_rep, _, _ = _GRADS[hp.algo](params.rep, params.head, inner, outer, hp.alpha, n)
+    inner, outer = _sides(env, batch, hp.mode)
+    grad_head, grad_rep, _, _ = _GRADS[hp.algo](params.rep, params.head, inner, outer, hp.alpha,
+                                                batch.n)
     return grad_head, grad_rep
 
 
@@ -380,9 +321,9 @@ def step_for(hp: HyperParams) -> Callable[..., StepOutcome]:
         params: ModelParams, env: TaskEnvironment, batch: TaskBatch, hp: HyperParams
     ) -> StepOutcome:
         nonlocal cached_hp, cached_n, cached_dtype, operands
-        inner, outer = _sets(env, batch, mode)
+        inner, outer = _sides(env, batch, mode)
         rep, head = params.rep, params.head
-        n, dtype = len(outer[1]), rep.dtype
+        n, dtype = batch.n, rep.dtype
         if hp is not cached_hp or n != cached_n or dtype is not cached_dtype:
             cached_hp, cached_n, cached_dtype = hp, n, dtype
             operands = _operands(hp.alpha, hp.beta, n, dtype)
@@ -400,14 +341,6 @@ def step_for(hp: HyperParams) -> Callable[..., StepOutcome]:
 # --------------------------------------------------------------------------
 # Trajectory driver
 # --------------------------------------------------------------------------
-
-def _rounds_for(env: TaskEnvironment, hp: HyperParams, total: int, rng,
-                data_rng=None) -> Iterator[TaskBatch]:
-    """The next ``total`` rounds of ``hp``'s runs, drawn a block at a time
-    (``env._rounds``), with sketches in finite-sample mode."""
-    samples = None if hp.mode is Mode.POPULATION else (hp.m_in, hp.m_out)
-    return _rounds(env, hp.n, total, rng, samples, data_rng)
-
 
 def _is_diverged(params: ModelParams, rep_limit: float) -> bool:
     """Whether ``params`` has a non-finite entry, a head norm above
@@ -564,6 +497,7 @@ def run_trajectory(
     # than the rounding of either, two dot products clear a step (a NaN
     # square fails the comparison).  The limits of that test, computed once.
     head_sq_max, rep_sq_max = _DIVERGENCE_NORM**2, (1.0 - _SHORTCUT_MARGIN) * rep_limit**2
+    samples = None if hp.mode is Mode.POPULATION else (hp.m_in, hp.m_out)
     # Snapshots not yet recorded (the first ``filled``) and the recorded chunks.
     pending = _Snapshots(
         np.zeros(_RECORD_CHUNK, dtype=np.int64),
@@ -600,7 +534,7 @@ def run_trajectory(
     # A diverging run overflows in its steps, its divergence checks and its
     # records; it is declared divergent (or records NaN) rather than warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, batch in enumerate(_rounds_for(env, hp, hp.iters + 1, rng, data_rng)):
+        for t, batch in enumerate(_rounds(env, hp.n, hp.iters + 1, rng, samples, data_rng)):
             stats = diversity_stats(batch)
             mu_sq = stats.mu_sq if stats.mu_sq < mu_sq else mu_sq
             L_sq = stats.L_sq if stats.L_sq > L_sq else L_sq

@@ -13,7 +13,8 @@ decomposition of the Wishart matrix ``X^T X`` (Smith and Hocking 1972,
 algorithm AS 53), in its singular form when ``m < d`` (Srivastava 2003,
 Ann. Statist. 31(5)); raw inputs are never formed.  A finite-sample run
 draws only ``O(d)`` variates per task: the first Bartlett columns of
-``X~^T X~`` for ``X~ = [X, z]`` (``_Sketch``), revealed by the step.
+``X~^T X~`` for ``X~ = [X, z]`` (``_Sketch``), which a step reveals along
+the directions it reads.
 """
 from __future__ import annotations
 
@@ -165,6 +166,10 @@ class DataSet:
         ``beta`` (``d``) or one per task (``n x d``) and returns ``n x d``."""
         return (self.cov @ beta[..., None])[..., 0] - self.xty
 
+    def times(self, vecs: np.ndarray) -> np.ndarray:
+        """``S v``, shaped as ``residual``'s result."""
+        return (self.cov @ vecs[..., None])[..., 0]
+
     @property
     def n(self) -> int | None:
         """Number of stacked tasks, or None for a single task's set."""
@@ -180,20 +185,74 @@ class DataSet:
         return _trusted(DataSet, cov=cov, xty=self.xty[i], yty=self.yty[i, ...], m=self.m)
 
 
-@dataclass(frozen=True)
 class _Sketch:
     """A side of a finite-sample run's round: per task, the randomness of the
-    first ``J`` Bartlett columns of ``X~^T X~ ~ Wishart_{d+1}(m, I)``, roots
-    ``sqrt(chi2(max(m - r, 0)))`` (``n x J``) and normals (``n x J x (d + 1)``,
-    zero for ``r >= m``), revealed by a step (``algorithms._Sketched``)."""
+    first ``J`` Bartlett columns of ``W = X~^T X~ ~ Wishart_{d+1}(m, I)``,
+    roots ``sqrt(chi2(max(m - r, 0)))`` (``n x J``) and normals (``n x J x
+    (d + 1)``, zero for ``r >= m``), with the targets ``B* w*_i`` and the
+    noise level ``sigma``, revealed along the directions a step reads.
 
-    roots: np.ndarray
-    normals: np.ndarray
-    m: int
+    ``S beta - b`` is ``(1/m) [W u]_{:d}`` for ``u = (beta - B* w*_i;
+    -sigma)``, ``S v`` for ``u = (v; 0)``; ``residual`` starts a reveal and
+    ``times`` continues it.  Reveal ``t`` projects ``u`` off the basis
+    ``q_0..q_{t-1}`` (twice, for nearly dependent directions) into ``q_t``
+    (a ``u`` in the basis, 0 included, takes the axis farthest from it),
+    forms the column ``l_t = sqrt(chi2) q_t + P(q_0..q_t)^perp g_t`` and
+    returns ``(1/m) sum_{r <= t} l_r (l_r . u)``: the Bartlett factor of
+    ``W`` in a basis that starts with the directions asked for, exact in law
+    even for directions that depend on earlier results, since given its
+    first columns the rest of ``W`` is again Wishart and rotation
+    invariant."""
+
+    __slots__ = ("roots", "normals", "m", "sigma", "targets", "basis", "cols", "calls")
+
+    def __init__(self, roots: np.ndarray, normals: np.ndarray, m: int, sigma: float,
+                 targets: np.ndarray) -> None:
+        self.roots, self.normals, self.m = roots, normals, m
+        self.sigma, self.targets = sigma, targets
 
     @property
     def n(self) -> int:
         return len(self.roots)
+
+    def residual(self, beta: np.ndarray) -> np.ndarray:
+        """Rows ``S_i beta_i - b_i``, the first reveal of a step."""
+        self.basis, self.cols = np.zeros(self.normals.shape), np.zeros(self.normals.shape)
+        self.calls = 0
+        return self._reveal(beta - self.targets, -self.sigma)
+
+    def times(self, vecs: np.ndarray) -> np.ndarray:
+        """Rows ``S_i v_i``, a later reveal of the step."""
+        return self._reveal(vecs, 0.0)
+
+    def _reveal(self, vecs: np.ndarray, last: float) -> np.ndarray:
+        t, basis = self.calls, self.basis[:, :self.calls]
+        u = np.empty((len(self.roots), self.basis.shape[-1]))
+        u[:, :-1], u[:, -1] = vecs, last
+        rest = u
+        if t:
+            rest = u - _project(basis, u)
+            rest -= _project(basis, rest)
+        length = norms = np.sqrt(np.einsum("nd,nd->n", rest, rest))
+        if not norms.all():
+            zero, known = norms == 0.0, basis[norms == 0.0]
+            fill = np.eye(u.shape[1])[np.einsum("nrd,nrd->nd", known, known).argmin(axis=1)]
+            fill -= _project(known, fill)  # leaves a norm of at least sqrt(1/3)
+            rest, norms = rest.copy(), norms.copy()  # ``rest`` may be ``u``
+            rest[zero], norms[zero] = fill, np.sqrt(np.einsum("nd,nd->n", fill, fill))
+        q = rest / norms[:, None]
+        g, root = self.normals[:, t], self.roots[:, t]
+        self.basis[:, t], self.calls = q, t + 1
+        if not t:  # l_0 = g + q (root - q . g), and l_0 . u = root |u|
+            self.cols[:, 0] = col = g + q * (root - np.einsum("nd,nd->n", q, g))[:, None]
+            return col[:, :-1] * (root * length / self.m)[:, None]
+        self.cols[:, t] = root[:, None] * q + (g - _project(self.basis[:, :t + 1], g))
+        return _project(self.cols[:, :t + 1], u)[:, :-1] / self.m
+
+
+def _project(rows: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Rows ``sum_r a_r (a_r . v_i)`` for ``n`` stacked ``t x D`` row arrays."""
+    return (rows.swapaxes(1, 2) @ (rows @ vecs[:, :, None]))[..., 0]
 
 
 @dataclass(frozen=True)
@@ -284,7 +343,8 @@ def _block_rounds(env: TaskEnvironment, heads: np.ndarray, rng: np.random.Genera
     rounds are computed and checked in one stacked pass before anything else
     is drawn; a finite-sample block then draws from ``rng`` the roots of its
     ``R n`` tasks' sketch columns (three inner, then one outer) in one call,
-    then their normals in one, round ``r`` taking rows ``r n : (r + 1) n``.
+    then their normals in one, round ``r`` taking rows ``r n : (r + 1) n``
+    and its targets ``B* w*_i``, formed from its own heads.
     """
     count, n, k = heads.shape
     tasks = TaskBatch(heads.reshape(count * n, k)).heads
@@ -301,8 +361,9 @@ def _block_rounds(env: TaskEnvironment, heads: np.ndarray, rng: np.random.Genera
                                                         (count * n, len(rank)))))
         normals = standard_normal(rng, (count * n, len(rank), env.d + 1))
         normals[:, rank >= sizes] = 0.0  # the factor has rank m
-        sides = [[_trusted(_Sketch, roots=roots[r * n:(r + 1) * n, cols],
-                           normals=normals[r * n:(r + 1) * n, cols], m=m) for r in range(count)]
+        targets = [heads_r.dot(env.ground_truth_rep.T) for heads_r in heads]
+        sides = [[_Sketch(roots[r * n:(r + 1) * n, cols], normals[r * n:(r + 1) * n, cols], m,
+                          env.noise_std, targets[r]) for r in range(count)]
                  for cols, m in ((slice(0, j), samples[0]), (slice(j, None), samples[1]))]
     return [
         _trusted(TaskBatch, heads=heads_r, inner_sets=inner_r, outer_sets=outer_r,

@@ -376,7 +376,9 @@ def _mean_series(results: tuple[RunResult, ...]) -> tuple[list[int], list[float]
     return ts, np.mean(stacked, axis=0).tolist(), np.std(stacked, axis=0).tolist()
 
 
-def _summarize(config: ExperimentConfig, hp: HyperParams, results: tuple[RunResult, ...]) -> dict:
+def _summarize(config: ExperimentConfig, hp: HyperParams, results: tuple[RunResult, ...],
+               series: tuple[list[int], list[float], list[float]]) -> dict:
+    """The summary of ``results``, whose ``_mean_series`` is ``series``."""
     alive = _survivors(results)
     finals = [result.trajectory.dist[-1] for result in alive]
     summary: dict = {
@@ -387,7 +389,7 @@ def _summarize(config: ExperimentConfig, hp: HyperParams, results: tuple[RunResu
         "r_squared": None,
         "hyp_first_violation": None,
     }
-    ts, means, _ = _mean_series(results)
+    ts, means, _ = series
     if means:
         clamped = np.maximum(np.asarray(means), _DIST_FLOOR)
         try:
@@ -462,8 +464,9 @@ def run_experiment(
         for t, *diagnostics in result.trajectory[columns].tolist()
     )
     _write_csv(trajectory_csv, TRAJECTORY_HEADER, rows, _TRAJECTORY_ROW)
-    _write_csv(mean_csv, MEAN_HEADER, zip(*_mean_series(results)), _MEAN_ROW)
-    summary = _summarize(config, hp, results)
+    series = _mean_series(results)
+    _write_csv(mean_csv, MEAN_HEADER, zip(*series), _MEAN_ROW)
+    summary = _summarize(config, hp, results, series)
     summary_json.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
     report = gradcheck(config) if config.checks.gradcheck else None

@@ -25,10 +25,11 @@ from linrep.algorithms import (
     _RECORD_CHUNK,
     RunResult,
     StepOutcome,
+    _Exact,
     _records,
-    _rounds_for,
     _is_diverged,
     _operands,
+    _sides,
     _Snapshots,
     meta_gradients,
     run_trajectory,
@@ -37,6 +38,7 @@ from linrep.algorithms import (
 from linrep.env import (
     _BLOCK_FLOATS,
     _HEAD_BLOCK_FLOATS,
+    _rounds,
     _trusted,
     DataSet,
     DiversityStats,
@@ -420,9 +422,9 @@ class TestStepStructure:
 
 
 def _float32_round(mode: Mode, n: int = 3, d: int = 6, k: int = 2):
-    """Float32 parameters and a float32 round: stacked moments, or a
-    population round of float32 heads in a float32 copy of the environment,
-    whose targets a step forms in float32."""
+    """Float32 parameters, a float32 round and its two sides: stacked data
+    sets, or the exact sides of a population round of float32 heads in a
+    float32 copy of the environment, whose targets a step forms in float32."""
     env = _env(d=d, k=k, seed=31)
     rng = substream(31, n, "float32")
     params = _trusted(ModelParams, rep=standard_normal(rng, (d, k)).astype(np.float32),
@@ -435,7 +437,9 @@ def _float32_round(mode: Mode, n: int = 3, d: int = 6, k: int = 2):
         heads = heads.astype(np.float32)
         targets = heads.dot(env.ground_truth_rep.T)
         batch = _trusted(TaskBatch, heads=heads, inner_sets=None, outer_sets=None, _stats=None)
-        return env, params, batch, (None, targets), (None, targets)
+        inner, outer = _sides(env, batch, mode)
+        assert np.array_equal(inner.targets, targets) and outer is inner
+        return env, params, batch, inner, outer
     sides = []
     for _ in range(2):
         X = standard_normal(rng, (n, 20, d))
@@ -443,7 +447,7 @@ def _float32_round(mode: Mode, n: int = 3, d: int = 6, k: int = 2):
                               xty=targets, yty=np.ones(n, np.float32), m=20))
     batch = _trusted(TaskBatch, heads=heads, inner_sets=sides[0], outer_sets=sides[1],
                      _stats=None)
-    return env, params, batch, *((s.cov, s.xty) for s in sides)
+    return env, params, batch, *sides
 
 
 class TestStepOperands:
@@ -475,8 +479,11 @@ class TestStepOperands:
         assert outcome.adapted_heads.dtype == np.float32
         # The float32 step approximates the float64 one.
         params64 = ModelParams(rep=params.rep, head=params.head)
-        inner64, outer64 = ((None if cov is None else cov.astype(float), xty.astype(float))
-                            for cov, xty in (inner, outer))
+        inner64, outer64 = (
+            _Exact(side.targets.astype(float)) if mode is Mode.POPULATION
+            else _trusted(DataSet, cov=side.cov.astype(float), xty=side.xty.astype(float),
+                          yty=side.yty, m=side.m)
+            for side in (inner, outer))
         want64 = kernel(params64.rep, params64.head, inner64, outer64, hp.alpha, 3)
         np.testing.assert_allclose(grad_rep, want64[1], rtol=1e-4, atol=1e-4)
 
@@ -683,9 +690,8 @@ class TestRoundBlocks:
     @pytest.mark.parametrize("k, n, count", [(2, 3, 5), (3, 3, 15), (3, 3, 113), (3, 3, 1820)])
     def test_population_block_is_successive_head_draws(self, k: int, n: int, count: int) -> None:
         env = _env(d=6, k=k, seed=24)
-        hp = _hp(Algorithm.FO_ANIL, n=n)
         rng, reference = substream(24, 0, "tasks"), substream(24, 0, "tasks")
-        block = list(_rounds_for(env, hp, count, rng))
+        block = list(_rounds(env, n, count, rng, None))
         assert len(block) == count
         for batch in block:
             want = sample_task_batch(env, n, reference).heads
@@ -699,7 +705,7 @@ class TestRoundBlocks:
         # batch give the same bits for either B*, and the B* is read.
         env, other = _env(d=8, k=3, seed=29), _env(d=8, k=3, seed=30)
         hp = _hp(Algorithm.EXACT_MAML, n=4)
-        batch = list(_rounds_for(env, hp, 3, substream(29, 0, "tasks")))[1]
+        batch = list(_rounds(env, hp.n, 3, substream(29, 0, "tasks"), None))[1]
         fresh = TaskBatch(batch.heads.copy())
         replaced = dataclasses.replace(batch)
         params = _random_params(substream(29, 0, "params"), 8, 3)
@@ -718,12 +724,11 @@ class TestRoundBlocks:
         # the data stream one chi-square grid of the block's R n tasks by
         # four columns (dof m_in, m_in - 1, m_in - 2, m_out, at least 0),
         # then their normals, zero past the rank; round r reads rows
-        # r n : (r + 1) n.
+        # r n : (r + 1) n, with its own targets and the noise level.
         env = _env(d=6, k=2, seed=25, noise_std=0.1)
         n, m_out = 4, 30
-        hp = _hp(Algorithm.FO_ANIL, Mode.FINITE, n=n, m_in=m_in, m_out=m_out)
         tasks, data = substream(25, m_in, "tasks"), substream(25, m_in, "data")
-        block = list(_rounds_for(env, hp, count, tasks, data))
+        block = list(_rounds(env, n, count, tasks, (m_in, m_out), data))
         ref_tasks, ref_data = substream(25, m_in, "tasks"), substream(25, m_in, "data")
         heads = [sample_task_batch(env, n, ref_tasks).heads for _ in range(count)]
         dof = np.empty((count * n, 4))
@@ -740,6 +745,9 @@ class TestRoundBlocks:
                 assert side.n == n and side.m == m
                 assert np.array_equal(side.roots, roots[rows, cols])
                 assert np.array_equal(side.normals, normals[rows, cols])
+                targets = heads[r].dot(env.ground_truth_rep.T)
+                assert np.array_equal(side.targets.view(np.uint64), targets.view(np.uint64))
+                assert side.sigma == env.noise_std
         assert (block[0].inner_sets.normals[:, m_in:] == 0.0).all()
         assert np.array_equal(tasks.random(4), ref_tasks.random(4))
         assert np.array_equal(data.random(4), ref_data.random(4))
@@ -767,9 +775,8 @@ class TestRoundBlocks:
         seen = set()
         for m_in, m_out in ((1, d - 1), (d, d), (4 * d, 1000), (100_000, 4 * d)):
             counts.update(normal=0, chi2=0)
-            hp = _hp(Algorithm.FO_ANIL, Mode.FINITE, n=n, m_in=m_in, m_out=m_out)
-            list(_rounds_for(env, hp, count, substream(22, m_in, m_out, "tasks"),
-                             substream(22, m_in, m_out, "data")))
+            list(_rounds(env, n, count, substream(22, m_in, m_out, "tasks"), (m_in, m_out),
+                         substream(22, m_in, m_out, "data")))
             seen.add((counts["normal"], counts["chi2"]))
         per_round = (n * k + n * 4 * (d + 1), n * 4)  # heads, then 4 sketch columns
         assert seen == {(count * per_round[0], count * per_round[1])}
@@ -792,7 +799,8 @@ class TestRoundBlocks:
         monkeypatch.setattr(TaskBatch, "__post_init__", counting_validate_batch)
         env = _env(d=6, k=2, seed=27, noise_std=0.1)
         hp = _hp(Algorithm.FO_ANIL, Mode.FINITE, n=4, m_in=3, m_out=30)
-        block = list(_rounds_for(env, hp, 5, substream(27, 0, "tasks"), substream(27, 0, "data")))
+        block = list(_rounds(env, hp.n, 5, substream(27, 0, "tasks"), (hp.m_in, hp.m_out),
+                             substream(27, 0, "data")))
         assert len(block) == 5 and block[-1].outer_sets.m == 30
         assert calls == [("batch", 20)]
 
@@ -1346,7 +1354,9 @@ class TestPopulationSymmetries:
     the run is equivariant under an orthogonal ``G`` acting on ``(B*, B_0)``,
     which leaves the principal-angle distance as it is; the analysis of
     Collins et al. 2022 (arXiv 2202.03483) tracks such rotation-free
-    quantities.  The bounds are fixed multiples of ``eps``."""
+    quantities.  The bounds are fixed multiples of ``eps``.  A diverging run
+    (the EXACT_MAML run of ``TestWholeRunOracle`` that stops at t = 1555)
+    stops at the same iteration when rotated."""
 
     BOUND = 64 * np.finfo(float).eps
 
@@ -1392,6 +1402,19 @@ class TestPopulationSymmetries:
         assert not result.diverged and not rotated.diverged
         assert np.array_equal(result.trajectory.t, rotated.trajectory.t)
         assert np.abs(result.trajectory.dist - rotated.trajectory.dist).max() <= self.BOUND
+
+    def test_rotated_diverging_run_stops_at_the_same_iteration(self) -> None:
+        env = _env(d=8, k=3, seed=31, head_mean=1.0)
+        hp = _hp(Algorithm.EXACT_MAML, alpha=0.1, beta=1.5, n=3, iters=1919)
+        init = init_model(env, hp.alpha, InitScheme.SPEC, substream(31, 0, "init"))
+        rotation, _ = np.linalg.qr(standard_normal(substream(31, 0, "rotation"), (8, 8)))
+        rotated_env = TaskEnvironment(env.d, env.k, rotation @ env.ground_truth_rep,
+                                      env.head_mean, env.head_scale, env.noise_std)
+        runs = [run_trajectory(e, hp, params, substream(31, 0, "tasks"), record_every=7)
+                for e, params in ((env, init),
+                                  (rotated_env, ModelParams(rotation @ init.rep, init.head)))]
+        assert runs[0].diverged_at == runs[1].diverged_at == 1555
+        assert np.array_equal(runs[0].trajectory.t, runs[1].trajectory.t)
 
 
 def _snapshot_stack(seed: int, count: int, d: int = 8, k: int = 3, n: int = 4):

@@ -78,6 +78,29 @@ def test_identical_trees_report_nothing_and_exit_zero(tmp_path: Path, capsys) ->
     assert report_path.is_file()
 
 
+def test_one_ulp_in_one_cell_exits_one(tmp_path: Path, capsys) -> None:
+    files = {"x/trajectory.csv": CSV, "y.stdout": "exit 0\n"}
+    moved = CSV.replace("0,10,0.5,", f"0,10,{_one_ulp_up('0.5')},")
+    a = _write(tmp_path / "a", files)
+    b = _write(tmp_path / "b", {**files, "x/trajectory.csv": moved})
+    report_path = tmp_path / "report.json"
+    assert parity.main(["--compare", str(a), str(b), "--report", str(report_path)]) == 1
+    out = capsys.readouterr().out
+    assert "1 of 2 files identical" in out
+    assert "differs: x/trajectory.csv from line 3" in out
+    assert report_path.is_file()
+
+
+def test_a_file_on_one_side_only_exits_one(tmp_path: Path, capsys) -> None:
+    files = {"x/trajectory.csv": CSV, "y.stdout": "exit 0\n"}
+    a = _write(tmp_path / "a", files)
+    b = _write(tmp_path / "b", {**files, "z.stdout": "exit 0\n"})
+    assert parity.main(["--compare", str(a), str(b), "--report",
+                        str(tmp_path / "report.json")]) == 1
+    out = capsys.readouterr().out
+    assert "2 of 3 files identical" in out and "only in change: z.stdout" in out
+
+
 def test_text_file_reports_its_first_differing_line_and_a_non_number_cell(tmp_path) -> None:
     a = _write(tmp_path / "a", {"out.stdout": "wrote x\nfinal 1\nexit 0\n",
                                 "h.csv": "t,flag\n0,yes\n1,no\n"})

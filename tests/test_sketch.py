@@ -1,5 +1,6 @@
 """Tests for the column sketch that finite-sample runs draw in place of full
-data sets (``env._Sketch``, revealed by ``algorithms._Sketched``).
+data sets (``env._Sketch``, which a step reveals through its ``residual``
+and ``times`` reads).
 
 Three oracles, with tolerances fixed before the tests were first run:
 
@@ -11,6 +12,10 @@ Three oracles, with tolerances fixed before the tests were first run:
   and a Kolmogorov-Smirnov statistic of a two-sample comparison);
 - *convergence*: whole finite-sample runs approach the population run on
   the same heads as ``m^(-1/2)``.
+
+Two contract tests check what a reveal that starts at ``residual`` needs:
+every kernel reads each side it uses with ``residual`` first and then only
+``times``, and steps repeated on one round have the same bits.
 """
 from __future__ import annotations
 
@@ -20,12 +25,15 @@ import warnings
 import numpy as np
 import pytest
 
-from linrep.algorithms import _GRADS, _rounds_for, _sets, _Sketched, run_trajectory, step_for
+from linrep.algorithms import _GRADS, _sides, meta_gradients, run_trajectory, step_for
 from linrep.env import (
+    _SKETCH_COLUMNS,
     DataSet,
     TaskBatch,
     TaskEnvironment,
     _block_rounds,
+    _rounds,
+    _Sketch,
     sample_dataset,
     sample_environment,
 )
@@ -46,25 +54,26 @@ def _hp(algo: Algorithm, mode: Mode = Mode.FINITE, **kw) -> HyperParams:
     return HyperParams(algo=algo, mode=mode, **fields)
 
 
-def _completed_set(side: _Sketched, targets: np.ndarray, sigma: float, rng) -> DataSet:
+def _completed_set(side: _Sketch, rng) -> DataSet:
     """The data set of an augmented Wishart matrix ``W`` whose Bartlett
     factor, in a basis that starts with the directions ``side`` revealed,
     starts with the columns it revealed; the remaining columns are a
-    Bartlett factor of ``Wishart(m - t)`` on the complement, drawn here."""
-    m, t = side.m, side.calls
+    Bartlett factor of ``Wishart(m - t)`` on the complement, drawn here.
+    A side no kernel read has revealed nothing (``t = 0``)."""
     n, _, dim = side.normals.shape
-    d = dim - 1
+    m, t, d = side.m, getattr(side, "calls", 0), dim - 1
+    basis_all, cols_all = (side.basis, side.cols) if t else (np.zeros((n, 0, dim)),) * 2
     covs, xtys, ytys = [], [], []
     for i in range(n):
-        basis = side.basis[i, :t].T  # dim x t, orthonormal columns
+        basis = basis_all[i, :t].T  # dim x t, orthonormal columns
         frame, _ = np.linalg.qr(np.concatenate([basis, standard_normal(rng, (dim, dim - t))], 1))
         rest = np.tril(standard_normal(rng, (dim - t, dim - t)), -1)
         rest[np.diag_indices(dim - t)] = np.sqrt(
             chi_square(rng, np.maximum(m - t - np.arange(dim - t), 0)))
         rest[:, max(m - t, 0):] = 0.0
-        factor = np.concatenate([side.cols[i, :t].T, frame[:, t:] @ rest], axis=1)
+        factor = np.concatenate([cols_all[i, :t].T, frame[:, t:] @ rest], axis=1)
         wishart = factor @ factor.T
-        label = np.append(targets[i], sigma)  # (B* w*_i; sigma)
+        label = np.append(side.targets[i], side.sigma)  # (B* w*_i; sigma)
         covs.append(wishart[:d, :d] / m)
         xtys.append(wishart[:d] @ label / m)
         ytys.append(label @ wishart @ label / m)
@@ -91,8 +100,8 @@ class TestSketchIdentity:
         d, k = 6, 2
         env = _identity_env(d, k, exact_zero)
         hp = _hp(algo, m_in=m_in)
-        (batch,) = _rounds_for(env, hp, 1, substream(41, m_in, "tasks"),
-                               substream(41, m_in, "data"))
+        (batch,) = _rounds(env, hp.n, 1, substream(41, m_in, "tasks"), (hp.m_in, hp.m_out),
+                           substream(41, m_in, "data"))
         params_rng = substream(41, m_in, "params")
         params = ModelParams(rep=standard_normal(params_rng, (d, k)),
                              head=standard_normal(params_rng, (k,)))
@@ -100,7 +109,7 @@ class TestSketchIdentity:
             params = ModelParams(rep=env.ground_truth_rep.copy(), head=batch.heads[0].copy())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            inner, outer = _sets(env, batch, hp.mode)
+            inner, outer = _sides(env, batch, hp.mode)
             got = _GRADS[algo](params.rep, params.head, inner, outer, hp.alpha, hp.n)
             step = step_for(hp)(params, env, batch, hp)
         # A step reveals afresh, with the bits of the kernel call above.
@@ -108,14 +117,13 @@ class TestSketchIdentity:
                      (params.head - hp.beta * got[0], step.params_next.head),
                      (params.rep - hp.beta * got[1], step.params_next.rep)):
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
-        assert inner[0].calls <= 3 and outer[0].calls <= 1
+        assert getattr(inner, "calls", 0) <= 3 and outer.calls <= 1
         if exact_zero:
             assert np.array_equal(got[2][0], params.head)  # no inner move for task 0
 
         rng = substream(41, m_in, "complete")
-        completed = TaskBatch(batch.heads, *(_completed_set(side, targets, env.noise_std, rng)
-                                             for side, targets in (inner, outer)))
-        want = _GRADS[algo](params.rep, params.head, *_sets(env, completed, hp.mode),
+        completed = TaskBatch(batch.heads, *(_completed_set(side, rng) for side in (inner, outer)))
+        want = _GRADS[algo](params.rep, params.head, *_sides(env, completed, hp.mode),
                             hp.alpha, hp.n)
         for name, g, w in zip(("grad_head", "grad_rep", "adapted_heads", "adapted_reps"),
                               got, want):
@@ -134,12 +142,13 @@ class TestSketchIdentity:
         env = TaskEnvironment(d=d, k=2, ground_truth_rep=np.eye(d)[:, :2],
                               head_mean=np.zeros(2), head_scale=1.0, noise_std=0.0)
         (batch,) = _block_rounds(env, np.zeros((1, n, 2)), substream(42, m, "data"), (m, m))
-        side = _Sketched(batch.inner_sets, 0.0)
+        side = batch.inner_sets
+        assert not side.targets.any() and side.sigma == 0.0
         v = np.tile(np.arange(1.0, d + 1.0), (n, 1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            zero = side(np.zeros((n, d)), -0.0)
-            product = side(v)
+            zero = side.residual(np.zeros((n, d)))  # u = (0; -0.0)
+            product = side.times(v)
         assert np.array_equal(zero, np.zeros((n, d)))
         assert np.array_equal(side.basis[:, 0], np.tile(np.eye(d + 1)[0], (n, 1)))
         gram = np.einsum("nrd,nsd->nrs", side.basis[:, :2], side.basis[:, :2])
@@ -150,6 +159,91 @@ class TestSketchIdentity:
             np.testing.assert_allclose(
                 product, first[:, :d] * np.einsum("nd,nd->n", first[:, :d], v)[:, None],
                 rtol=IDENTITY_TOL)
+
+
+# --- side contract ----------------------------------------------------------
+
+class _RecordingSide:
+    """A side that logs the name of each read and passes the read on."""
+
+    def __init__(self, side, log: list[str]) -> None:
+        self.side, self.log = side, log
+
+    def residual(self, beta: np.ndarray) -> np.ndarray:
+        self.log.append("residual")
+        return self.side.residual(beta)
+
+    def times(self, vecs: np.ndarray) -> np.ndarray:
+        self.log.append("times")
+        return self.side.times(vecs)
+
+
+# Reads of the inner side per kernel; every kernel reads the outer side once.
+INNER_READS = {
+    Algorithm.FO_ANIL: ["residual"],
+    Algorithm.EXACT_ANIL: ["residual", "times"],
+    Algorithm.FO_MAML: ["residual"],
+    Algorithm.EXACT_MAML: ["residual", "times", "times"],
+    Algorithm.AVG_RISK_MIN: [],
+}
+
+
+def _sketched_round(env, hp: HyperParams, seed: int) -> TaskBatch:
+    (batch,) = _rounds(env, hp.n, 1, substream(seed, 0, "tasks"), (hp.m_in, hp.m_out),
+                       substream(seed, 0, "data"))
+    return batch
+
+
+def _bits(arrays) -> list:
+    return [None if a is None else a.tobytes() for a in arrays]
+
+
+class TestSideContract:
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("algo", ALL_ALGOS, ids=lambda a: a.value)
+    def test_kernel_reads_a_side_by_residual_first_then_only_times(
+        self, algo: Algorithm, mode: Mode
+    ) -> None:
+        # A sketch starts its reveal at ``residual``, so a kernel must read
+        # every side it uses with ``residual`` once and first and then only
+        # with ``times``, and no more often than the side has columns.  The
+        # recording sides change no bit of the result.
+        env = sample_environment(6, 2, 0.0, 1.0, 0.3, substream(47, 0, "env"))
+        hp = _hp(algo, mode)
+        batch = _sketched_round(env, _hp(algo), 47)
+        params = init_model(env, hp.alpha, InitScheme.SPEC, substream(47, 0, "init"))
+        logs: dict[str, list[str]] = {"inner": [], "outer": []}
+        sides = _sides(env, batch, mode)
+        recorded = (_RecordingSide(side, log) for side, log in zip(sides, logs.values()))
+        got = _GRADS[algo](params.rep, params.head, *recorded, hp.alpha, hp.n)
+        want = _GRADS[algo](params.rep, params.head, *_sides(env, batch, mode), hp.alpha, hp.n)
+        assert _bits(got) == _bits(want)
+        assert logs == {"inner": INNER_READS[algo], "outer": ["residual"]}
+        for log, columns in zip(logs.values(), _SKETCH_COLUMNS):
+            assert log[:1] in ([], ["residual"]) and set(log[1:]) <= {"times"}
+            assert len(log) <= columns
+
+    @pytest.mark.parametrize("algo", ALL_ALGOS, ids=lambda a: a.value)
+    def test_repeated_steps_on_a_sketched_round_have_the_same_bits(self, algo: Algorithm) -> None:
+        # Each step reveals the round's sketches afresh from ``residual``:
+        # two steps on one round of a run, then the meta-gradients, agree
+        # bit for bit.
+        env = sample_environment(6, 2, 0.0, 1.0, 0.3, substream(48, 0, "env"))
+        hp = _hp(algo)
+        batch = _sketched_round(env, hp, 48)
+        rng = substream(48, 0, "params")
+        params = ModelParams(rep=standard_normal(rng, (6, 2)), head=standard_normal(rng, (2,)))
+        assert isinstance(batch.inner_sets, _Sketch) and isinstance(batch.outer_sets, _Sketch)
+        step = step_for(hp)
+        first, second = step(params, env, batch, hp), step(params, env, batch, hp)
+        assert _bits([first.params_next.rep, first.params_next.head, first.adapted_heads,
+                      first.adapted_reps]) == \
+            _bits([second.params_next.rep, second.params_next.head, second.adapted_heads,
+                   second.adapted_reps])
+        grad_head, grad_rep = meta_gradients(params, env, batch, hp)
+        assert grad_head.any() and grad_rep.any()
+        assert _bits([params.head - hp.beta * grad_head, params.rep - hp.beta * grad_rep]) == \
+            _bits([first.params_next.head, first.params_next.rep])
 
 
 # --- law ------------------------------------------------------------------
@@ -165,10 +259,8 @@ def _sketched_statistics(env, heads, beta, vs, m, rng) -> np.ndarray:
     """``(N, 3, d)``: per task the residual at ``beta`` and then ``S v`` for
     each ``v`` of ``vs``, read in that order from one inner sketch."""
     (batch,) = _block_rounds(env, heads[None], rng, (m, m))
-    side = _Sketched(batch.inner_sets, env.noise_std)
-    targets = heads @ env.ground_truth_rep.T
-    reads = [side(beta - targets, -env.noise_std)] + [side(np.tile(v, (len(heads), 1)))
-                                                       for v in vs]
+    side = batch.inner_sets
+    reads = [side.residual(beta)] + [side.times(np.tile(v, (len(heads), 1))) for v in vs]
     return np.stack(reads, axis=1)
 
 
