@@ -27,12 +27,13 @@ test whose limits are computed once per run; a step it does not clear gets
 ``_is_diverged``'s exact verdict.
 
 Recording is kept out of the step loop.  At a scheduled record the loop
-keeps a snapshot (the iteration, the parameters, the round's adapted heads
-and sampled heads, the running diversity statistics); every
-``_RECORD_CHUNK`` snapshots, and once at the end of the run, ``_records``
-turns the pending ones into rows of the trajectory's record array with one
-stacked call of each geometry function of ``metrics`` (which take a leading
-stack axis); the run's chunks are joined once, when it ends.
+appends a snapshot (the iteration, the parameters, the round's adapted heads
+and sampled heads, the running diversity statistics) to a list, the arrays
+as the loop holds them; every ``_RECORD_CHUNK`` snapshots, and once at the
+end of the run, the list is stacked and ``_records`` turns it into rows of
+the trajectory's record array with one stacked call of each geometry
+function of ``metrics`` (which take a leading stack axis); the run's chunks
+are joined once, when it ends.
 A stacked LAPACK call factors its matrices one by one, so every record has
 the bytes a call on its own matrix gives.  A representation that has
 collapsed at a record is found in that pass: the run is truncated there
@@ -42,9 +43,9 @@ exactly as if it had been checked on the spot, at the price of at most
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -70,10 +71,10 @@ __all__ = [
 # Iterates whose head norm or representation spectral norm (relative to the
 # 1/sqrt(alpha) parameter scale) pass this bound are declared divergent.
 _DIVERGENCE_NORM = 1e6
-# Relative margin by which ``run_trajectory``'s two-dot test and
-# ``_is_diverged``'s largest-entry bound keep clear of the exact ``eigvalsh``
-# check's limit: far wider than the rounding of either side (some ``d k``
-# units of 2^-53), so that neither changes the verdict.
+# Relative margin by which ``run_trajectory``'s two-dot test keeps clear of
+# ``_is_diverged``'s spectral-norm limit: far wider than the rounding of
+# either side (some ``d k`` units of 2^-53), so that it never changes the
+# verdict.
 _SHORTCUT_MARGIN = 1e-9
 
 
@@ -100,8 +101,8 @@ class RunResult:
     ``trajectory`` is a record array (``np.recarray``) with one row per
     scheduled iteration, always including iteration 0 and, for runs that do
     not diverge, the final iteration; ``trajectory.dist`` is a column and
-    ``trajectory[i].dist`` one row's entry (rows, indexed or iterated, read
-    as Python scalars).  Its columns:
+    ``trajectory[i].dist`` one row's entry (rows, indexed or iterated, are
+    named tuples of Python scalars).  Its columns:
 
     - ``t``: iteration index of the recorded state (int64; the rest float64);
     - ``dist``: principal-angle distance of the representation to the truth;
@@ -309,25 +310,30 @@ def step_for(hp: HyperParams) -> Callable[..., StepOutcome]:
     algorithm/mode pair.
 
     The step reads the step sizes from its own ``hp`` argument, so one step
-    serves every configuration of the pair.  It keeps the ``_operands`` of
+    serves every configuration of the pair, and refuses an ``hp`` of another
+    algorithm or mode with a ``ValueError``.  It keeps the ``_operands`` of
     the last ``hp`` object, task count and parameter dtype it was called
     with (an ``hp`` is frozen), and builds new ones when any of them changes.
     """
-    grads = _GRADS[hp.algo]
-    mode = hp.mode
+    algo, mode = hp.algo, hp.mode
+    grads = _GRADS[algo]
     cached_hp = cached_n = cached_dtype = operands = None
 
     def step(
         params: ModelParams, env: TaskEnvironment, batch: TaskBatch, hp: HyperParams
     ) -> StepOutcome:
         nonlocal cached_hp, cached_n, cached_dtype, operands
-        inner, outer = _sides(env, batch, mode)
         rep, head = params.rep, params.head
         n, dtype = batch.n, rep.dtype
         if hp is not cached_hp or n != cached_n or dtype is not cached_dtype:
+            for field, built in (("algo", algo), ("mode", mode)):
+                if getattr(hp, field) is not built:
+                    raise ValueError(f"this step is for {field} {built.value}, got hp.{field} "
+                                     f"{getattr(hp, field).value}")
             cached_hp, cached_n, cached_dtype = hp, n, dtype
             operands = _operands(hp.alpha, hp.beta, n, dtype)
         alpha, beta, n = operands
+        inner, outer = _sides(env, batch, mode)
         grad_head, grad_rep, heads, reps = grads(rep, head, inner, outer, alpha, n)
         # Built unchecked: an update of validated parameters keeps their shapes.
         params_next = _trusted(ModelParams, rep=rep - beta * grad_rep,
@@ -347,18 +353,10 @@ def _is_diverged(params: ModelParams, rep_limit: float) -> bool:
     ``_DIVERGENCE_NORM`` or a representation spectral norm above
     ``rep_limit``: the exact verdict, which ``run_trajectory`` asks for only
     when its two-dot test does not clear the step."""
-    head_sq = float(params.head.dot(params.head))
-    largest = float(np.abs(params.rep).max())  # NaN if any entry is NaN
-    if not (math.isfinite(head_sq) and math.isfinite(largest)):
+    head, rep = params.head, params.rep
+    if not head.dot(head) <= _DIVERGENCE_NORM**2:  # NaN fails the comparison
         return True
-    if head_sq > _DIVERGENCE_NORM * _DIVERGENCE_NORM:
-        return True
-    if largest * math.sqrt(params.rep.size) <= rep_limit:
-        return False  # Frobenius bound already below the limit
-    if largest > (1.0 + _SHORTCUT_MARGIN) * rep_limit:
-        return True  # an entry bounds the spectral norm; ``rep^T rep`` may overflow
-    top = float(np.linalg.eigvalsh(params.rep.T.dot(params.rep))[-1])
-    return math.sqrt(max(top, 0.0)) > rep_limit
+    return not np.isfinite(rep).all() or spectral_norm(rep) > rep_limit
 
 
 # Snapshots a run holds before turning them into records in one stacked
@@ -376,14 +374,18 @@ _RECORD = np.dtype(
 )
 
 
+_Row = namedtuple("_Row", _RECORD.names)
+
+
 class _Trajectory(np.recarray):
-    """A record array whose rows, indexed or iterated, read as Python
-    scalars (an ``int`` ``t``, as ``json`` takes it); columns stay arrays."""
+    """A record array whose rows, indexed or iterated, are ``_Row`` named
+    tuples of Python scalars (an ``int`` ``t``, as ``json`` takes it);
+    columns stay arrays."""
 
     def __getitem__(self, index):
         item = super().__getitem__(index)
         if isinstance(item, np.record):
-            return SimpleNamespace(**dict(zip(item.dtype.names, item.tolist())))
+            return _Row(*item.tolist())
         return item
 
 
@@ -400,10 +402,6 @@ class _Snapshots(NamedTuple):
     adapted_heads: np.ndarray
     task_heads: np.ndarray
     stats: np.ndarray
-
-    def first(self, count: int) -> _Snapshots:
-        """The first ``count`` snapshots."""
-        return _Snapshots(*(column[:count] for column in self))
 
 
 def _psi_spectra(adapted: np.ndarray) -> np.ndarray:
@@ -442,7 +440,8 @@ def _records(
                 principal_angle_dist(rep, perp)
                 spectral_norm(perp.T @ rep)
             except LinAlgError:
-                return _records(snapshots.first(index), env, perp, alpha)
+                return _records(_Snapshots(*(column[:index] for column in snapshots)), env,
+                                perp, alpha)
         raise
     # Each reduction below is the one a single record's expression makes
     # (matmul's dot product for ``norm(w)``, einsum for the squared
@@ -498,16 +497,8 @@ def run_trajectory(
     # square fails the comparison).  The limits of that test, computed once.
     head_sq_max, rep_sq_max = _DIVERGENCE_NORM**2, (1.0 - _SHORTCUT_MARGIN) * rep_limit**2
     samples = None if hp.mode is Mode.POPULATION else (hp.m_in, hp.m_out)
-    # Snapshots not yet recorded (the first ``filled``) and the recorded chunks.
-    pending = _Snapshots(
-        np.zeros(_RECORD_CHUNK, dtype=np.int64),
-        np.empty((_RECORD_CHUNK, env.d, env.k)),
-        np.empty((_RECORD_CHUNK, env.k)),
-        np.empty((_RECORD_CHUNK, hp.n, env.k)),
-        np.empty((_RECORD_CHUNK, hp.n, env.k)),
-        np.empty((_RECORD_CHUNK, 4)),
-    )
-    filled = 0
+    # Snapshots not yet recorded, each a ``_Snapshots`` row, and the recorded chunks.
+    pending: list[tuple] = []
     chunks: list[np.recarray] = []
 
     mu_sq = eta = math.inf
@@ -519,16 +510,16 @@ def run_trajectory(
         """Record the pending snapshots, up to one whose representation has
         collapsed; at such a snapshot the run ends: its iteration is
         ``diverged_at`` and its parameters are the final ones."""
-        nonlocal params, diverged_at, filled
-        kept = pending.first(filled)
-        filled = 0
+        nonlocal params, diverged_at
+        kept = _Snapshots(*map(np.array, zip(*pending)))
+        pending.clear()
         done = _records(kept, env, perp, hp.alpha)
         chunks.append(done)
         if len(done) == len(kept.t):
             return False
         row = len(done)
         diverged_at = int(kept.t[row])
-        params = ModelParams(rep=kept.rep[row].copy(), head=kept.head[row].copy())
+        params = ModelParams(rep=kept.rep[row], head=kept.head[row])
         return True
 
     # A diverging run overflows in its steps, its divergence checks and its
@@ -542,12 +533,9 @@ def run_trajectory(
             L_max = stats.L_max if stats.L_max > L_max else L_max
             outcome = step(params, env, batch, hp)
             if t % record_every == 0 or t == hp.iters:
-                values = (t, params.rep, params.head, outcome.adapted_heads, batch.heads,
-                          (mu_sq, L_sq, eta, L_max))
-                for column, value in zip(pending, values):
-                    column[filled] = value
-                filled += 1
-                if filled == _RECORD_CHUNK and flush():
+                pending.append((t, params.rep, params.head, outcome.adapted_heads, batch.heads,
+                                (mu_sq, L_sq, eta, L_max)))
+                if len(pending) == _RECORD_CHUNK and flush():
                     break
             if t == hp.iters:
                 break
@@ -557,7 +545,8 @@ def run_trajectory(
             if not clear and _is_diverged(params, rep_limit):
                 diverged_at = t + 1
                 break
-        flush()
+        if pending:
+            flush()
 
     trajectory = np.concatenate(chunks).view(_Trajectory)
     head_stats = None

@@ -1,9 +1,11 @@
 """Tests for the package's public surface: ``linrep.__all__`` is the union
-of the modules' own ``__all__`` lists, and private names cross modules only
-where listed."""
+of the modules' own ``__all__`` lists, private names cross modules only
+where listed, and the sources import only the standard library and the
+declared dependencies."""
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import linrep
@@ -44,3 +46,22 @@ def test_private_names_cross_modules_only_as_listed():
                 found.update((path.stem, node.module, alias.name) for alias in node.names
                              if alias.name.startswith("_"))
     assert found == CROSSINGS
+
+
+# The package's dependencies (``pyproject.toml``); anything else, ``scipy``
+# included, may be installed where the tests run without being one.
+DEPENDENCIES = {"numpy", "pydantic"}
+
+
+def test_sources_import_only_the_standard_library_and_dependencies():
+    imported = set()
+    for path in Path(linrep.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module)
+    assert imported  # the walk saw the sources
+    outside = {name for name in imported
+               if name.partition(".")[0] not in sys.stdlib_module_names | DEPENDENCIES}
+    assert not outside

@@ -13,7 +13,7 @@ that tree's ``src`` on ``PYTHONPATH`` and BLAS pinned to one thread:
 - ``linrep run`` at ``--jobs`` 1 and 2 and ``linrep hypcheck`` for each
   shipped run config (``gradcheck_small`` and the ``population_*`` ones)
   and each of the five algorithms, at 2 trials with ``checks.hypcheck``
-  on;
+  on, and ``linrep plot`` of each ``--jobs 1`` run's ``trajectory.csv``;
 - ``linrep sweep --axis M_OUT --values 50,200,800`` on
   ``finite_sample_sweep`` at ``--jobs`` 1 and 2;
 - ``harness.gradcheck``'s errors as float hex for the ten (algorithm,
@@ -97,6 +97,8 @@ def _commands(tree: Path) -> list[tuple]:
                 commands.append((f"{name}-run{jobs}", ["run", f"{name}.json", "--jobs",
                                                       str(jobs), "--out", f"{name}/run{jobs}"],
                                  config))
+            commands.append((f"{name}-plot", ["plot", f"{name}/run1/trajectory.csv", "-o",
+                                              f"{name}/run1/plot.svg"], None))
             commands.append((f"{name}-hypcheck", ["hypcheck", f"{name}.json", "--out",
                                                   f"{name}/hypcheck"], config))
     config = json.loads((tree / "configs" / f"{SWEEP_CONFIG}.json").read_text())
@@ -122,7 +124,8 @@ def produce(tree: Path, out: Path) -> None:
             raise RuntimeError(f"{name} failed in {tree}:\n{done.stderr}")
 
     for name, argv, config in _commands(tree):
-        (out / argv[1]).write_text(json.dumps(config, indent=2, sort_keys=True))
+        if config is not None:
+            (out / argv[1]).write_text(json.dumps(config, indent=2, sort_keys=True))
         call(name, ["-m", "linrep.cli", *argv])
     call("gradcheck-hex", ["-c", GRADCHECK_HEX.format(algos=ALGOS),
                            str(tree / "configs" / "gradcheck_small.json")])
