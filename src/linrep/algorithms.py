@@ -19,7 +19,8 @@ average-risk baseline skips inner adaptation entirely and descends the mean
 unadapted risk.
 
 A run draws its rounds a block at a time, each round carrying its checked
-task statistics and, in finite-sample mode, its sketches (``env._rounds``);
+task statistics and, in finite-sample mode, its sketches, of as many
+columns as the kernel reads (``_SKETCH_COLUMNS``, ``env._rounds``);
 a population step forms its round's targets ``B* w*_i`` itself.  A round of
 the run is then one step call, one ``diversity_stats`` lookup kept in
 running extremes by comparisons, the record check and a two-dot divergence
@@ -283,6 +284,17 @@ _GRADS: dict[Algorithm, Callable] = {
     Algorithm.AVG_RISK_MIN: _grads_avg,
 }
 
+# Bartlett columns a finite-sample round draws per task for each kernel,
+# inner and outer (``env._rounds``): the reads the kernel makes of each side,
+# so that a step reveals every column its round drew.
+_SKETCH_COLUMNS: dict[Algorithm, tuple[int, int]] = {
+    Algorithm.FO_ANIL: (1, 1),
+    Algorithm.EXACT_ANIL: (2, 1),
+    Algorithm.FO_MAML: (1, 1),
+    Algorithm.EXACT_MAML: (3, 1),
+    Algorithm.AVG_RISK_MIN: (0, 1),
+}
+
 
 def _operands(alpha: float, beta: float, n: int, dtype: np.dtype) -> tuple[np.ndarray, ...]:
     """``alpha``, ``beta`` and ``n`` as read-only 0-d arrays of ``dtype``."""
@@ -525,7 +537,8 @@ def run_trajectory(
     # A diverging run overflows in its steps, its divergence checks and its
     # records; it is declared divergent (or records NaN) rather than warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, batch in enumerate(_rounds(env, hp.n, hp.iters + 1, rng, samples, data_rng)):
+        rounds = _rounds(env, hp.n, hp.iters + 1, rng, samples, data_rng, _SKETCH_COLUMNS[hp.algo])
+        for t, batch in enumerate(rounds):
             stats = diversity_stats(batch)
             mu_sq = stats.mu_sq if stats.mu_sq < mu_sq else mu_sq
             L_sq = stats.L_sq if stats.L_sq > L_sq else L_sq

@@ -12,9 +12,10 @@ these directly, in ``O(d^2)`` work whatever ``m`` is, from the Bartlett
 decomposition of the Wishart matrix ``X^T X`` (Smith and Hocking 1972,
 algorithm AS 53), in its singular form when ``m < d`` (Srivastava 2003,
 Ann. Statist. 31(5)); raw inputs are never formed.  A finite-sample run
-draws only ``O(d)`` variates per task: the first Bartlett columns of
-``X~^T X~`` for ``X~ = [X, z]`` (``_Sketch``), which a step reveals along
-the directions it reads.
+draws only ``O(d)`` variates per task and side: the first Bartlett columns
+of ``X~^T X~`` for ``X~ = [X, z]`` (``_Sketch``), one per read its
+algorithm's kernel makes of the side, which a step reveals along the
+directions it reads.
 """
 from __future__ import annotations
 
@@ -190,7 +191,9 @@ class _Sketch:
     first ``J`` Bartlett columns of ``W = X~^T X~ ~ Wishart_{d+1}(m, I)``,
     roots ``sqrt(chi2(max(m - r, 0)))`` (``n x J``) and normals (``n x J x
     (d + 1)``, zero for ``r >= m``), with the targets ``B* w*_i`` and the
-    noise level ``sigma``, revealed along the directions a step reads.
+    noise level ``sigma``, revealed along the directions a step reads.  ``J``
+    is the number of reads the run's kernel makes of the side, so a step
+    reveals every column drawn.
 
     ``S beta - b`` is ``(1/m) [W u]_{:d}`` for ``u = (beta - B* w*_i;
     -sigma)``, ``S v`` for ``u = (v; 0)``; ``residual`` starts a reveal and
@@ -202,9 +205,17 @@ class _Sketch:
     ``W`` in a basis that starts with the directions asked for, exact in law
     even for directions that depend on earlier results, since given its
     first columns the rest of ``W`` is again Wishart and rotation
-    invariant."""
+    invariant.
 
-    __slots__ = ("roots", "normals", "m", "sigma", "targets", "basis", "cols", "calls")
+    The first reveal is closed form.  With ``r = beta - B* w*_i``, ``|u|^2 =
+    r . r + sigma^2``, ``q_0 = u / |u|`` and ``q_0 . g_0 = (r . g_0[:d] -
+    sigma g_0[d]) / |u|``, the column is ``l_0 = g_0 + q_0 (root - q_0 .
+    g_0)`` and ``l_0 . u = root |u|``, so ``residual`` returns ``(root / m)
+    (|u| g_0[:d] + (root - q_0 . g_0) r)`` without forming ``u``, ``q_0`` or
+    ``l_0``; the first ``times`` forms them from its intermediates.
+    """
+
+    __slots__ = ("roots", "normals", "m", "sigma", "targets", "first", "basis", "cols", "calls")
 
     def __init__(self, roots: np.ndarray, normals: np.ndarray, m: int, sigma: float,
                  targets: np.ndarray) -> None:
@@ -217,42 +228,60 @@ class _Sketch:
 
     def residual(self, beta: np.ndarray) -> np.ndarray:
         """Rows ``S_i beta_i - b_i``, the first reveal of a step."""
-        self.basis, self.cols = np.zeros(self.normals.shape), np.zeros(self.normals.shape)
-        self.calls = 0
-        return self._reveal(beta - self.targets, -self.sigma)
+        r = beta - self.targets
+        g, root, sigma = self.normals[:, 0], self.roots[:, 0], self.sigma
+        sigma_sq = sigma * sigma
+        length = np.sqrt(np.vecdot(r, r) + sigma_sq)  # |u|
+        dots = np.vecdot(r, g[:, :-1]) - sigma * g[:, -1]  # u . g_0
+        # q_0 = (q_r; -sigma) / q_len.  Only a noiseless side can read u = 0:
+        # it reads exactly 0, and its q_0 is the axis e_0 (q_r = e_0, q_len = 1).
+        q_r, q_len = r, length
+        if not sigma_sq and np.count_nonzero(length) < len(length):
+            zero = length == 0.0
+            q_r = np.where(zero[:, None], np.eye(1, r.shape[1]), r)
+            q_len, dots = np.where(zero, 1.0, length), np.where(zero, g[:, 0], dots)
+        qg = dots / q_len
+        self.first, self.calls = (q_r, q_len, qg), 1
+        return (root / self.m)[:, None] * (length[:, None] * g[:, :-1] + (root - qg)[:, None] * r)
 
     def times(self, vecs: np.ndarray) -> np.ndarray:
         """Rows ``S_i v_i``, a later reveal of the step."""
-        return self._reveal(vecs, 0.0)
+        if self.calls == 1:
+            self._first_column()
+        return self._reveal(vecs)
 
-    def _reveal(self, vecs: np.ndarray, last: float) -> np.ndarray:
+    def _first_column(self) -> None:
+        """``q_0`` and ``l_0``, the first rows of the basis and columns, from
+        the intermediates ``(q_r, q_len, q_0 . g_0)`` of ``residual``."""
+        q_r, q_len, qg = self.first
+        self.basis, self.cols = np.empty(self.normals.shape), np.empty(self.normals.shape)
+        q = self.basis[:, 0]
+        q[:, :-1], q[:, -1] = q_r, -self.sigma
+        q /= q_len[:, None]
+        self.cols[:, 0] = self.normals[:, 0] + q * (self.roots[:, 0] - qg)[:, None]
+
+    def _reveal(self, vecs: np.ndarray) -> np.ndarray:
         t, basis = self.calls, self.basis[:, :self.calls]
-        u = np.empty((len(self.roots), self.basis.shape[-1]))
-        u[:, :-1], u[:, -1] = vecs, last
-        rest = u
-        if t:
-            rest = u - _project(basis, u)
-            rest -= _project(basis, rest)
-        length = norms = np.sqrt(np.einsum("nd,nd->n", rest, rest))
-        if not norms.all():
+        u = np.zeros((len(self.roots), self.basis.shape[-1]))
+        u[:, :-1] = vecs
+        rest = u - _project(basis, u)
+        rest -= _project(basis, rest)
+        norms = np.sqrt(np.vecdot(rest, rest))
+        if np.count_nonzero(norms) < len(norms):
             zero, known = norms == 0.0, basis[norms == 0.0]
             fill = np.eye(u.shape[1])[np.einsum("nrd,nrd->nd", known, known).argmin(axis=1)]
             fill -= _project(known, fill)  # leaves a norm of at least sqrt(1/3)
-            rest, norms = rest.copy(), norms.copy()  # ``rest`` may be ``u``
-            rest[zero], norms[zero] = fill, np.sqrt(np.einsum("nd,nd->n", fill, fill))
+            rest[zero], norms[zero] = fill, np.sqrt(np.vecdot(fill, fill))
         q = rest / norms[:, None]
         g, root = self.normals[:, t], self.roots[:, t]
         self.basis[:, t], self.calls = q, t + 1
-        if not t:  # l_0 = g + q (root - q . g), and l_0 . u = root |u|
-            self.cols[:, 0] = col = g + q * (root - np.einsum("nd,nd->n", q, g))[:, None]
-            return col[:, :-1] * (root * length / self.m)[:, None]
         self.cols[:, t] = root[:, None] * q + (g - _project(self.basis[:, :t + 1], g))
         return _project(self.cols[:, :t + 1], u)[:, :-1] / self.m
 
 
 def _project(rows: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Rows ``sum_r a_r (a_r . v_i)`` for ``n`` stacked ``t x D`` row arrays."""
-    return (rows.swapaxes(1, 2) @ (rows @ vecs[:, :, None]))[..., 0]
+    return np.vecmat(np.matvec(rows, vecs), rows)
 
 
 @dataclass(frozen=True)
@@ -292,59 +321,61 @@ class TaskBatch:
         return self.heads.shape[0]
 
 
-# Floats a block of rounds may hold: a finite-sample block the ``n J (d + 2)``
-# sketch floats of each round and side (``_SKETCH_COLUMNS``), up to
-# ``_BLOCK_FLOATS``; a population block its rounds' ``n k`` heads, up to
-# ``_HEAD_BLOCK_FLOATS``, sized by the heads alone.  Drawing, validating and
-# reducing a block of heads briefly takes several times their size, so the
-# population budget is the smaller: at n = k = 3, blocks of 2^10 head floats
-# keep the peak memory of five 10^4-step runs within noise of blocks of 13
-# rounds.  Not settings: a finite-sample block size must depend only on the
-# run's dimensions for artifacts to stay byte-identical across hosts.
+# Floats a block of rounds may hold: a finite-sample block the ``n (J_in +
+# J_out) (d + 2)`` sketch floats of each round, up to ``_BLOCK_FLOATS``; a
+# population block its rounds' ``n k`` heads, up to ``_HEAD_BLOCK_FLOATS``,
+# sized by the heads alone.  Drawing, validating and reducing a block of
+# heads briefly takes several times their size, so the population budget is
+# the smaller: at n = k = 3, blocks of 2^10 head floats keep the peak memory
+# of five 10^4-step runs within noise of blocks of 13 rounds.  Not settings:
+# a finite-sample block size must depend only on the run's dimensions and
+# algorithm for artifacts to stay byte-identical across hosts.
 _BLOCK_FLOATS = 2**14
 _HEAD_BLOCK_FLOATS = 2**10
-# Bartlett columns a finite-sample round draws per task, inner and outer:
-# EXACT_MAML's directions, drawn for every algorithm alike.
-_SKETCH_COLUMNS = (3, 1)
 
 
 def _rounds(env: TaskEnvironment, n: int, total: int, rng: np.random.Generator,
-            samples: tuple[int, int] | None,
-            data_rng: np.random.Generator | None = None) -> Iterator[TaskBatch]:
+            samples: tuple[int, int] | None, data_rng: np.random.Generator | None = None,
+            columns: tuple[int, int] | None = None) -> Iterator[TaskBatch]:
     """The next ``total`` rounds of ``n`` tasks, heads drawn from ``rng``,
-    with ``(m_in, m_out)`` inner and outer sketches drawn from ``data_rng``
-    (required) given ``samples``, heads only given None.
+    with ``(m_in, m_out)`` inner and outer sketches of ``columns = (J_in,
+    J_out)`` Bartlett columns drawn from ``data_rng`` given ``samples`` (both
+    required then), heads only given None.
 
     The rounds are drawn in blocks of ``R`` (see ``_BLOCK_FLOATS``), the last
     one trimmed: a block draws its heads in one call (``_round_heads``) and
-    ``_block_rounds`` builds its rounds.  Every algorithm consumes the
-    streams alike.  Heads have the same bits in any block, so a population
-    run's bytes do not depend on ``R``, and a finite-sample run with a data
-    stream of its own steps on the population run's heads; its data depend
-    on ``R``, which depends only on ``(n, d)``.
+    ``_block_rounds`` builds its rounds.  Every algorithm consumes the heads
+    stream alike, and the data stream as its columns ask.  Heads have the
+    same bits in any block, so a population run's bytes do not depend on
+    ``R``, and a finite-sample run with a data stream of its own steps on the
+    population run's heads; its data depend on ``R``, which depends only on
+    ``(n, d)`` and the columns.
     """
-    if samples is not None and data_rng is None:
-        raise ValueError("finite-sample rounds need a data stream of their own")
+    if samples is not None and (data_rng is None or columns is None):
+        raise ValueError("finite-sample rounds need a data stream of their own and their "
+                         "sketch columns")
     if samples is None:
         size = max(1, _HEAD_BLOCK_FLOATS // (n * env.k))
     else:
-        size = max(1, _BLOCK_FLOATS // (n * sum(_SKETCH_COLUMNS) * (env.d + 2)))
+        size = max(1, _BLOCK_FLOATS // (n * sum(columns) * (env.d + 2)))
     for start in range(0, total, size):
         heads = _round_heads(env, min(size, total - start), n, rng)
-        yield from _block_rounds(env, heads, data_rng, samples)
+        yield from _block_rounds(env, heads, data_rng, samples, columns)
 
 
 def _block_rounds(env: TaskEnvironment, heads: np.ndarray, rng: np.random.Generator | None,
-                  samples: tuple[int, int] | None) -> list[TaskBatch]:
+                  samples: tuple[int, int] | None,
+                  columns: tuple[int, int] | None = None) -> list[TaskBatch]:
     """The rounds of a block of ``(R, n, k)`` heads, each with its task
-    statistics and, given ``samples`` (see ``_rounds``), its sketches.
+    statistics and, given ``samples`` and ``columns`` (see ``_rounds``), its
+    sketches.
 
     The block is validated once, as one batch; the statistics of all its
     rounds are computed and checked in one stacked pass before anything else
     is drawn; a finite-sample block then draws from ``rng`` the roots of its
-    ``R n`` tasks' sketch columns (three inner, then one outer) in one call,
-    then their normals in one, round ``r`` taking rows ``r n : (r + 1) n``
-    and its targets ``B* w*_i``, formed from its own heads.
+    ``R n`` tasks' sketch columns (the inner ones, then the outer) in one
+    call, then their normals in one, round ``r`` taking rows ``r n : (r + 1)
+    n`` and its targets ``B* w*_i``, formed from its own heads.
     """
     count, n, k = heads.shape
     tasks = TaskBatch(heads.reshape(count * n, k)).heads
@@ -354,9 +385,9 @@ def _block_rounds(env: TaskEnvironment, heads: np.ndarray, rng: np.random.Genera
     if samples is None:
         sides = [[None] * count] * 2
     else:
-        j = _SKETCH_COLUMNS[0]
-        rank = np.concatenate([np.arange(columns) for columns in _SKETCH_COLUMNS])
-        sizes = np.repeat(samples, _SKETCH_COLUMNS)
+        j = columns[0]
+        rank = np.concatenate([np.arange(side) for side in columns])
+        sizes = np.repeat(samples, columns)
         roots = np.sqrt(chi_square(rng, np.broadcast_to(np.maximum(sizes - rank, 0),
                                                         (count * n, len(rank)))))
         normals = standard_normal(rng, (count * n, len(rank), env.d + 1))

@@ -23,6 +23,7 @@ import linrep.env
 from linrep.algorithms import (
     _GRADS,
     _RECORD_CHUNK,
+    _SKETCH_COLUMNS,
     RunResult,
     StepOutcome,
     _Exact,
@@ -116,12 +117,13 @@ def _random_params(rng, d: int, k: int) -> ModelParams:
     return ModelParams(rep=standard_normal(rng, (d, k)), head=standard_normal(rng, (k,)))
 
 
-def _block_size(mode: Mode, d: int, k: int, n: int) -> int:
-    """Rounds per sampled block: a finite-sample round holds ``4 (d + 2)``
-    sketch floats per task (three inner columns and one outer, each a root
-    and ``d + 1`` normals), a population round its ``n k`` heads."""
+def _block_size(algo: Algorithm, mode: Mode, d: int, k: int, n: int) -> int:
+    """Rounds per sampled block: a finite-sample round holds ``J (d + 2)``
+    sketch floats per task, for the ``J`` inner and outer columns of the
+    algorithm (each a root and ``d + 1`` normals), a population round its
+    ``n k`` heads."""
     if mode is Mode.FINITE:
-        return max(1, _BLOCK_FLOATS // (n * 4 * (d + 2)))
+        return max(1, _BLOCK_FLOATS // (n * sum(_SKETCH_COLUMNS[algo]) * (d + 2)))
     return max(1, _HEAD_BLOCK_FLOATS // (n * k))
 
 
@@ -744,26 +746,34 @@ class TestRoundBlocks:
     def test_block_draws_its_heads_then_one_sketch_grid(self, m_in: int, count: int) -> None:
         # Heads from the tasks stream, bitwise the per-round draws; then from
         # the data stream one chi-square grid of the block's R n tasks by
-        # four columns (dof m_in, m_in - 1, m_in - 2, m_out, at least 0),
-        # then their normals, zero past the rank; round r reads rows
-        # r n : (r + 1) n, with its own targets and the noise level.
+        # the algorithm's columns (J_in inner, dof m_in, m_in - 1, ..., then
+        # J_out outer, dof m_out, ..., at least 0), then their normals, zero
+        # past the rank; round r reads rows r n : (r + 1) n, with its own
+        # targets and the noise level.  For the columns of each algorithm.
+        for columns in sorted(set(_SKETCH_COLUMNS.values())):
+            self._check_sketch_grid(m_in, count, columns)
+
+    @staticmethod
+    def _check_sketch_grid(m_in: int, count: int, columns: tuple[int, int]) -> None:
         env = _env(d=6, k=2, seed=25, noise_std=0.1)
         n, m_out = 4, 30
+        j_in, j_out = columns
         tasks, data = substream(25, m_in, "tasks"), substream(25, m_in, "data")
-        block = list(_rounds(env, n, count, tasks, (m_in, m_out), data))
+        block = list(_rounds(env, n, count, tasks, (m_in, m_out), data, columns))
         ref_tasks, ref_data = substream(25, m_in, "tasks"), substream(25, m_in, "data")
         heads = [sample_task_batch(env, n, ref_tasks).heads for _ in range(count)]
-        dof = np.empty((count * n, 4))
-        dof[:] = np.maximum(np.array([m_in, m_in, m_in, m_out]) - [0, 1, 2, 0], 0)
+        dof = np.empty((count * n, j_in + j_out))
+        dof[:] = np.maximum(np.array([m_in] * j_in + [m_out] * j_out)
+                            - [*range(j_in), *range(j_out)], 0)
         roots = np.sqrt(chi_square(ref_data, dof))
-        normals = standard_normal(ref_data, (count * n, 4, env.d + 1))
-        normals[:, :3][:, m_in:] = 0.0
+        normals = standard_normal(ref_data, (count * n, j_in + j_out, env.d + 1))
+        normals[:, :j_in][:, m_in:] = 0.0
         assert len(block) == count
         for r, batch in enumerate(block):
             assert np.array_equal(batch.heads.view(np.uint64), heads[r].view(np.uint64))
             rows = slice(r * n, (r + 1) * n)
-            for side, cols, m in ((batch.inner_sets, slice(0, 3), m_in),
-                                  (batch.outer_sets, slice(3, 4), m_out)):
+            for side, cols, m in ((batch.inner_sets, slice(0, j_in), m_in),
+                                  (batch.outer_sets, slice(j_in, None), m_out)):
                 assert side.n == n and side.m == m
                 assert np.array_equal(side.roots, roots[rows, cols])
                 assert np.array_equal(side.normals, normals[rows, cols])
@@ -794,14 +804,16 @@ class TestRoundBlocks:
         monkeypatch.setattr(linrep.env, "chi_square", counting_chi2)
         d, k, n, count = 6, 2, 4, 3
         env = _env(d=d, k=k, seed=22, noise_std=0.1)
-        seen = set()
-        for m_in, m_out in ((1, d - 1), (d, d), (4 * d, 1000), (100_000, 4 * d)):
-            counts.update(normal=0, chi2=0)
-            list(_rounds(env, n, count, substream(22, m_in, m_out, "tasks"), (m_in, m_out),
-                         substream(22, m_in, m_out, "data")))
-            seen.add((counts["normal"], counts["chi2"]))
-        per_round = (n * k + n * 4 * (d + 1), n * 4)  # heads, then 4 sketch columns
-        assert seen == {(count * per_round[0], count * per_round[1])}
+        for columns in set(_SKETCH_COLUMNS.values()):
+            seen = set()
+            for m_in, m_out in ((1, d - 1), (d, d), (4 * d, 1000), (100_000, 4 * d)):
+                counts.update(normal=0, chi2=0)
+                list(_rounds(env, n, count, substream(22, m_in, m_out, "tasks"), (m_in, m_out),
+                             substream(22, m_in, m_out, "data"), columns))
+                seen.add((counts["normal"], counts["chi2"]))
+            j = sum(columns)
+            per_round = (n * k + n * j * (d + 1), n * j)  # heads, then the J sketch columns
+            assert seen == {(count * per_round[0], count * per_round[1])}
 
     def test_block_validates_its_heads_once_and_builds_no_data_set(self, monkeypatch) -> None:
         # A round's heads are rows of its block's validated draw, and its
@@ -822,7 +834,7 @@ class TestRoundBlocks:
         env = _env(d=6, k=2, seed=27, noise_std=0.1)
         hp = _hp(Algorithm.FO_ANIL, Mode.FINITE, n=4, m_in=3, m_out=30)
         block = list(_rounds(env, hp.n, 5, substream(27, 0, "tasks"), (hp.m_in, hp.m_out),
-                             substream(27, 0, "data")))
+                             substream(27, 0, "data"), _SKETCH_COLUMNS[hp.algo]))
         assert len(block) == 5 and block[-1].outer_sets.m == 30
         assert calls == [("batch", 20)]
 
@@ -837,7 +849,7 @@ class TestRoundBlocks:
     def test_run_draws_exactly_its_rounds_in_trimmed_blocks(self, mode: Mode, monkeypatch) -> None:
         # 2 R + 2 rounds are two full blocks and a trimmed one of 2 rounds.
         d, k, n = 20, 3, 10
-        size = _block_size(mode, d, k, n)
+        size = _block_size(Algorithm.FO_ANIL, mode, d, k, n)
         iters = 2 * size + 1
         # A finite-sample block draws its sketches in one chi-square call on
         # its R n tasks; a run calls no full data-set sampler.
@@ -884,7 +896,7 @@ class TestRoundBlocks:
         # computed on its own; that reference run draws the same blocks, and
         # so computes their statistics once each as well.
         d, k, n = 20, 3, 10
-        size = _block_size(mode, d, k, n)
+        size = _block_size(Algorithm.FO_ANIL, mode, d, k, n)
         iters = 2 * size + 1
         blow_up_at = iters if diverges else None
         blocks: list[int] = []
@@ -1341,7 +1353,7 @@ class TestWholeRunOracle:
         # three record chunks.
         env = _env(d=8, k=3, seed=31, head_mean=1.0)
         hp = _hp(algo, alpha=0.1, beta=0.05, n=3, iters=300)
-        assert _block_size(Mode.POPULATION, env.d, env.k, hp.n) < hp.iters + 1
+        assert _block_size(algo, Mode.POPULATION, env.d, env.k, hp.n) < hp.iters + 1
         init = init_model(env, hp.alpha, InitScheme.SPEC, substream(31, 0, "init"))
         result = self._compare(env, hp, init, 31, record_every=2)
         assert not result.diverged and len(result.trajectory) > 2 * _RECORD_CHUNK

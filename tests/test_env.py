@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import linrep.env
-from linrep.algorithms import step_for
+from linrep.algorithms import _SKETCH_COLUMNS, step_for
 from linrep.env import (
     DataSet,
     DiversityStats,
@@ -419,7 +419,8 @@ class TestDiversityStats:
         params = ModelParams(rep=standard_normal(substream(9, 2, "params"), (5, 2)),
                              head=np.array([0.5, -1.0]))
         step = step_for(hp)
-        for batch in _block_rounds(env, heads, substream(9, 1, "data"), (hp.m_in, hp.m_out)):
+        for batch in _block_rounds(env, heads, substream(9, 1, "data"), (hp.m_in, hp.m_out),
+                                   _SKETCH_COLUMNS[hp.algo]):
             for side, columns, m in ((batch.inner_sets, 3, 2), (batch.outer_sets, 1, 10)):
                 assert side.n == 4 and side.m == m
                 assert side.roots.shape == (4, columns)
