@@ -27,6 +27,15 @@ running extremes by comparisons, the record check and a two-dot divergence
 test whose limits are computed once per run; a step it does not clear gets
 ``_is_diverged``'s exact verdict.
 
+The trajectory loop (``_run_cells``) also runs a stack of finite-sample
+cells that differ only in ``m_in``/``m_out``, the cells of a sweep's trial,
+as one run: the cells share their environment, initialization, heads and
+head statistics, each draws its data from its own stream, and the kernels,
+the step and ``ModelParams`` carry a leading cell axis, so a round is still
+one step call and one statistics lookup.  A cell that diverges or collapses is
+frozen and truncated where it would stop alone; ``run_trajectory`` is the
+one-cell case.
+
 Recording is kept out of the step loop.  At a scheduled record the loop
 appends a snapshot (the iteration, the parameters, the round's adapted heads
 and sampled heads, the running diversity statistics) to a list, the arrays
@@ -72,10 +81,9 @@ __all__ = [
 # Iterates whose head norm or representation spectral norm (relative to the
 # 1/sqrt(alpha) parameter scale) pass this bound are declared divergent.
 _DIVERGENCE_NORM = 1e6
-# Relative margin by which ``run_trajectory``'s two-dot test keeps clear of
-# ``_is_diverged``'s spectral-norm limit: far wider than the rounding of
-# either side (some ``d k`` units of 2^-53), so that it never changes the
-# verdict.
+# Relative margin by which the trajectory loop's two-dot test keeps clear of
+# ``_is_diverged``'s limits: far wider than the rounding of either side
+# (some ``C d k`` units of 2^-53), so that it never changes the verdict.
 _SHORTCUT_MARGIN = 1e-9
 
 
@@ -142,18 +150,25 @@ class RunResult:
 # shape (n, k) and adapted_reps of shape (n, d, k) or None when the
 # algorithm adapts heads only.
 #
-# A product of two 2-D or 1-D arrays that runs every step is ``a.dot(b)``:
-# on these operands (contiguous arrays and transposed views) it makes the
-# BLAS call ``a @ b`` makes (gemm, gemv, ddot, or syrk for ``A A^T``), with
-# the same bits, without the matmul gufunc's dispatch (3x20 by 20x3: 0.53
-# against 1.10 us, numpy 2.4 with one OpenBLAS thread on a 2-vCPU Xeon).
-# Stacked products keep ``@``, whose N-D semantics ``dot`` does not share
-# (``DataSet.times``, ``_records``, ``_psi_spectra``).  Likewise a sum over the
-# task axis is ``np.add.reduce(x, 0)``: the ufunc reduction
-# ``x.sum(axis=0)`` makes, with the same bits, without the Python wrapper
-# around it.  The independent oracles
-# (``model.pop_grad_*``/``fs_grad_*``, the finite-difference check) keep
-# ``@`` and ``sum``, to share no code path with the kernels.
+# The kernels are rank-generic: parameters ``(C, d, k)``/``(C, k)`` with a
+# leading cell axis, on sides stacked the same way (``env._Sketch``), step C
+# cells at once, every shape above gaining that axis.  Each cell's slice has
+# the bits of the 2-D call on that cell's parameters and sides, since every
+# operation applies its 2-D inner loop or BLAS call to each slice
+# (``tests/test_stack.py``).  The products come from ``_PRODUCTS`` by the
+# rank of ``B``: a product of two 2-D or 1-D arrays is ``a.dot(b)``, which on
+# these operands (contiguous arrays and transposed views) makes the BLAS call
+# ``a @ b`` makes (gemm, gemv, ddot, or syrk for ``A A^T``), with the same
+# bits, without the matmul gufunc's dispatch (3x20 by 20x3: 0.53 against
+# 1.10 us, numpy 2.4 with one OpenBLAS thread on a 2-vCPU Xeon); a stacked
+# product is ``np.matmul``, or ``np.matvec`` for a matrix times a vector,
+# since ``dot``'s N-D semantics differ.  Transposes are ``.mT``, einsums
+# carry ``...`` for the cell axis, and a sum over the task axis is
+# ``np.add.reduce(x, -2)``: the ufunc reduction ``x.sum(axis=-2)`` makes,
+# with the same bits, without the Python wrapper around it; each costs what
+# its 2-D form does.  The independent oracles (``model.pop_grad_*``/
+# ``fs_grad_*``, the finite-difference check) keep ``@`` and ``sum``, to
+# share no code path with the kernels.
 #
 # A kernel's scalars, the inner step ``alpha`` and the task count ``n`` it
 # divides by, and the outer step ``beta`` are read-only 0-d arrays
@@ -167,6 +182,9 @@ class RunResult:
 # 0-d array is not: a float64 operand would turn a float32 kernel into a
 # float64 one, so the operands are made in the parameters' dtype.  A kernel
 # takes Python scalars too, with the same bits.
+
+_PRODUCTS = {2: (np.ndarray.dot, np.ndarray.dot), 3: (np.matmul, np.matvec)}
+
 
 class _Exact:
     """A population round's side, the exact moments ``(I, B* w*_i)`` of
@@ -201,79 +219,89 @@ def _sides(env: TaskEnvironment, batch: TaskBatch, mode: Mode) -> tuple:
 
 
 def _grads_fo_anil(B, w, inner, outer, alpha, n):
-    inner_res = inner.residual(B.dot(w))
-    adapted = w - alpha * inner_res.dot(B)
-    outer_res = outer.residual(adapted.dot(B.T))
-    grad_head = np.add.reduce(outer_res.dot(B), 0) / n
-    grad_rep = outer_res.T.dot(adapted) / n
+    mm, mv = _PRODUCTS[B.ndim]
+    inner_res = inner.residual(mv(B, w))
+    adapted = w[..., None, :] - alpha * mm(inner_res, B)
+    outer_res = outer.residual(mm(adapted, B.mT))
+    grad_head = np.add.reduce(mm(outer_res, B), -2) / n
+    grad_rep = mm(outer_res.mT, adapted) / n
     return grad_head, grad_rep, adapted, None
 
 
 def _grads_exact_anil(B, w, inner, outer, alpha, n):
-    inner_res = inner.residual(B.dot(w))  # row i: grad of head pre-projection
-    adapted = w - alpha * inner_res.dot(B)
+    mm, mv = _PRODUCTS[B.ndim]
+    inner_res = inner.residual(mv(B, w))  # row i: grad of head pre-projection
+    row = w[..., None, :]
+    adapted = row - alpha * mm(inner_res, B)
 
-    U = outer.residual(adapted.dot(B.T))
-    UB = U.dot(B)
+    U = outer.residual(mm(adapted, B.mT))
+    UB = mm(U, B)
     # Inner-sample second moment applied to B (B^T u), per task.
-    cov_lift = inner.times(UB.dot(B.T))
-    grad_head = np.add.reduce(UB - alpha * cov_lift.dot(B), 0) / n
+    cov_lift = inner.times(mm(UB, B.mT))
+    grad_head = np.add.reduce(UB - alpha * mm(cov_lift, B), -2) / n
     grad_rep = (
-        U.T.dot(adapted) / n
-        - alpha * ((np.add.reduce(cov_lift, 0) / n)[:, None] * w)
-        - alpha * inner_res.T.dot(UB) / n
+        mm(U.mT, adapted) / n
+        - alpha * ((np.add.reduce(cov_lift, -2) / n)[..., None] * row)
+        - alpha * mm(inner_res.mT, UB) / n
     )
     return grad_head, grad_rep, adapted, None
 
 
-def _full_adaptation(B, w, inner, alpha):
+def _full_adaptation(B, w, row, inner, alpha, mm, mv):
     """Adapted heads and representations of the full-adaptation variants,
-    with the inner residual directions ``p_i`` (rows) that move ``B``."""
-    inner_res = inner.residual(B.dot(w))
-    adapted = w - alpha * inner_res.dot(B)
-    adapted_reps = B - alpha * inner_res[:, :, None] * w
+    with the inner residual directions ``p_i`` (rows) that move ``B``;
+    ``row`` is ``w`` with a task axis."""
+    inner_res = inner.residual(mv(B, w))
+    adapted = row - alpha * mm(inner_res, B)
+    adapted_reps = B[..., None, :, :] - alpha * inner_res[..., None] * row[..., None, :]
     return inner_res, adapted, adapted_reps
 
 
 def _grads_fo_maml(B, w, inner, outer, alpha, n):
-    inner_res, adapted, adapted_reps = _full_adaptation(B, w, inner, alpha)
-    outer_res = outer.residual(np.einsum("ndk,nk->nd", adapted_reps, adapted))
-    lift_dots = np.einsum("nd,nd->n", inner_res, outer_res)
-    grad_head = np.add.reduce(outer_res.dot(B) - alpha * lift_dots[:, None] * w, 0) / n
-    grad_rep = outer_res.T.dot(adapted) / n
+    mm, mv = _PRODUCTS[B.ndim]
+    row = w[..., None, :]
+    inner_res, adapted, adapted_reps = _full_adaptation(B, w, row, inner, alpha, mm, mv)
+    outer_res = outer.residual(np.einsum("...ndk,...nk->...nd", adapted_reps, adapted))
+    lift_dots = np.einsum("...nd,...nd->...n", inner_res, outer_res)
+    grad_head = np.add.reduce(mm(outer_res, B) - alpha * lift_dots[..., None] * row, -2) / n
+    grad_rep = mm(outer_res.mT, adapted) / n
     return grad_head, grad_rep, adapted, adapted_reps
 
 
 def _grads_exact_maml(B, w, inner, outer, alpha, n):
-    inner_res, adapted, adapted_reps = _full_adaptation(B, w, inner, alpha)
+    mm, mv = _PRODUCTS[B.ndim]
+    row = w[..., None, :]
+    inner_res, adapted, adapted_reps = _full_adaptation(B, w, row, inner, alpha, mm, mv)
     # Adapted-point gradient of task i's outer loss: (u_i, q_i w_i^T).
-    q = outer.residual(np.einsum("ndk,nk->nd", adapted_reps, adapted))
-    u = np.einsum("ndk,nd->nk", adapted_reps, q)
+    q = outer.residual(np.einsum("...ndk,...nk->...nd", adapted_reps, adapted))
+    u = np.einsum("...ndk,...nd->...nk", adapted_reps, q)
     # Hessian-vector product of the inner loss at the unadapted parameters,
     # applied to (u_i, q_i w_i^T); ``inner_res`` is its gradient direction.
-    overlaps = adapted.dot(w)[:, None]
-    cov_Bu = inner.times(u.dot(B.T))
+    overlaps = mv(adapted, w)[..., None]
+    cov_Bu = inner.times(mm(u, B.mT))
     cov_q = inner.times(q)
     hess_head = (
-        cov_Bu.dot(B)
-        + np.einsum("nd,nd->n", q, inner_res)[:, None] * adapted
-        + overlaps * cov_q.dot(B)
+        mm(cov_Bu, B)
+        + np.einsum("...nd,...nd->...n", q, inner_res)[..., None] * adapted
+        + overlaps * mm(cov_q, B)
     )
-    grad_head = np.add.reduce(u - alpha * hess_head, 0) / n
+    grad_head = np.add.reduce(u - alpha * hess_head, -2) / n
     grad_rep = (
-        q.T.dot(adapted)
-        - alpha * (np.add.reduce(cov_Bu + overlaps * cov_q, 0)[:, None] * w)
-        - alpha * inner_res.T.dot(u)
+        mm(q.mT, adapted)
+        - alpha * (np.add.reduce(cov_Bu + overlaps * cov_q, -2)[..., None] * row)
+        - alpha * mm(inner_res.mT, u)
     ) / n
     return grad_head, grad_rep, adapted, adapted_reps
 
 
 def _grads_avg(B, w, inner, outer, alpha, n):
     del inner, alpha  # no inner adaptation
-    res = outer.residual(B.dot(w))
-    grad_head = np.add.reduce(res.dot(B), 0) / n
-    grad_rep = (np.add.reduce(res, 0) / n)[:, None] * w
-    return grad_head, grad_rep, w[None].repeat(len(res), axis=0), None
+    mm, mv = _PRODUCTS[B.ndim]
+    res = outer.residual(mv(B, w))
+    row = w[..., None, :]
+    grad_head = np.add.reduce(mm(res, B), -2) / n
+    grad_rep = (np.add.reduce(res, -2) / n)[..., None] * row
+    return grad_head, grad_rep, row.repeat(res.shape[-2], axis=-2), None
 
 
 _GRADS: dict[Algorithm, Callable] = {
@@ -495,7 +523,36 @@ def run_trajectory(
     like every other, but its step is not applied, so a full run takes
     ``iters + 1`` steps.  Divergent runs are truncated at the offending
     iteration and never record a divergent state; a record whose
-    representation has collapsed is such an iteration.
+    representation has collapsed is such an iteration.  The run is the
+    one-cell case of the trajectory loop ``_run_cells``.
+    """
+    samples = None if hp.mode is Mode.POPULATION else (hp.m_in, hp.m_out)
+    (result,) = _run_cells(env, hp, init, rng, record_every, samples, data_rng)
+    return result
+
+
+def _run_cells(env: TaskEnvironment, hp: HyperParams, init: ModelParams, rng,
+               record_every: int, samples, data_rng) -> list[RunResult]:
+    """The trajectory loop: ``run_trajectory``'s run of one cell, or one
+    run of a stack of finite-sample cells that differ only in their sample
+    sizes, one ``RunResult`` per cell.
+
+    ``samples`` is None for a population run, ``(m_in, m_out)`` for one
+    finite-sample cell drawing its data from ``data_rng``, or a ``C x 2``
+    array of them for a stack of ``C`` cells, ``data_rng`` then a list of
+    the cells' ``C`` data streams.  The cells share ``env``, ``init``,
+    ``hp``'s other fields and the heads drawn from ``rng``, so they share
+    each round's task statistics; each cell draws its sketches from its own
+    stream in the block layout it has alone (``env._block_rounds``), and
+    the rank-generic step moves every cell with the bits it has alone.  A
+    round is one step call and one ``diversity_stats`` lookup for all cells.
+
+    A cell is frozen where it diverges or where its record collapses: its
+    trajectory is truncated there and ``diverged_at`` set, as when it runs
+    alone.  A frozen cell of a stack steps on from zero parameters, where
+    every kernel's gradient is exactly zero, so that it neither trips the
+    stack's divergence test nor needs a check of its own.  The run ends when
+    every cell is frozen or the horizon is reached.
     """
     if isinstance(record_every, bool) or not isinstance(record_every, (int, np.integer)):
         raise ValueError(f"record_every must be an integer, got {record_every!r}")
@@ -504,36 +561,64 @@ def run_trajectory(
     step = step_for(hp)
     perp = orth_complement(env.ground_truth_rep)
     rep_limit = _DIVERGENCE_NORM / math.sqrt(hp.alpha)
-    # The Frobenius norm bounds the spectral norm: below the limit by more
-    # than the rounding of either, two dot products clear a step (a NaN
-    # square fails the comparison).  The limits of that test, computed once.
-    head_sq_max, rep_sq_max = _DIVERGENCE_NORM**2, (1.0 - _SHORTCUT_MARGIN) * rep_limit**2
-    samples = None if hp.mode is Mode.POPULATION else (hp.m_in, hp.m_out)
-    # Snapshots not yet recorded, each a ``_Snapshots`` row, and the recorded chunks.
+    # Frobenius norms bound spectral norms, and a stack's sums of squares
+    # bound each cell's: below the limits by more than the rounding of
+    # either, two dot products clear a step for every cell (a NaN square
+    # fails the comparison).  The limits of that test, computed once.
+    head_sq_max, rep_sq_max = ((1.0 - _SHORTCUT_MARGIN) * limit**2
+                               for limit in (_DIVERGENCE_NORM, rep_limit))
+    stacked = samples is not None and np.ndim(samples) == 2
+    cells = len(samples) if stacked else 1
+    # One cell's head is a vector, whose dot skips np.vdot's dispatch.
+    head_dot = np.vdot if stacked else np.ndarray.dot
+    params = init
+    if stacked:
+        params = _trusted(ModelParams, rep=np.repeat(init.rep[None], cells, axis=0),
+                          head=np.repeat(init.head[None], cells, axis=0))
+
+    def cell(params: ModelParams, c: int) -> ModelParams:
+        """Cell ``c``'s parameters, copied out of a stack."""
+        if not stacked:
+            return params
+        return _trusted(ModelParams, rep=params.rep[c].copy(), head=params.head[c].copy())
+
+    # Snapshots not yet recorded, each a ``_Snapshots`` row of the stack;
+    # per cell, the recorded chunks, the iteration it is frozen at and its
+    # final parameters there.
     pending: list[tuple] = []
-    chunks: list[np.recarray] = []
+    chunks: list[list[np.recarray]] = [[] for _ in range(cells)]
+    diverged_at: list[int | None] = [None] * cells
+    final: list[ModelParams | None] = [None] * cells
+    frozen: list[int] = []
+
+    def freeze(c: int, t: int, params_c: ModelParams) -> None:
+        if diverged_at[c] is None:
+            frozen.append(c)
+        diverged_at[c], final[c] = t, params_c
+
+    def flush() -> None:
+        """Record each cell's pending snapshots before its frozen iteration,
+        up to one whose representation has collapsed; at such a snapshot
+        the cell is frozen, with the snapshot's parameters as its final
+        ones."""
+        kept = _Snapshots(*map(np.array, zip(*pending)))
+        pending.clear()
+        for c in range(cells):
+            rows = kept
+            if stacked:
+                rows = kept._replace(**{name: np.ascontiguousarray(getattr(kept, name)[:, c])
+                                        for name in ("rep", "head", "adapted_heads")})
+            if diverged_at[c] is not None:
+                rows = _Snapshots(*(column[:np.searchsorted(rows.t, diverged_at[c])]
+                                    for column in rows))
+            done = _records(rows, env, perp, hp.alpha)
+            chunks[c].append(done)
+            if len(done) < len(rows.t):
+                row = len(done)
+                freeze(c, int(rows.t[row]), ModelParams(rep=rows.rep[row], head=rows.head[row]))
 
     mu_sq = eta = math.inf
     L_sq = L_max = -math.inf
-    params = init
-    diverged_at: int | None = None
-
-    def flush() -> bool:
-        """Record the pending snapshots, up to one whose representation has
-        collapsed; at such a snapshot the run ends: its iteration is
-        ``diverged_at`` and its parameters are the final ones."""
-        nonlocal params, diverged_at
-        kept = _Snapshots(*map(np.array, zip(*pending)))
-        pending.clear()
-        done = _records(kept, env, perp, hp.alpha)
-        chunks.append(done)
-        if len(done) == len(kept.t):
-            return False
-        row = len(done)
-        diverged_at = int(kept.t[row])
-        params = ModelParams(rep=kept.rep[row], head=kept.head[row])
-        return True
-
     # A diverging run overflows in its steps, its divergence checks and its
     # records; it is declared divergent (or records NaN) rather than warning.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -548,28 +633,35 @@ def run_trajectory(
             if t % record_every == 0 or t == hp.iters:
                 pending.append((t, params.rep, params.head, outcome.adapted_heads, batch.heads,
                                 (mu_sq, L_sq, eta, L_max)))
-                if len(pending) == _RECORD_CHUNK and flush():
-                    break
-            if t == hp.iters:
+                if len(pending) == _RECORD_CHUNK:
+                    flush()
+            if t == hp.iters or len(frozen) == cells:
                 break
             params = outcome.params_next
             head, rep = params.head, params.rep
-            clear = head.dot(head) <= head_sq_max and np.vdot(rep, rep) <= rep_sq_max
-            if not clear and _is_diverged(params, rep_limit):
-                diverged_at = t + 1
-                break
+            if not (head_dot(head, head) <= head_sq_max and np.vdot(rep, rep) <= rep_sq_max):
+                for c in range(cells):
+                    if diverged_at[c] is None and _is_diverged(cell(params, c), rep_limit):
+                        freeze(c, t + 1, cell(params, c))
+                if len(frozen) == cells:
+                    break
+            if frozen:
+                rep[frozen], head[frozen] = 0.0, 0.0
         if pending:
             flush()
 
-    trajectory = np.concatenate(chunks).view(_Trajectory)
-    head_stats = None
-    if len(trajectory):
-        last = trajectory[-1]
-        head_stats = DiversityStats(last.mu_sq, last.L_sq, last.eta, last.L_max)
-    return RunResult(
-        trajectory=trajectory,
-        final_params=params,
-        diverged=diverged_at is not None,
-        diverged_at=diverged_at,
-        head_stats=head_stats,
-    )
+    results = []
+    for c in range(cells):
+        trajectory = np.concatenate(chunks[c]).view(_Trajectory)
+        head_stats = None
+        if len(trajectory):
+            last = trajectory[-1]
+            head_stats = DiversityStats(last.mu_sq, last.L_sq, last.eta, last.L_max)
+        results.append(RunResult(
+            trajectory=trajectory,
+            final_params=cell(params, c) if final[c] is None else final[c],
+            diverged=diverged_at[c] is not None,
+            diverged_at=diverged_at[c],
+            head_stats=head_stats,
+        ))
+    return results

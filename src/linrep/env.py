@@ -195,6 +195,15 @@ class _Sketch:
     is the number of reads the run's kernel makes of the side, so a step
     reveals every column drawn.
 
+    A stack of ``C`` cells' sides carries a leading cell axis on the roots
+    and normals (``C x n x J``, ``C x n x J x (d + 1)``) and a ``C x 1 x 1``
+    array of sample counts ``m``; the targets and ``sigma`` are shared, since
+    the cells share their heads.  Every read then takes and returns arrays
+    with the cell axis, each cell's slice with the bits of its own side's
+    read: the reveal is written in ``...`` indexing and gufuncs
+    (``np.vecdot``, ``np.matvec``, ``np.vecmat``) that apply one inner loop
+    to each slice.
+
     ``S beta - b`` is ``(1/m) [W u]_{:d}`` for ``u = (beta - B* w*_i;
     -sigma)``, ``S v`` for ``u = (v; 0)``; ``residual`` starts a reveal and
     ``times`` continues it.  Reveal ``t`` projects ``u`` off the basis
@@ -217,32 +226,36 @@ class _Sketch:
 
     __slots__ = ("roots", "normals", "m", "sigma", "targets", "first", "basis", "cols", "calls")
 
-    def __init__(self, roots: np.ndarray, normals: np.ndarray, m: int, sigma: float,
+    def __init__(self, roots: np.ndarray, normals: np.ndarray, m, sigma: float,
                  targets: np.ndarray) -> None:
         self.roots, self.normals, self.m = roots, normals, m
         self.sigma, self.targets = sigma, targets
 
     @property
     def n(self) -> int:
-        return len(self.roots)
+        return self.roots.shape[-2]
 
     def residual(self, beta: np.ndarray) -> np.ndarray:
-        """Rows ``S_i beta_i - b_i``, the first reveal of a step."""
+        """Rows ``S_i beta_i - b_i``, the first reveal of a step; ``beta``
+        without a task axis is shared by every task (of its cell)."""
+        if beta.ndim < self.roots.ndim:
+            beta = beta[..., None, :]
         r = beta - self.targets
-        g, root, sigma = self.normals[:, 0], self.roots[:, 0], self.sigma
+        g, root, sigma = self.normals[..., 0, :], self.roots[..., 0], self.sigma
         sigma_sq = sigma * sigma
         length = np.sqrt(np.vecdot(r, r) + sigma_sq)  # |u|
-        dots = np.vecdot(r, g[:, :-1]) - sigma * g[:, -1]  # u . g_0
+        dots = np.vecdot(r, g[..., :-1]) - sigma * g[..., -1]  # u . g_0
         # q_0 = (q_r; -sigma) / q_len.  Only a noiseless side can read u = 0:
         # it reads exactly 0, and its q_0 is the axis e_0 (q_r = e_0, q_len = 1).
         q_r, q_len = r, length
-        if not sigma_sq and np.count_nonzero(length) < len(length):
+        if not sigma_sq and np.count_nonzero(length) < length.size:
             zero = length == 0.0
-            q_r = np.where(zero[:, None], np.eye(1, r.shape[1]), r)
-            q_len, dots = np.where(zero, 1.0, length), np.where(zero, g[:, 0], dots)
+            q_r = np.where(zero[..., None], np.eye(1, r.shape[-1]), r)
+            q_len, dots = np.where(zero, 1.0, length), np.where(zero, g[..., 0], dots)
         qg = dots / q_len
         self.first, self.calls = (q_r, q_len, qg), 1
-        return (root / self.m)[:, None] * (length[:, None] * g[:, :-1] + (root - qg)[:, None] * r)
+        return (root[..., None] / self.m) * (length[..., None] * g[..., :-1]
+                                             + (root - qg)[..., None] * r)
 
     def times(self, vecs: np.ndarray) -> np.ndarray:
         """Rows ``S_i v_i``, a later reveal of the step."""
@@ -255,32 +268,32 @@ class _Sketch:
         the intermediates ``(q_r, q_len, q_0 . g_0)`` of ``residual``."""
         q_r, q_len, qg = self.first
         self.basis, self.cols = np.empty(self.normals.shape), np.empty(self.normals.shape)
-        q = self.basis[:, 0]
-        q[:, :-1], q[:, -1] = q_r, -self.sigma
-        q /= q_len[:, None]
-        self.cols[:, 0] = self.normals[:, 0] + q * (self.roots[:, 0] - qg)[:, None]
+        q = self.basis[..., 0, :]
+        q[..., :-1], q[..., -1] = q_r, -self.sigma
+        q /= q_len[..., None]
+        self.cols[..., 0, :] = self.normals[..., 0, :] + q * (self.roots[..., 0] - qg)[..., None]
 
     def _reveal(self, vecs: np.ndarray) -> np.ndarray:
-        t, basis = self.calls, self.basis[:, :self.calls]
-        u = np.zeros((len(self.roots), self.basis.shape[-1]))
-        u[:, :-1] = vecs
+        t, basis = self.calls, self.basis[..., :self.calls, :]
+        u = np.zeros(self.roots.shape[:-1] + self.basis.shape[-1:])
+        u[..., :-1] = vecs
         rest = u - _project(basis, u)
         rest -= _project(basis, rest)
         norms = np.sqrt(np.vecdot(rest, rest))
-        if np.count_nonzero(norms) < len(norms):
+        if np.count_nonzero(norms) < norms.size:
             zero, known = norms == 0.0, basis[norms == 0.0]
-            fill = np.eye(u.shape[1])[np.einsum("nrd,nrd->nd", known, known).argmin(axis=1)]
+            fill = np.eye(u.shape[-1])[np.einsum("nrd,nrd->nd", known, known).argmin(axis=1)]
             fill -= _project(known, fill)  # leaves a norm of at least sqrt(1/3)
             rest[zero], norms[zero] = fill, np.sqrt(np.vecdot(fill, fill))
-        q = rest / norms[:, None]
-        g, root = self.normals[:, t], self.roots[:, t]
-        self.basis[:, t], self.calls = q, t + 1
-        self.cols[:, t] = root[:, None] * q + (g - _project(self.basis[:, :t + 1], g))
-        return _project(self.cols[:, :t + 1], u)[:, :-1] / self.m
+        q = rest / norms[..., None]
+        g, root = self.normals[..., t, :], self.roots[..., t]
+        self.basis[..., t, :], self.calls = q, t + 1
+        self.cols[..., t, :] = root[..., None] * q + (g - _project(self.basis[..., :t + 1, :], g))
+        return _project(self.cols[..., :t + 1, :], u)[..., :-1] / self.m
 
 
 def _project(rows: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Rows ``sum_r a_r (a_r . v_i)`` for ``n`` stacked ``t x D`` row arrays."""
+    """Rows ``sum_r a_r (a_r . v_i)`` for stacked ``t x D`` row arrays."""
     return np.vecmat(np.matvec(rows, vecs), rows)
 
 
@@ -335,12 +348,15 @@ _HEAD_BLOCK_FLOATS = 2**10
 
 
 def _rounds(env: TaskEnvironment, n: int, total: int, rng: np.random.Generator,
-            samples: tuple[int, int] | None, data_rng: np.random.Generator | None = None,
+            samples, data_rng=None,
             columns: tuple[int, int] | None = None) -> Iterator[TaskBatch]:
     """The next ``total`` rounds of ``n`` tasks, heads drawn from ``rng``,
     with ``(m_in, m_out)`` inner and outer sketches of ``columns = (J_in,
     J_out)`` Bartlett columns drawn from ``data_rng`` given ``samples`` (both
-    required then), heads only given None.
+    required then), heads only given None.  ``samples`` may also be a ``C x
+    2`` array of a stack of cells' sample counts, with a list of the cells'
+    data streams as ``data_rng``: the rounds then carry stacked sketches
+    (see ``_Sketch``).
 
     The rounds are drawn in blocks of ``R`` (see ``_BLOCK_FLOATS``), the last
     one trimmed: a block draws its heads in one call (``_round_heads``) and
@@ -349,7 +365,8 @@ def _rounds(env: TaskEnvironment, n: int, total: int, rng: np.random.Generator,
     same bits in any block, so a population run's bytes do not depend on
     ``R``, and a finite-sample run with a data stream of its own steps on the
     population run's heads; its data depend on ``R``, which depends only on
-    ``(n, d)`` and the columns.
+    ``(n, d)`` and the columns, so a cell draws the same blocks in a stack
+    as alone.
     """
     if samples is not None and (data_rng is None or columns is None):
         raise ValueError("finite-sample rounds need a data stream of their own and their "
@@ -363,8 +380,7 @@ def _rounds(env: TaskEnvironment, n: int, total: int, rng: np.random.Generator,
         yield from _block_rounds(env, heads, data_rng, samples, columns)
 
 
-def _block_rounds(env: TaskEnvironment, heads: np.ndarray, rng: np.random.Generator | None,
-                  samples: tuple[int, int] | None,
+def _block_rounds(env: TaskEnvironment, heads: np.ndarray, rng, samples,
                   columns: tuple[int, int] | None = None) -> list[TaskBatch]:
     """The rounds of a block of ``(R, n, k)`` heads, each with its task
     statistics and, given ``samples`` and ``columns`` (see ``_rounds``), its
@@ -375,7 +391,11 @@ def _block_rounds(env: TaskEnvironment, heads: np.ndarray, rng: np.random.Genera
     is drawn; a finite-sample block then draws from ``rng`` the roots of its
     ``R n`` tasks' sketch columns (the inner ones, then the outer) in one
     call, then their normals in one, round ``r`` taking rows ``r n : (r + 1)
-    n`` and its targets ``B* w*_i``, formed from its own heads.
+    n`` and its targets ``B* w*_i``, formed from its own heads.  A stack of
+    cells (``samples`` of shape ``C x 2``, ``rng`` a list of ``C`` streams)
+    makes those two calls per cell, on the cell's own stream, and stacks
+    the draws along a leading cell axis; its rounds share their heads,
+    statistics and targets.
     """
     count, n, k = heads.shape
     tasks = TaskBatch(heads.reshape(count * n, k)).heads
@@ -385,17 +405,25 @@ def _block_rounds(env: TaskEnvironment, heads: np.ndarray, rng: np.random.Genera
     if samples is None:
         sides = [[None] * count] * 2
     else:
+        stacked = np.ndim(samples) == 2
         j = columns[0]
         rank = np.concatenate([np.arange(side) for side in columns])
-        sizes = np.repeat(samples, columns)
-        roots = np.sqrt(chi_square(rng, np.broadcast_to(np.maximum(sizes - rank, 0),
-                                                        (count * n, len(rank)))))
-        normals = standard_normal(rng, (count * n, len(rank), env.d + 1))
-        normals[:, rank >= sizes] = 0.0  # the factor has rank m
+        draws = []
+        for cell_rng, cell_samples in zip(rng if stacked else [rng],
+                                          samples if stacked else [samples]):
+            sizes = np.repeat(cell_samples, columns)
+            roots = np.sqrt(chi_square(cell_rng, np.broadcast_to(np.maximum(sizes - rank, 0),
+                                                                 (count * n, len(rank)))))
+            normals = standard_normal(cell_rng, (count * n, len(rank), env.d + 1))
+            normals[:, rank >= sizes] = 0.0  # the factor has rank m
+            draws.append((roots, normals))
+        roots, normals = (np.stack(drawn) if stacked else drawn[0] for drawn in zip(*draws))
+        ms = (np.asarray(samples, dtype=float).T[:, :, None, None] if stacked else samples)
         targets = [heads_r.dot(env.ground_truth_rep.T) for heads_r in heads]
-        sides = [[_Sketch(roots[r * n:(r + 1) * n, cols], normals[r * n:(r + 1) * n, cols], m,
+        tasks_of = [slice(r * n, (r + 1) * n) for r in range(count)]
+        sides = [[_Sketch(roots[..., tasks_of[r], cols], normals[..., tasks_of[r], cols, :], m,
                           env.noise_std, targets[r]) for r in range(count)]
-                 for cols, m in ((slice(0, j), samples[0]), (slice(j, None), samples[1]))]
+                 for cols, m in ((slice(0, j), ms[0]), (slice(j, None), ms[1]))]
     return [
         _trusted(TaskBatch, heads=heads_r, inner_sets=inner_r, outer_sets=outer_r,
                  _stats=_trusted(DiversityStats, mu_sq=mu_sq, L_sq=L_sq, eta=eta, L_max=L_max))

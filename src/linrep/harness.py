@@ -22,7 +22,7 @@ from typing import Literal
 import numpy as np
 from pydantic import BaseModel, ConfigDict, Field, ValidationError, model_validator
 
-from .algorithms import RunResult, meta_gradients, run_trajectory
+from .algorithms import RunResult, _run_cells, meta_gradients, run_trajectory
 from .env import (TaskBatch, TaskEnvironment, diversity_stats, sample_dataset,
                   sample_environment, sample_task_batch)
 from .metrics import HypothesisReport, check_hypotheses, fit_log_linear_rate
@@ -301,27 +301,31 @@ def _build_env(config: ExperimentConfig, trial: int) -> TaskEnvironment:
     )
 
 
-def _run_trial(config: ExperimentConfig, trial: int, record_every: int | None = None) -> RunResult:
-    """Run one trial; ``record_every`` defaults to the config's schedule."""
+def _run_trial(configs: tuple[ExperimentConfig, ...], trial: int,
+               record_every: int | None = None) -> tuple[RunResult, ...]:
+    """Run one trial of each of ``configs``, configs that differ at most in
+    ``hp.m_in``/``hp.m_out``, as one stack (``algorithms._run_cells``);
+    ``record_every`` defaults to the configs' schedule.
+
+    The cells share the trial's environment, initialization and heads
+    stream, and each draws its data from the trial's data stream as it
+    does alone, so each result is the one its config's trial has alone.
+    """
+    config = configs[0]
+    seed = config.run.master_seed
     env = _build_env(config, trial)
     hp = resolve_hyper(config)
-    init = init_model(
-        env,
-        hp.alpha,
-        config.init.scheme,
-        substream(config.run.master_seed, trial, "init"),
-        target_band=config.init.target_band,
-    )
-    # A finite-sample trial's data stream leaves it the population trial's heads.
-    data = None if hp.mode is Mode.POPULATION else substream(config.run.master_seed, trial, "data")
-    return run_trajectory(
-        env,
-        hp,
-        init,
-        substream(config.run.master_seed, trial, "tasks"),
-        record_every=config.run.record_every if record_every is None else record_every,
-        data_rng=data,
-    )
+    init = init_model(env, hp.alpha, config.init.scheme, substream(seed, trial, "init"),
+                      target_band=config.init.target_band)
+    tasks = substream(seed, trial, "tasks")
+    every = config.run.record_every if record_every is None else record_every
+    if len(configs) == 1:
+        # A finite-sample trial's data stream leaves it the population trial's heads.
+        data = None if hp.mode is Mode.POPULATION else substream(seed, trial, "data")
+        return (run_trajectory(env, hp, init, tasks, record_every=every, data_rng=data),)
+    samples = np.array([(c.hp.m_in, c.hp.m_out) for c in configs])
+    return tuple(_run_cells(env, hp, init, tasks, every, samples,
+                            [substream(seed, trial, "data") for _ in configs]))
 
 
 def _hypothesis_report(
@@ -402,7 +406,7 @@ def _summarize(config: ExperimentConfig, hp: HyperParams, results: tuple[RunResu
     if config.checks.hypcheck and results:
         # A2 and A5 bound one step, so records record_every steps apart
         # cannot give their margins.
-        report = _hypothesis_report(config, hp, _run_trial(config, 0, record_every=1))
+        report = _hypothesis_report(config, hp, _run_trial((config,), 0, record_every=1)[0])
         summary["hyp_first_violation"] = dict(report.first_violation)
     assert tuple(summary) == _SUMMARY_KEYS
     return summary
@@ -428,6 +432,20 @@ def _out_dir(config: ExperimentConfig, out_dir: str | Path | None) -> Path:
     return out
 
 
+def _run_trials(configs: tuple[ExperimentConfig, ...], jobs: int) -> list[tuple[RunResult, ...]]:
+    """Each config's results, trial by trial: the trials of ``configs`` (see
+    ``_run_trial``), in a process pool of up to ``jobs`` workers (bounded by
+    the trial and CPU counts), regrouped per config in trial order."""
+    trials = configs[0].run.trials
+    workers = _worker_count(jobs, trials)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            stacks = list(pool.map(_run_trial, [configs] * trials, range(trials)))
+    else:
+        stacks = [_run_trial(configs, trial) for trial in range(trials)]
+    return list(zip(*stacks))
+
+
 def run_experiment(
     config: ExperimentConfig, *, out_dir: str | Path | None = None, jobs: int = 1
 ) -> ExperimentArtifacts:
@@ -444,16 +462,16 @@ def run_experiment(
     record at every step, as ``hypcheck`` runs it.
     """
     _check_jobs(jobs)
-    hp = resolve_hyper(config)  # surfaces alpha='auto' problems before any work
+    resolve_hyper(config)  # surfaces alpha='auto' problems before any work
     out = _out_dir(config, out_dir)
-    trials = config.run.trials
-    workers = _worker_count(jobs, trials)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = tuple(pool.map(_run_trial, [config] * trials, range(trials)))
-    else:
-        results = tuple(_run_trial(config, trial) for trial in range(trials))
+    (results,) = _run_trials((config,), jobs)
+    return _write_artifacts(config, out, results)
 
+
+def _write_artifacts(config: ExperimentConfig, out: Path,
+                     results: tuple[RunResult, ...]) -> ExperimentArtifacts:
+    """The writer of ``run_experiment`` (and of every sweep cell): write the
+    trials' ``results`` of ``config`` into ``out`` and run its checks."""
     trajectory_csv = out / "trajectory.csv"
     mean_csv = out / "mean.csv"
     summary_json = out / "summary.json"
@@ -466,7 +484,7 @@ def run_experiment(
     _write_csv(trajectory_csv, TRAJECTORY_HEADER, rows, _TRAJECTORY_ROW)
     series = _mean_series(results)
     _write_csv(mean_csv, MEAN_HEADER, zip(*series), _MEAN_ROW)
-    summary = _summarize(config, hp, results, series)
+    summary = _summarize(config, resolve_hyper(config), results, series)
     summary_json.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
     report = gradcheck(config) if config.checks.gradcheck else None
@@ -619,7 +637,7 @@ class HypCheckResult:
 def hypcheck(config: ExperimentConfig, *, out_dir: str | Path | None = None) -> HypCheckResult:
     """Run trial 0 with per-iteration recording, evaluate the six
     trajectory-condition margins, and write hypotheses.csv."""
-    result = _run_trial(config, 0, record_every=1)
+    (result,) = _run_trial((config,), 0, record_every=1)
     report = _hypothesis_report(config, resolve_hyper(config), result)
     out = _out_dir(config, out_dir)
     csv_path = out / "hypotheses.csv"
@@ -697,40 +715,64 @@ def sweep(
     """Run one experiment per value of the swept hyperparameter and write a
     one-row-per-value sweep.csv.
 
-    Sample-size axes (M_IN, M_OUT) require FINITE mode.  A failing cell
-    (a non-finite value included) records its error message and the sweep
-    continues; cells where every trial diverged report the divergence count
-    with empty statistics.
+    Sample-size axes (M_IN, M_OUT) require FINITE mode.  Their valid cells
+    differ only in their sample sizes, so each trial runs them as one stack
+    (``_run_trial``): the cells share the trial's environment,
+    initialization, heads and head statistics, and each draws its data from
+    the trial's data stream as it does alone, so every cell's files have
+    the bytes ``run_experiment`` writes for it.  Other axes run one cell at a
+    time.  Trials are split over up to ``jobs`` workers, and every cell's
+    files are written by ``run_experiment``'s writer.  A failing cell (a
+    non-finite value included) records its error message and the sweep
+    continues; an error while running a stack is every cell's of the stack.
+    Cells where every trial diverged report the divergence count with empty
+    statistics.
     """
     _check_jobs(jobs)
     axis = SweepAxis(axis)
     if axis in (SweepAxis.M_IN, SweepAxis.M_OUT) and config.hp.mode is not Mode.FINITE:
         raise ConfigError(f"{axis.value} sweep requires FINITE mode")
     out = _out_dir(config, out_dir)
-    cells: list[SweepCell] = []
-    for value in values:
-        label = _value_label(axis, value)
-        stats = dict(final_dist_mean=None, plateau_dist=None, diverged=None, error=None)
+    labels = [_value_label(axis, value) for value in values]
+    stats = [dict(final_dist_mean=None, plateau_dist=None, diverged=None, error=None)
+             for _ in labels]
+
+    def fail(index: int, exc: Exception) -> None:
+        stats[index]["error"] = str(exc) or type(exc).__name__
+
+    cells = []  # (index, config, output directory) of each valid cell
+    for index, (value, label) in enumerate(zip(values, labels)):
         try:
             cell_config = _cell_config(config, axis, value)
-            artifacts = run_experiment(
-                cell_config,
-                out_dir=out / f"{axis.value.lower()}_{label}",
-                jobs=jobs,
-            )
-            stats.update(
-                final_dist_mean=artifacts.summary["final_dist_mean"],
-                plateau_dist=_plateau(artifacts.results, cell_config.hp.iters),
-                diverged=artifacts.summary["diverged"],
-            )
+            cells.append((index, cell_config,
+                          _out_dir(cell_config, out / f"{axis.value.lower()}_{label}")))
         except Exception as exc:
-            stats["error"] = str(exc) or type(exc).__name__
-        cells.append(SweepCell(axis=axis, value=label, **stats))
+            fail(index, exc)
+    stackable = axis in (SweepAxis.M_IN, SweepAxis.M_OUT)
+    for stack in [cells] if stackable and cells else [[cell] for cell in cells]:
+        try:
+            per_cell = _run_trials(tuple(cell_config for _, cell_config, _ in stack), jobs)
+        except Exception as exc:
+            for index, _, _ in stack:
+                fail(index, exc)
+            continue
+        for (index, cell_config, cell_out), results in zip(stack, per_cell):
+            try:
+                artifacts = _write_artifacts(cell_config, cell_out, results)
+                stats[index].update(
+                    final_dist_mean=artifacts.summary["final_dist_mean"],
+                    plateau_dist=_plateau(artifacts.results, cell_config.hp.iters),
+                    diverged=artifacts.summary["diverged"],
+                )
+            except Exception as exc:
+                fail(index, exc)
+    result_cells = tuple(SweepCell(axis=axis, value=label, **cell_stats)
+                         for label, cell_stats in zip(labels, stats))
     csv_path = out / "sweep.csv"
     rows = ((c.axis.value, c.value, c.final_dist_mean, c.plateau_dist, c.diverged, c.error)
-            for c in cells)
+            for c in result_cells)
     _write_csv(csv_path, SWEEP_HEADER, rows)
-    return SweepResult(csv_path=csv_path, cells=tuple(cells))
+    return SweepResult(csv_path=csv_path, cells=result_cells)
 
 
 # --------------------------------------------------------------------------

@@ -70,7 +70,9 @@ class InitScheme(enum.Enum):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Representation ``rep`` (``d x k``) and head ``head`` (``k``)."""
+    """Representation ``rep`` (``d x k``) and head ``head`` (``k``), or a
+    stack of ``C`` of them along a leading cell axis (``C x d x k`` and
+    ``C x k``)."""
 
     rep: np.ndarray
     head: np.ndarray
@@ -78,10 +80,12 @@ class ModelParams:
     def __post_init__(self) -> None:
         rep = np.asarray(self.rep, dtype=float)
         head = np.asarray(self.head, dtype=float)
-        if rep.ndim != 2:
-            raise ValueError(f"rep must be 2-D, got shape {rep.shape}")
-        if head.shape != (rep.shape[1],):
-            raise ValueError(f"head must have shape ({rep.shape[1]},), got {head.shape}")
+        if rep.ndim not in (2, 3):
+            raise ValueError(f"rep must be 2-D, or 3-D with a leading cell axis, got shape "
+                             f"{rep.shape}")
+        if head.shape != rep.shape[:-2] + rep.shape[-1:]:
+            raise ValueError(f"head must have shape {rep.shape[:-2] + rep.shape[-1:]}, got "
+                             f"{head.shape}")
         object.__setattr__(self, "rep", rep)
         object.__setattr__(self, "head", head)
 

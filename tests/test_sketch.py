@@ -31,6 +31,7 @@ import pytest
 from linrep.algorithms import (
     _GRADS,
     _SKETCH_COLUMNS,
+    _run_cells,
     _sides,
     meta_gradients,
     run_trajectory,
@@ -377,6 +378,26 @@ class TestSketchLaw:
                     failures.append(f"{name} {label} KS {ks:.4f} > {LAW_KS:.4f}")
         assert not failures, "; ".join(failures)
 
+    @pytest.mark.parametrize("m", [3, 12], ids=["m<d", "m>d"])
+    def test_residual_along_r_reads_the_noise_coordinate(self, m: int) -> None:
+        # With ``r = beta - B* w*`` as long as the noise level, the residual's
+        # spread along ``r`` is half made of the noise coordinate of ``u =
+        # (r; -sigma)``: through ``q_0 . g_0``, its term ``-sigma g_0[d]``.
+        # The centred mean square of that coordinate must match
+        # ``sample_dataset``'s within the law's 5 standard errors.
+        d, k, sigma = 5, 2, 0.4
+        env = sample_environment(d, k, 0.0, 1.0, sigma, substream(44, 0, "env"))
+        rng = substream(44, m, "fixed")
+        heads = np.tile(standard_normal(rng, (1, k)), (LAW_SAMPLES, 1))
+        beta = heads[0] @ env.ground_truth_rep.T
+        beta[0] += sigma  # r = sigma e_0
+        (batch,) = _block_rounds(env, heads[None], substream(44, m, "sketch"), (m, m), (1, 1))
+        sketched = batch.outer_sets.residual(beta)[:, 0]
+        sampled = sample_dataset(env, heads, m, substream(44, m, "sampled")).residual(beta)[:, 0]
+        squares = [(x - x.mean()) ** 2 for x in (sketched, sampled)]
+        gap = float(_mean_gap(*squares))
+        assert gap <= LAW_SE, f"mean square along r off by {gap:.1f} SE"
+
 
 # --- convergence to the population run -------------------------------------
 
@@ -390,24 +411,24 @@ class TestFiniteConvergesToPopulation:
         # two follow the same rounds, and their distance gap is sampling
         # error, O(m^(-1/2)): a tenth per 100x in m.  The population run's
         # distance does not depend on the noise, so both noise levels share
-        # it.  About 5.5 s on a 2-vCPU VM.
+        # it.  The three finite-sample runs of a noise level run as one
+        # stack, each with the bits it has alone (``tests/test_stack.py``).
         failures = []
         for algo in ALL_ALGOS:
             population = None
             for noise_std in (0.0, 0.1):
                 env = sample_environment(6, 2, 0.0, 1.0, noise_std, substream(46, 0, "env"))
-                hps = [_hp(algo, n=3, alpha=0.1, beta=0.1, iters=2000, m_in=m, m_out=m)
-                       for m in CONVERGENCE_M]
-                if population is None:
-                    hps.insert(0, _hp(algo, Mode.POPULATION, n=3, alpha=0.1, beta=0.1,
-                                      iters=2000))
+                hp = _hp(algo, n=3, alpha=0.1, beta=0.1, iters=2000)
                 init = init_model(env, 0.1, InitScheme.SPEC, substream(46, 0, "init"))
-                dists = []
-                for hp in hps:
-                    result = run_trajectory(env, hp, init, substream(46, 0, "tasks"),
-                                            record_every=10, data_rng=substream(46, 0, "data"))
-                    assert not result.diverged
-                    dists.append(result.trajectory.dist)
+                results = _run_cells(env, hp, init, substream(46, 0, "tasks"), 10,
+                                     np.array([(m, m) for m in CONVERGENCE_M]),
+                                     [substream(46, 0, "data") for _ in CONVERGENCE_M])
+                if population is None:
+                    results.insert(0, run_trajectory(
+                        env, _hp(algo, Mode.POPULATION, n=3, alpha=0.1, beta=0.1, iters=2000),
+                        init, substream(46, 0, "tasks"), record_every=10))
+                assert not any(result.diverged for result in results)
+                dists = [result.trajectory.dist for result in results]
                 if population is None:
                     population = dists.pop(0)
                 gaps = [float(np.abs(dist - population).max()) for dist in dists]

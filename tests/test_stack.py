@@ -1,0 +1,181 @@
+"""Stack independence: a finite-sample cell steps with the same bits alone
+and inside a stack of cells that differ only in their sample sizes.
+
+``algorithms._run_cells`` runs the cells of an ``M_IN``/``M_OUT`` sweep as
+one stack: shared environment, initialization and heads, each cell drawing
+its sketches from its own data stream.  The oracle is the cell run alone
+(``run_trajectory``): its trajectory bytes, final parameters, ``diverged``
+and ``diverged_at`` must be bitwise those of its slice of every stack of 2
+and 3 cells, in every order, for all five algorithms on both axes; and a
+cell frozen by divergence or collapse must leave the others running as
+they run alone.  Seeds, sizes and stacks were fixed before the first run.
+"""
+from __future__ import annotations
+
+import itertools
+import json
+
+import numpy as np
+import pytest
+
+import linrep.algorithms
+from linrep.algorithms import RunResult, StepOutcome, _run_cells, run_trajectory
+from linrep.env import sample_environment
+from linrep.harness import ExperimentConfig, SweepAxis, run_experiment, sweep
+from linrep.model import Algorithm, HyperParams, InitScheme, Mode, ModelParams, init_model
+from linrep.rng import substream
+
+ALL_ALGOS = list(Algorithm)
+D, K, N, ITERS, RECORD_EVERY = 6, 2, 3, 60, 3
+# (m_in, m_out) of three cells per axis; 2 and 3 are below d, so their
+# factors have zero columns.
+CELLS = {
+    "M_IN": ((2, 12), (9, 12), (40, 12)),
+    "M_OUT": ((12, 3), (12, 11), (12, 50)),
+}
+STACKS = [order for size in (2, 3) for order in itertools.permutations(range(3), size)]
+
+
+def _hp(algo: Algorithm, m_in: int, m_out: int, beta: float = 0.1) -> HyperParams:
+    return HyperParams(algo=algo, mode=Mode.FINITE, alpha=0.1, beta=beta, n=N, iters=ITERS,
+                       m_in=m_in, m_out=m_out)
+
+
+def _setup(seed: int):
+    env = sample_environment(D, K, 0.0, 1.0, 0.2, substream(seed, "env"))
+    return env, init_model(env, 0.1, InitScheme.SPEC, substream(seed, "init"))
+
+
+def _alone(algo: Algorithm, cell: tuple[int, int], seed: int) -> RunResult:
+    env, init = _setup(seed)
+    return run_trajectory(env, _hp(algo, *cell), init, substream(seed, "tasks"), RECORD_EVERY,
+                          data_rng=substream(seed, "data"))
+
+
+def _stacked(algo: Algorithm, cells: list[tuple[int, int]], seed: int) -> list[RunResult]:
+    env, init = _setup(seed)
+    return _run_cells(env, _hp(algo, *cells[0]), init, substream(seed, "tasks"), RECORD_EVERY,
+                      np.array(cells), [substream(seed, "data") for _ in cells])
+
+
+def _bits(result: RunResult) -> tuple:
+    return (result.trajectory.tobytes(), result.final_params.rep.tobytes(),
+            result.final_params.head.tobytes(), result.diverged, result.diverged_at)
+
+
+def _check_stacks(algo: Algorithm, cells, seed: int) -> list[RunResult]:
+    alone = [_alone(algo, cell, seed) for cell in cells]
+    for order in STACKS:
+        stack = _stacked(algo, [cells[i] for i in order], seed)
+        assert len(stack) == len(order)
+        for i, result in zip(order, stack):
+            assert _bits(result) == _bits(alone[i]), f"cell {cells[i]} in stack {order}"
+    return alone
+
+
+@pytest.mark.parametrize("axis", sorted(CELLS))
+@pytest.mark.parametrize("algo", ALL_ALGOS, ids=lambda a: a.value)
+def test_a_cell_has_the_same_bits_alone_and_in_any_stack(algo: Algorithm, axis: str) -> None:
+    alone = _check_stacks(algo, CELLS[axis], 61)
+    assert not any(result.diverged for result in alone)
+    assert all(len(result.trajectory) == ITERS // RECORD_EVERY + 1 for result in alone)
+
+
+def _freezing_step_for(diverge_m_out: int, collapse_m_out: int, diverge_at: int,
+                       collapse_at: int):
+    """A ``step_for`` whose steps blow up the head of every cell with
+    ``diverge_m_out`` outer samples on the step into ``diverge_at``, and
+    zero a representation column of every cell with ``collapse_m_out`` on
+    the step into ``collapse_at``: per cell, from the cell's own sides, so
+    alone and stacked alike."""
+    make_step = linrep.algorithms.step_for
+
+    def step_for(hp):
+        step = make_step(hp)
+        calls = []
+
+        def patched(params, env, batch, hp):
+            t = len(calls)
+            calls.append(t)
+            outcome = step(params, env, batch, hp)
+            rep, head = outcome.params_next.rep.copy(), outcome.params_next.head.copy()
+            m_out = np.asarray(batch.outer_sets.m).reshape(head.shape[:-1])
+            if t + 1 == diverge_at:
+                head[m_out == diverge_m_out] = 1e7
+            if t + 1 == collapse_at:
+                rep[..., 1] = np.where((m_out == collapse_m_out)[..., None], 0.0, rep[..., 1])
+            return StepOutcome(ModelParams(rep, head), outcome.adapted_heads,
+                               outcome.adapted_reps)
+
+        return patched
+
+    return step_for
+
+
+@pytest.mark.parametrize("algo", ALL_ALGOS, ids=lambda a: a.value)
+def test_a_frozen_cell_leaves_the_others_running(algo: Algorithm, monkeypatch) -> None:
+    # Cell m_out = 3 diverges at t = 20 and cell m_out = 11 collapses at the
+    # record t = 33; cell m_out = 50 runs to the end in every stack.
+    cells = CELLS["M_OUT"]
+    monkeypatch.setattr(linrep.algorithms, "step_for", _freezing_step_for(3, 11, 20, 33))
+    alone = _check_stacks(algo, cells, 62)
+    assert [(r.diverged, r.diverged_at) for r in alone] == [(True, 20), (True, 33),
+                                                             (False, None)]
+    assert [r.trajectory.t[-1] for r in alone] == [18, 30, ITERS]
+    assert not alone[1].final_params.rep[:, 1].any()
+
+
+def test_a_cell_that_diverges_on_its_own_leaves_the_others_running() -> None:
+    # At beta = 0.5 the cell with a single outer sample diverges by itself
+    # (at t = 5), the others do not.
+    cells = ((12, 1), (12, 40), (12, 400))
+    seed, beta = 63, 0.5
+    env, init = _setup(seed)
+    alone = [run_trajectory(env, _hp(Algorithm.FO_ANIL, *cell, beta=beta), init,
+                            substream(seed, "tasks"), RECORD_EVERY,
+                            data_rng=substream(seed, "data")) for cell in cells]
+    assert [r.diverged for r in alone] == [True, False, False]
+    for order in STACKS:
+        stack = _run_cells(env, _hp(Algorithm.FO_ANIL, 12, 1, beta=beta), init,
+                           substream(seed, "tasks"), RECORD_EVERY,
+                           np.array([cells[i] for i in order]),
+                           [substream(seed, "data") for _ in order])
+        for i, result in zip(order, stack):
+            assert _bits(result) == _bits(alone[i]), f"cell {cells[i]} in stack {order}"
+
+
+def _sweep_config(algo: str) -> ExperimentConfig:
+    return ExperimentConfig.model_validate({
+        "env": {"d": D, "k": K, "noise_std": 0.2},
+        "hp": {"algo": algo, "mode": "FINITE", "alpha": 0.1, "beta": 0.1, "n": N,
+               "m_in": 12, "m_out": 12, "iters": 40},
+        "run": {"trials": 3, "master_seed": 64, "record_every": 4},
+    })
+
+
+FILES = ("trajectory.csv", "mean.csv", "summary.json")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("axis", [SweepAxis.M_IN, SweepAxis.M_OUT])
+def test_sweep_cells_have_their_own_run_bytes_beside_an_invalid_value(
+    axis: SweepAxis, jobs: int, tmp_path
+) -> None:
+    config = _sweep_config("EXACT_MAML")
+    result = sweep(config, axis, [30, 0, 5], out_dir=tmp_path / "sweep", jobs=jobs)
+    assert [cell.value for cell in result.cells] == ["30", "0", "5"]
+    assert [cell.error is None for cell in result.cells] == [True, False, True]
+    assert result.cells[1].final_dist_mean is None and result.cells[1].diverged is None
+    assert not (tmp_path / "sweep" / f"{axis.value.lower()}_0").exists()
+    for value in (30, 5):
+        data = config.hp.model_dump()
+        data[axis.value.lower()] = value
+        cell_config = ExperimentConfig.model_validate(
+            {**config.model_dump(), "hp": data})
+        direct = run_experiment(cell_config, out_dir=tmp_path / f"direct_{value}")
+        swept = tmp_path / "sweep" / f"{axis.value.lower()}_{value}"
+        for name in FILES:
+            assert (swept / name).read_bytes() == (direct.out_dir / name).read_bytes(), name
+        cell = next(c for c in result.cells if c.value == str(value))
+        assert cell.final_dist_mean == json.loads(
+            (direct.out_dir / "summary.json").read_text())["final_dist_mean"]

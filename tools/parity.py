@@ -14,8 +14,10 @@ that tree's ``src`` on ``PYTHONPATH`` and BLAS pinned to one thread:
   shipped run config (``gradcheck_small`` and the ``population_*`` ones)
   and each of the five algorithms, at 2 trials with ``checks.hypcheck``
   on, and ``linrep plot`` of each ``--jobs 1`` run's ``trajectory.csv``;
-- ``linrep sweep --axis M_OUT --values 50,200,800`` on
-  ``finite_sample_sweep`` at ``--jobs`` 1 and 2;
+- ``linrep sweep`` over ``M_IN`` (``20,0,100,400``) and over ``M_OUT``
+  (``50,0,200,800``) on ``finite_sample_sweep`` at 3 trials, for each of
+  the five algorithms, at ``--jobs`` 1 and 2: every stacked kernel, and a
+  cell whose value is refused beside cells that run;
 - ``harness.gradcheck``'s errors as float hex for the ten (algorithm,
   mode) pairs, from ``gradcheck_small`` with the pair swapped in.
 
@@ -49,6 +51,7 @@ ALGOS = ("FO_ANIL", "EXACT_ANIL", "FO_MAML", "EXACT_MAML", "AVG_RISK_MIN")
 RUN_CONFIGS = ("gradcheck_small", "population_zero_mean", "population_mean10_near_truth",
                "population_mean10_random_init")
 SWEEP_CONFIG = "finite_sample_sweep"
+SWEEPS = (("M_IN", "20,0,100,400"), ("M_OUT", "50,0,200,800"))
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "BLIS_NUM_THREADS")
 GRADCHECK_HEX = """
@@ -101,12 +104,18 @@ def _commands(tree: Path) -> list[tuple]:
                                               f"{name}/run1/plot.svg"], None))
             commands.append((f"{name}-hypcheck", ["hypcheck", f"{name}.json", "--out",
                                                   f"{name}/hypcheck"], config))
-    config = json.loads((tree / "configs" / f"{SWEEP_CONFIG}.json").read_text())
-    for jobs in (1, 2):
-        commands.append((f"{SWEEP_CONFIG}-sweep{jobs}",
-                         ["sweep", f"{SWEEP_CONFIG}.json", "--axis", "M_OUT", "--values",
-                          "50,200,800", "--jobs", str(jobs), "--out",
-                          f"{SWEEP_CONFIG}/sweep{jobs}"], config))
+    raw = json.loads((tree / "configs" / f"{SWEEP_CONFIG}.json").read_text())
+    for algo in ALGOS:
+        name = f"{SWEEP_CONFIG}-{algo.lower()}"
+        config = json.loads(json.dumps(raw))
+        config["hp"]["algo"] = algo
+        config["run"]["trials"] = 3
+        for axis, values in SWEEPS:
+            for jobs in (1, 2):
+                commands.append((f"{name}-{axis.lower()}{jobs}",
+                                 ["sweep", f"{name}.json", "--axis", axis, "--values", values,
+                                  "--jobs", str(jobs), "--out", f"{name}/{axis.lower()}{jobs}"],
+                                 config))
     return commands
 
 
