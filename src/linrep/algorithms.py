@@ -29,10 +29,11 @@ test whose limits are computed once per run; a step it does not clear gets
 
 The trajectory loop (``_run_cells``) also runs a stack of finite-sample
 cells that differ only in ``m_in``/``m_out``, the cells of a sweep's trial,
-as one run: the cells share their environment, initialization, heads and
-head statistics, each draws its data from its own stream, and the kernels,
-the step and ``ModelParams`` carry a leading cell axis, so a round is still
-one step call and one statistics lookup.  A cell that diverges or collapses is
+as one run: the cells share their environment, initialization, heads,
+head statistics and sketch normals, each draws its sketch roots from its own
+copy of the trial's roots stream, and the kernels, the step and
+``ModelParams`` carry a leading cell axis, so a round is still one step call
+and one statistics lookup.  A cell that diverges or collapses is
 frozen and truncated where it would stop alone; ``run_trajectory`` is the
 one-cell case.
 
@@ -514,7 +515,8 @@ def run_trajectory(
     """Run ``hp.iters`` outer steps from ``init`` and record diagnostics.
 
     A finite-sample run draws its heads from ``rng`` and its data from
-    ``data_rng``, which it requires.
+    ``data_rng``, which it requires: its sketch normals and roots from two
+    streams spawned from it (``env._rounds``).
 
     Records are taken at iteration 0, at every multiple of
     ``record_every``, and at the final iteration; each record describes the
@@ -538,14 +540,16 @@ def _run_cells(env: TaskEnvironment, hp: HyperParams, init: ModelParams, rng,
     sizes, one ``RunResult`` per cell.
 
     ``samples`` is None for a population run, ``(m_in, m_out)`` for one
-    finite-sample cell drawing its data from ``data_rng``, or a ``C x 2``
-    array of them for a stack of ``C`` cells, ``data_rng`` then a list of
-    the cells' ``C`` data streams.  The cells share ``env``, ``init``,
-    ``hp``'s other fields and the heads drawn from ``rng``, so they share
-    each round's task statistics; each cell draws its sketches from its own
-    stream in the block layout it has alone (``env._block_rounds``), and
-    the rank-generic step moves every cell with the bits it has alone.  A
-    round is one step call and one ``diversity_stats`` lookup for all cells.
+    finite-sample cell, or a ``C x 2`` array of them for a stack of ``C``
+    cells, which draw their data from the one stream ``data_rng``.  The
+    cells share ``env``, ``init``, ``hp``'s other fields and the heads drawn
+    from ``rng``, so they share each round's task statistics.  They also
+    share each block's sketch normals, drawn once from ``data_rng``'s
+    normals stream, and each cell draws its roots from its own copy of the
+    roots stream, in the block layout it has alone (``env._rounds``): a
+    cell's sketches are those it draws alone, and the rank-generic step
+    moves every cell with the bits it has alone.  A round is one step call
+    and one ``diversity_stats`` lookup for all cells.
 
     A cell is frozen where it diverges or where its record collapses: its
     trajectory is truncated there and ``diverged_at`` set, as when it runs

@@ -15,10 +15,15 @@ Ann. Statist. 31(5)); raw inputs are never formed.  A finite-sample run
 draws only ``O(d)`` variates per task and side: the first Bartlett columns
 of ``X~^T X~`` for ``X~ = [X, z]`` (``_Sketch``), one per read its
 algorithm's kernel makes of the side, which a step reveals along the
-directions it reads.
+directions it reads.  Its data stream is split into two (``_rounds``): the
+normals below the diagonal, whose count does not depend on ``m``, and the
+chi-square roots on it, which do.  The cells of a sample-size sweep share
+the first and each reads its own copy of the second, so they see common
+random numbers: the same normals, and the roots of their own ``m``.
 """
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from collections.abc import Iterator
@@ -196,13 +201,15 @@ class _Sketch:
     reveals every column drawn.
 
     A stack of ``C`` cells' sides carries a leading cell axis on the roots
-    and normals (``C x n x J``, ``C x n x J x (d + 1)``) and a ``C x 1 x 1``
-    array of sample counts ``m``; the targets and ``sigma`` are shared, since
-    the cells share their heads.  Every read then takes and returns arrays
-    with the cell axis, each cell's slice with the bits of its own side's
-    read: the reveal is written in ``...`` indexing and gufuncs
-    (``np.vecdot``, ``np.matvec``, ``np.vecmat``) that apply one inner loop
-    to each slice.
+    (``C x n x J``) and a ``C x 1 x 1`` array of sample counts ``m``; the
+    normals, the targets and ``sigma`` are shared, since the cells share
+    their heads and their normals stream (``_block_rounds``), so the normals
+    have no cell axis (``n x J x (d + 1)``) unless a cell's rank zeroes some
+    of them (``C x n x J x (d + 1)``).  Every read then takes and returns
+    arrays with the cell axis, each cell's slice with the bits of its own
+    side's read: the reveal is written in ``...`` indexing and gufuncs
+    (``np.vecdot``, ``np.matvec``, ``np.vecmat``) that broadcast the normals
+    over the cells and apply one inner loop to each slice.
 
     ``S beta - b`` is ``(1/m) [W u]_{:d}`` for ``u = (beta - B* w*_i;
     -sigma)``, ``S v`` for ``u = (v; 0)``; ``residual`` starts a reveal and
@@ -265,9 +272,12 @@ class _Sketch:
 
     def _first_column(self) -> None:
         """``q_0`` and ``l_0``, the first rows of the basis and columns, from
-        the intermediates ``(q_r, q_len, q_0 . g_0)`` of ``residual``."""
+        the intermediates ``(q_r, q_len, q_0 . g_0)`` of ``residual``; both
+        are shaped as the roots with the normals' last axis, the normals
+        broadcast over the cells."""
         q_r, q_len, qg = self.first
-        self.basis, self.cols = np.empty(self.normals.shape), np.empty(self.normals.shape)
+        shape = self.roots.shape + self.normals.shape[-1:]
+        self.basis, self.cols = np.empty(shape), np.empty(shape)
         q = self.basis[..., 0, :]
         q[..., :-1], q[..., -1] = q_r, -self.sigma
         q /= q_len[..., None]
@@ -354,14 +364,19 @@ def _rounds(env: TaskEnvironment, n: int, total: int, rng: np.random.Generator,
     with ``(m_in, m_out)`` inner and outer sketches of ``columns = (J_in,
     J_out)`` Bartlett columns drawn from ``data_rng`` given ``samples`` (both
     required then), heads only given None.  ``samples`` may also be a ``C x
-    2`` array of a stack of cells' sample counts, with a list of the cells'
-    data streams as ``data_rng``: the rounds then carry stacked sketches
-    (see ``_Sketch``).
+    2`` array of a stack of cells' sample counts, which then share the data
+    stream: the rounds carry stacked sketches (see ``_Sketch``).
+
+    The data stream is split once, into a normals stream and a roots stream
+    (``data_rng.spawn(2)``), and each cell reads a copy of the roots stream
+    of its own.  A block's normals are then one draw for every cell, and a
+    cell's roots are those it draws alone, whatever the other cells' ``m``
+    and the chi-square sampler's rejections at them.
 
     The rounds are drawn in blocks of ``R`` (see ``_BLOCK_FLOATS``), the last
     one trimmed: a block draws its heads in one call (``_round_heads``) and
     ``_block_rounds`` builds its rounds.  Every algorithm consumes the heads
-    stream alike, and the data stream as its columns ask.  Heads have the
+    stream alike, and the data streams as its columns ask.  Heads have the
     same bits in any block, so a population run's bytes do not depend on
     ``R``, and a finite-sample run with a data stream of its own steps on the
     population run's heads; its data depend on ``R``, which depends only on
@@ -371,31 +386,39 @@ def _rounds(env: TaskEnvironment, n: int, total: int, rng: np.random.Generator,
     if samples is not None and (data_rng is None or columns is None):
         raise ValueError("finite-sample rounds need a data stream of their own and their "
                          "sketch columns")
+    data = None
     if samples is None:
         size = max(1, _HEAD_BLOCK_FLOATS // (n * env.k))
     else:
         size = max(1, _BLOCK_FLOATS // (n * sum(columns) * (env.d + 2)))
+        normals, roots = data_rng.spawn(2)
+        if np.ndim(samples) == 2:
+            roots = [copy.deepcopy(roots) for _ in samples]
+        data = normals, roots
     for start in range(0, total, size):
         heads = _round_heads(env, min(size, total - start), n, rng)
-        yield from _block_rounds(env, heads, data_rng, samples, columns)
+        yield from _block_rounds(env, heads, data, samples, columns)
 
 
-def _block_rounds(env: TaskEnvironment, heads: np.ndarray, rng, samples,
+def _block_rounds(env: TaskEnvironment, heads: np.ndarray, data, samples,
                   columns: tuple[int, int] | None = None) -> list[TaskBatch]:
     """The rounds of a block of ``(R, n, k)`` heads, each with its task
     statistics and, given ``samples`` and ``columns`` (see ``_rounds``), its
-    sketches.
+    sketches, drawn from ``data = (normals, roots)``, two streams.
 
     The block is validated once, as one batch; the statistics of all its
     rounds are computed and checked in one stacked pass before anything else
-    is drawn; a finite-sample block then draws from ``rng`` the roots of its
-    ``R n`` tasks' sketch columns (the inner ones, then the outer) in one
-    call, then their normals in one, round ``r`` taking rows ``r n : (r + 1)
-    n`` and its targets ``B* w*_i``, formed from its own heads.  A stack of
-    cells (``samples`` of shape ``C x 2``, ``rng`` a list of ``C`` streams)
-    makes those two calls per cell, on the cell's own stream, and stacks
-    the draws along a leading cell axis; its rounds share their heads,
-    statistics and targets.
+    is drawn; a finite-sample block then draws the normals of its ``R n``
+    tasks' sketch columns (the inner ones, then the outer) from ``normals``
+    in one call, zero past the rank ``m``, and their roots from ``roots`` in
+    one, round ``r`` taking rows ``r n : (r + 1) n`` and its targets ``B*
+    w*_i``, formed from its own heads.  A stack of cells (``samples`` of
+    shape ``C x 2``, ``roots`` a list of ``C`` streams) draws the normals
+    once, for every cell, and each cell's roots from its own stream, stacked
+    along a leading cell axis; its rounds share their heads, statistics,
+    targets and normals.  Only when a cell's ``m`` is at most a column's
+    rank does the stack hold the normals per cell, each cell's zeroed past
+    its own rank.
     """
     count, n, k = heads.shape
     tasks = TaskBatch(heads.reshape(count * n, k)).heads
@@ -405,19 +428,21 @@ def _block_rounds(env: TaskEnvironment, heads: np.ndarray, rng, samples,
     if samples is None:
         sides = [[None] * count] * 2
     else:
+        normals_rng, roots_rng = data
         stacked = np.ndim(samples) == 2
         j = columns[0]
         rank = np.concatenate([np.arange(side) for side in columns])
-        draws = []
-        for cell_rng, cell_samples in zip(rng if stacked else [rng],
-                                          samples if stacked else [samples]):
-            sizes = np.repeat(cell_samples, columns)
-            roots = np.sqrt(chi_square(cell_rng, np.broadcast_to(np.maximum(sizes - rank, 0),
-                                                                 (count * n, len(rank)))))
-            normals = standard_normal(cell_rng, (count * n, len(rank), env.d + 1))
-            normals[:, rank >= sizes] = 0.0  # the factor has rank m
-            draws.append((roots, normals))
-        roots, normals = (np.stack(drawn) if stacked else drawn[0] for drawn in zip(*draws))
+        sizes = np.repeat(samples, columns, axis=-1)  # each column's m, per cell
+        grid = (count * n, len(rank))
+        normals = standard_normal(normals_rng, grid + (env.d + 1,))
+        past = rank >= sizes  # the factor has rank m
+        if past.any():
+            normals = np.where(past[..., None, :, None], 0.0, normals)
+        roots = [np.sqrt(chi_square(cell_rng, np.broadcast_to(np.maximum(cell_sizes - rank, 0),
+                                                              grid)))
+                 for cell_rng, cell_sizes in zip(roots_rng if stacked else [roots_rng],
+                                                 np.atleast_2d(sizes))]
+        roots = np.stack(roots) if stacked else roots[0]
         ms = (np.asarray(samples, dtype=float).T[:, :, None, None] if stacked else samples)
         targets = [heads_r.dot(env.ground_truth_rep.T) for heads_r in heads]
         tasks_of = [slice(r * n, (r + 1) * n) for r in range(count)]

@@ -307,9 +307,11 @@ def _run_trial(configs: tuple[ExperimentConfig, ...], trial: int,
     ``hp.m_in``/``hp.m_out``, as one stack (``algorithms._run_cells``);
     ``record_every`` defaults to the configs' schedule.
 
-    The cells share the trial's environment, initialization and heads
-    stream, and each draws its data from the trial's data stream as it
-    does alone, so each result is the one its config's trial has alone.
+    The cells share the trial's environment, initialization, heads stream
+    and data stream: from the data stream each block's sketch normals are
+    drawn once for all cells, and each cell draws its roots from its own
+    copy of the roots stream (``env._rounds``), so each result is the one
+    its config's trial has alone.
     """
     config = configs[0]
     seed = config.run.master_seed
@@ -319,13 +321,12 @@ def _run_trial(configs: tuple[ExperimentConfig, ...], trial: int,
                       target_band=config.init.target_band)
     tasks = substream(seed, trial, "tasks")
     every = config.run.record_every if record_every is None else record_every
+    # A finite-sample trial's data stream leaves it the population trial's heads.
+    data = None if hp.mode is Mode.POPULATION else substream(seed, trial, "data")
     if len(configs) == 1:
-        # A finite-sample trial's data stream leaves it the population trial's heads.
-        data = None if hp.mode is Mode.POPULATION else substream(seed, trial, "data")
         return (run_trajectory(env, hp, init, tasks, record_every=every, data_rng=data),)
     samples = np.array([(c.hp.m_in, c.hp.m_out) for c in configs])
-    return tuple(_run_cells(env, hp, init, tasks, every, samples,
-                            [substream(seed, trial, "data") for _ in configs]))
+    return tuple(_run_cells(env, hp, init, tasks, every, samples, data))
 
 
 def _hypothesis_report(
@@ -718,15 +719,16 @@ def sweep(
     Sample-size axes (M_IN, M_OUT) require FINITE mode.  Their valid cells
     differ only in their sample sizes, so each trial runs them as one stack
     (``_run_trial``): the cells share the trial's environment,
-    initialization, heads and head statistics, and each draws its data from
-    the trial's data stream as it does alone, so every cell's files have
-    the bytes ``run_experiment`` writes for it.  Other axes run one cell at a
-    time.  Trials are split over up to ``jobs`` workers, and every cell's
-    files are written by ``run_experiment``'s writer.  A failing cell (a
-    non-finite value included) records its error message and the sweep
-    continues; an error while running a stack is every cell's of the stack.
-    Cells where every trial diverged report the divergence count with empty
-    statistics.
+    initialization, heads, head statistics and sketch normals (common random
+    numbers, so that the cells' plateaus differ by their sample sizes and
+    not by their noise), and each draws its sketch roots as it does alone,
+    so every cell's files have the bytes ``run_experiment`` writes for it.
+    Other axes run one cell at a time.  Trials are split over up to ``jobs``
+    workers, and every cell's files are written by ``run_experiment``'s
+    writer.  A failing cell (a non-finite value included) records its error
+    message and the sweep continues; an error while running a stack is every
+    cell's of the stack.  Cells where every trial diverged report the
+    divergence count with empty statistics.
     """
     _check_jobs(jobs)
     axis = SweepAxis(axis)

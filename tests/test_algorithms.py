@@ -39,6 +39,7 @@ from linrep.algorithms import (
 from linrep.env import (
     _BLOCK_FLOATS,
     _HEAD_BLOCK_FLOATS,
+    _block_rounds,
     _rounds,
     _trusted,
     DataSet,
@@ -744,12 +745,14 @@ class TestRoundBlocks:
     @pytest.mark.parametrize("count", [1, 3])
     @pytest.mark.parametrize("m_in", [2, 12], ids=["m<J", "m>=d"])
     def test_block_draws_its_heads_then_one_sketch_grid(self, m_in: int, count: int) -> None:
-        # Heads from the tasks stream, bitwise the per-round draws; then from
-        # the data stream one chi-square grid of the block's R n tasks by
-        # the algorithm's columns (J_in inner, dof m_in, m_in - 1, ..., then
-        # J_out outer, dof m_out, ..., at least 0), then their normals, zero
-        # past the rank; round r reads rows r n : (r + 1) n, with its own
-        # targets and the noise level.  For the columns of each algorithm.
+        # Heads from the tasks stream, bitwise the per-round draws; the data
+        # stream split into two, ``normals, roots = data.spawn(2)``: from the
+        # roots stream one chi-square grid of the block's R n tasks by the
+        # algorithm's columns (J_in inner, dof m_in, m_in - 1, ..., then
+        # J_out outer, dof m_out, ..., at least 0), from the normals stream
+        # their normals, zero past the rank; round r reads rows r n : (r + 1)
+        # n, with its own targets and the noise level.  For the columns of
+        # each algorithm.
         for columns in sorted(set(_SKETCH_COLUMNS.values())):
             self._check_sketch_grid(m_in, count, columns)
 
@@ -760,13 +763,14 @@ class TestRoundBlocks:
         j_in, j_out = columns
         tasks, data = substream(25, m_in, "tasks"), substream(25, m_in, "data")
         block = list(_rounds(env, n, count, tasks, (m_in, m_out), data, columns))
-        ref_tasks, ref_data = substream(25, m_in, "tasks"), substream(25, m_in, "data")
+        ref_tasks = substream(25, m_in, "tasks")
+        ref_normals, ref_roots = substream(25, m_in, "data").spawn(2)
         heads = [sample_task_batch(env, n, ref_tasks).heads for _ in range(count)]
         dof = np.empty((count * n, j_in + j_out))
         dof[:] = np.maximum(np.array([m_in] * j_in + [m_out] * j_out)
                             - [*range(j_in), *range(j_out)], 0)
-        roots = np.sqrt(chi_square(ref_data, dof))
-        normals = standard_normal(ref_data, (count * n, j_in + j_out, env.d + 1))
+        roots = np.sqrt(chi_square(ref_roots, dof))
+        normals = standard_normal(ref_normals, (count * n, j_in + j_out, env.d + 1))
         normals[:, :j_in][:, m_in:] = 0.0
         assert len(block) == count
         for r, batch in enumerate(block):
@@ -782,7 +786,13 @@ class TestRoundBlocks:
                 assert side.sigma == env.noise_std
         assert (block[0].inner_sets.normals[:, m_in:] == 0.0).all()
         assert np.array_equal(tasks.random(4), ref_tasks.random(4))
-        assert np.array_equal(data.random(4), ref_data.random(4))
+        # The run draws nothing from the data stream itself; the block leaves
+        # each of its two streams where the reference draws leave it.
+        assert np.array_equal(data.random(4), substream(25, m_in, "data").random(4))
+        streams = substream(25, m_in, "data").spawn(2)
+        _block_rounds(env, np.stack(heads), streams, (m_in, m_out), columns)
+        for stream, ref in zip(streams, (ref_normals, ref_roots)):
+            assert np.array_equal(stream.random(4), ref.random(4))
 
     def test_variates_per_block_do_not_depend_on_m(self, monkeypatch) -> None:
         # Gaussian and chi-square variates requested by the block's samplers

@@ -419,8 +419,8 @@ class TestDiversityStats:
         params = ModelParams(rep=standard_normal(substream(9, 2, "params"), (5, 2)),
                              head=np.array([0.5, -1.0]))
         step = step_for(hp)
-        for batch in _block_rounds(env, heads, substream(9, 1, "data"), (hp.m_in, hp.m_out),
-                                   _SKETCH_COLUMNS[hp.algo]):
+        for batch in _block_rounds(env, heads, substream(9, 1, "data").spawn(2),
+                                   (hp.m_in, hp.m_out), _SKETCH_COLUMNS[hp.algo]):
             for side, columns, m in ((batch.inner_sets, 3, 2), (batch.outer_sets, 1, 10)):
                 assert side.n == 4 and side.m == m
                 assert side.roots.shape == (4, columns)

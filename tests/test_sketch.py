@@ -158,8 +158,8 @@ class TestSketchIdentity:
         d, n = 5, 3
         env = TaskEnvironment(d=d, k=2, ground_truth_rep=np.eye(d)[:, :2],
                               head_mean=np.zeros(2), head_scale=1.0, noise_std=0.0)
-        (batch,) = _block_rounds(env, np.zeros((1, n, 2)), substream(42, m, "data"), (m, m),
-                                 (2, 1))
+        (batch,) = _block_rounds(env, np.zeros((1, n, 2)), substream(42, m, "data").spawn(2),
+                                 (m, m), (2, 1))
         side = batch.inner_sets
         assert not side.targets.any() and side.sigma == 0.0
         v = np.tile(np.arange(1.0, d + 1.0), (n, 1))
@@ -193,7 +193,7 @@ class TestSketchIdentity:
         env = _identity_env(d, k, exact_zero)
         tasks = substream(49, m, "tasks")
         heads = standard_normal(tasks, (1, n, k))
-        (batch,) = _block_rounds(env, heads, substream(49, m, "data"), (m, m), (2, 1))
+        (batch,) = _block_rounds(env, heads, substream(49, m, "data").spawn(2), (m, m), (2, 1))
         side = batch.inner_sets
         beta = standard_normal(tasks, (n, d))
         if exact_zero:
@@ -323,7 +323,7 @@ def _sketched_statistics(env, heads, beta, vs, m, rng) -> np.ndarray:
     """``(N, 4, d)``: per task the residual at ``beta`` and then ``S v`` for
     each ``v`` of ``vs``, read in that order from one three-column sketch,
     and the residual at ``beta`` read from a one-column sketch."""
-    (batch,) = _block_rounds(env, heads[None], rng, (m, m), (3, 1))
+    (batch,) = _block_rounds(env, heads[None], rng.spawn(2), (m, m), (3, 1))
     side = batch.inner_sets
     reads = [side.residual(beta)] + [side.times(np.tile(v, (len(heads), 1))) for v in vs]
     return np.stack(reads + [batch.outer_sets.residual(beta)], axis=1)
@@ -391,7 +391,8 @@ class TestSketchLaw:
         heads = np.tile(standard_normal(rng, (1, k)), (LAW_SAMPLES, 1))
         beta = heads[0] @ env.ground_truth_rep.T
         beta[0] += sigma  # r = sigma e_0
-        (batch,) = _block_rounds(env, heads[None], substream(44, m, "sketch"), (m, m), (1, 1))
+        (batch,) = _block_rounds(env, heads[None], substream(44, m, "sketch").spawn(2), (m, m),
+                                  (1, 1))
         sketched = batch.outer_sets.residual(beta)[:, 0]
         sampled = sample_dataset(env, heads, m, substream(44, m, "sampled")).residual(beta)[:, 0]
         squares = [(x - x.mean()) ** 2 for x in (sketched, sampled)]
@@ -422,7 +423,7 @@ class TestFiniteConvergesToPopulation:
                 init = init_model(env, 0.1, InitScheme.SPEC, substream(46, 0, "init"))
                 results = _run_cells(env, hp, init, substream(46, 0, "tasks"), 10,
                                      np.array([(m, m) for m in CONVERGENCE_M]),
-                                     [substream(46, 0, "data") for _ in CONVERGENCE_M])
+                                     substream(46, 0, "data"))
                 if population is None:
                     results.insert(0, run_trajectory(
                         env, _hp(algo, Mode.POPULATION, n=3, alpha=0.1, beta=0.1, iters=2000),
